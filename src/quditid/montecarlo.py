@@ -40,11 +40,6 @@ def trial_stream(seed, index):
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-def sample_haar(d, stream):
-    """One Haar-random single-qudit state: normalized complex Gaussian."""
-    return haar_state(d, stream)
-
-
 def _draw_trials(d, count, stream_at):
     """Reference states, true indices and outcome uniforms of `count` trials.
 

@@ -19,6 +19,12 @@ def povm4():
     return build_povm(4)
 
 
+def dense_conclusive_sum(elements):
+    """Dense oracle for a sum of conclusive elements: scale * M^T conj(M)
+    per element, M being the element's stacked vectors."""
+    return sum(elem.scale * (elem.matrix.T @ elem.matrix.conj()) for elem in elements)
+
+
 def haar_unitary(n, rng):
     """Haar-distributed unitary via QR with the standard phase fix."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)

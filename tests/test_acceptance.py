@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from conftest import dense_conclusive_sum
 
 from quditid import (
     build_detection_core,
@@ -44,14 +45,6 @@ def criterion(num, desc):
     print(f"PASS criterion {num:2d}: {desc}")
 
 
-def _dense_conclusive_sum(povm):
-    D = total_dim(povm.d)
-    total = np.zeros((D, D), dtype=np.complex128)
-    for elem in povm.elements:
-        total += elem.as_operator().to_dense()
-    return total
-
-
 def test_criterion_01_closed_form_success():
     with criterion(1, "success probability matches 1/((d+1) d^(d-1)), d = 2..4"):
         t0 = time.perf_counter()
@@ -82,8 +75,8 @@ def test_criterion_03_povm_validity():
         for d in (2, 3, 4):
             povm = build_povm(d)
             D = total_dim(d)
-            conclusive = _dense_conclusive_sum(povm)
-            unknown = povm.inconclusive.to_dense()
+            conclusive = dense_conclusive_sum(povm.elements)
+            unknown = np.eye(D) - conclusive
             assert np.max(np.abs(conclusive + unknown - np.eye(D))) <= 1e-10
             eig_unknown = np.linalg.eigvalsh(unknown)
             assert eig_unknown[0] >= -1e-10

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from conftest import dense_conclusive_sum
 
 from quditid.analytics import (
     ConfusionMatrix,
+    _conclusive_spectrum,
+    _gram,
     closed_form_success,
     conclusive_sum_spectrum,
     confusion,
@@ -11,6 +14,7 @@ from quditid.analytics import (
     sym_block_trace,
     verify_report,
 )
+from quditid.detection import LowRankPovmElement, Povm
 from quditid.state_ops import build_sym_projector
 from quditid.tensor_core import encode_index, total_dim
 
@@ -143,4 +147,46 @@ def test_verify_report_accepts_prebuilt(povm2):
 
 def test_verify_report_rejects_large_d():
     with pytest.raises(ValueError):
-        verify_report(5)
+        verify_report(6)
+
+
+def _rescaled(povm, scale):
+    return Povm(
+        povm.d,
+        [LowRankPovmElement(e.label, scale, e.vectors) for e in povm.elements],
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("excess", ["tiny", "unit"])
+def test_verify_report_flags_oversized_scale(d, excess, povm2, povm3):
+    """Any scale above d/(d+1) makes the remainder indefinite."""
+    povm = {2: povm2, 3: povm3}[d]
+    scale = {"tiny": d / (d + 1) + 1e-6, "unit": 1.0}[excess]
+    report = verify_report(d, povm=_rescaled(povm, scale))
+    assert report["ok"] is False
+    assert {
+        "inconclusive_psd",
+        "conclusive_spectrum",
+        "success_matches_closed_form",
+    } <= set(report["failed_checks"])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("optimal", [True, False])
+def test_gram_spectrum_matches_dense_oracle(d, optimal, povm2, povm3):
+    """The Gram-matrix spectrum equals the eigenvalues of the dense
+    conclusive sum, for the optimal scale and for an oversized one."""
+    povm = {2: povm2, 3: povm3}[d]
+    if not optimal:
+        povm = _rescaled(povm, 1.0)
+    D = total_dim(d)
+    dense = dense_conclusive_sum(povm.elements)
+    want = np.linalg.eigvalsh(dense)
+    gram, scales = _gram(povm)
+    assert np.max(np.abs(_conclusive_spectrum(gram, scales, D) - want)) <= 1e-12
+    report = verify_report(d, povm=povm)
+    want_min = np.linalg.eigvalsh(np.eye(D) - dense)[0]
+    assert abs(report["min_eig_pi_unknown"] - want_min) <= 1e-12
+    want_dev = np.max(np.abs(want - conclusive_sum_spectrum(d)))
+    assert abs(report["conclusive_spectrum_dev"] - want_dev) <= 1e-12

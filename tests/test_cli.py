@@ -21,6 +21,14 @@ def test_verify_d3(capsys):
     assert abs(report["p_succ"] - report["p_succ_closed_form"]) <= 1e-12
 
 
+def test_verify_d5(capsys):
+    rc, out = run_cli(capsys, "verify", "--d", "5")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["failed_checks"] == []
+
+
 def test_verify_writes_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     rc, out = run_cli(capsys, "verify", "--d", "2", "--out", str(path))
@@ -138,7 +146,7 @@ def test_optimize_grid(capsys):
         ["frobnicate"],
         ["build"],
         ["build", "--d", "9"],
-        ["verify", "--d", "5"],
+        ["verify", "--d", "6"],
         ["simulate", "--d", "2", "--trials", "0"],
         ["simulate", "--d", "2", "--seed", "-1"],
         ["optimize", "--d", "4", "--mode", "grid"],

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_conclusive_sum
 
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
@@ -139,10 +140,8 @@ def test_build_povm_scale(povm2, povm3):
 def test_completeness_and_positivity(d, povm2, povm3, povm4):
     povm = {2: povm2, 3: povm3, 4: povm4}[d]
     D = total_dim(d)
-    conclusive = np.zeros((D, D), dtype=np.complex128)
-    for elem in povm.elements:
-        conclusive += elem.as_operator().to_dense()
-    unknown = povm.inconclusive.to_dense()
+    conclusive = dense_conclusive_sum(povm.elements)
+    unknown = np.eye(D) - conclusive
     assert np.max(np.abs(conclusive + unknown - np.eye(D))) <= 1e-10
     assert np.linalg.eigvalsh(unknown)[0] >= -1e-10
 
@@ -150,11 +149,7 @@ def test_completeness_and_positivity(d, povm2, povm3, povm4):
 @pytest.mark.parametrize("d", [2, 3])
 def test_conclusive_sum_spectrum(d, povm2, povm3):
     povm = {2: povm2, 3: povm3}[d]
-    D = total_dim(d)
-    total = np.zeros((D, D), dtype=np.complex128)
-    for elem in povm.elements:
-        total += elem.as_operator().to_dense()
-    eigs = np.linalg.eigvalsh(total)
+    eigs = np.linalg.eigvalsh(dense_conclusive_sum(povm.elements))
     assert np.max(np.abs(eigs - conclusive_sum_spectrum(d))) <= 1e-10
 
 
@@ -250,7 +245,7 @@ def test_low_rank_element_validation():
 
 def test_element_apply_matches_dense(povm2):
     elem = povm2.elements[0]
-    dense = elem.as_operator().to_dense()
+    dense = dense_conclusive_sum([elem])
     rng = np.random.default_rng(8)
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     np.testing.assert_allclose(elem.apply(vec), dense @ vec, atol=1e-12)
@@ -262,14 +257,13 @@ def test_element_apply_matches_dense(povm2):
 
 def test_povm_wrapper_validation(povm2):
     with pytest.raises(ValueError):
-        Povm(2, povm2.elements[:1], povm2.inconclusive)
+        Povm(2, povm2.elements[:1])
     with pytest.raises(ValueError):
-        Povm(2, (povm2.elements[1], povm2.elements[0]), povm2.inconclusive)
+        Povm(2, (povm2.elements[1], povm2.elements[0]))
 
 
 def test_large_dimension_stays_low_rank():
     povm = build_povm(5)
-    assert povm.inconclusive is None
     assert povm.scale == pytest.approx(5.0 / 6.0)
     assert len(povm.elements) == 5
 
@@ -285,5 +279,3 @@ def test_povm_serialization_round_trip(d, povm2, povm3):
         assert a.label == b.label
         for va, vb in zip(a.vectors, b.vectors):
             np.testing.assert_array_equal(va.amps, vb.amps)
-    dev = abs(back.inconclusive.mat - povm.inconclusive.mat)
-    assert (dev.max() if dev.nnz else 0.0) < 1e-15

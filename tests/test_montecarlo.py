@@ -13,7 +13,6 @@ from quditid.montecarlo import (
     outcome_probabilities,
     run_experiment,
     run_trial,
-    sample_haar,
     trial_stream,
 )
 from quditid.tensor_core import basis_ket, haar_state, product_state
@@ -27,7 +26,7 @@ def test_sample_haar_norm_and_first_moment():
     stream = trial_stream(0, 0)
     acc = np.zeros(3)
     for _ in range(20000):
-        v = sample_haar(3, stream)
+        v = haar_state(3, stream)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         acc += np.abs(v) ** 2
     np.testing.assert_allclose(acc / 20000, 1.0 / 3.0, atol=0.01)
@@ -41,7 +40,7 @@ def test_sample_haar_second_moment():
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     n_samples = 40000
     for _ in range(n_samples):
-        psi = sample_haar(d, rng)
+        psi = haar_state(d, rng)
         pair = np.kron(psi, psi)
         acc += np.outer(pair, pair.conj())
     target = 2.0 * _pair_sym_projector(d) / (d * (d + 1))
@@ -58,7 +57,7 @@ def test_outcome_probabilities_basis_references(povm2):
 
 
 def test_outcome_probabilities_identical_references(povm2):
-    psi = sample_haar(2, trial_stream(3, 0))
+    psi = haar_state(2, trial_stream(3, 0))
     p, p_inc = outcome_probabilities(povm2, psi, [psi, psi])
     assert p.max() <= 1e-25
     assert p_inc >= 1.0 - 1e-10
@@ -76,7 +75,7 @@ def test_probabilities_match_operator_expectations(d, povm2, povm3):
     povm = {2: povm2, 3: povm3}[d]
     rng = np.random.default_rng(31)
     for _ in range(20):
-        factors = [sample_haar(d, rng) for _ in range(d + 1)]
+        factors = [haar_state(d, rng) for _ in range(d + 1)]
         full = product_state(factors)
         p, p_inc = outcome_probabilities(povm, factors[0], factors[1:])
         for elem in povm.elements:
