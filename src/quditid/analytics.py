@@ -23,9 +23,6 @@ from .tensor_core import check_dim, total_dim
 # alone take 36 * 6**7 * 16 B, about 161 MB.
 VERIFY_MAX_D = 5
 
-# Eigenvalues below this count as zero in rank/kernel decisions.
-ZERO_EIG_TOL = 1e-8
-
 EXACT_TOL = 1e-12
 EIG_TOL = 1e-10
 

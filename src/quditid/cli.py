@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .analytics import verify_report
 from .detection import build_povm, povm_to_dict
-from .montecarlo import run_experiment
+from .montecarlo import SEED_LIMIT, run_experiment
 from .sym_optimizer import (
     build_symmetric_family,
     frame_operator,
@@ -119,7 +119,7 @@ def _build_parser():
     simulate = sub.add_parser("simulate", help="Monte Carlo experiment")
     simulate.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
     simulate.add_argument("--trials", type=_positive_int, default=100000)
-    simulate.add_argument("--seed", type=_nonnegative_int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
     simulate.add_argument("--format", choices=["json", "csv"], default="json")
     simulate.add_argument("--out", default=None)
 
@@ -139,10 +139,10 @@ def _positive_int(text):
     return value
 
 
-def _nonnegative_int(text):
+def _seed(text):
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text}")
     return value
 
 

@@ -7,11 +7,14 @@ conclusive outcome probabilities come from the determinant fast path
 complement — its nonnegativity is itself one of the invariants checked
 on every trial.
 
-Reproducibility: every trial owns an RNG stream keyed by
-(seed, trial index), so reports are bit-identical for a given
-(d, trials, seed) no matter how trials are batched.  Trials run
-serially: the per-trial Python loop holds the GIL, so worker threads
-would only contend for it.
+Reproducibility: trial i's random words are a pure function of
+(seed, i).  They come from the counter-based generator Philox-4x32-10
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+keyed by the seed and counted by the trial index, and are computed for
+a whole batch of trials at once.  Seeds and trial indices are integers
+in [0, 2**64).  Reports are bit-identical for a given (d, trials, seed)
+however trials are batched, and run_trial(d, povm, trial_stream(seed, i))
+reproduces trial i of run_experiment(d, trials, seed) on its own.
 """
 
 import math
@@ -20,58 +23,121 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import check_dim, haar_state
+# perfbench/child.py binds montecarlo.haar_state and .trial_stream by name.
+from .tensor_core import check_dim, haar_state  # noqa: F401
 
 # Outcome code for "no identification made"; conclusive outcomes are 1..d.
 INCONCLUSIVE = 0
 
 COMPLEMENT_TOL = 1e-10
-MISFIRE_TOL = 1e-10
+# Misidentification tolerance, relative to the optimum success probability.
+MISFIRE_RTOL = 1e-9
 PROB_FLOOR = -1e-12
 
 # Two-sided 99% normal quantile, for the confidence half-width.
 Z_99 = 2.5758293035489004
 
-_CHUNK = 8192
+# Trials per batch; it also bounds the Philox uint64 temporaries.
+_CHUNK = 2048
+
+# Seeds and trial indices fill the 64-bit Philox key and counter halves.
+SEED_LIMIT = 2**64
+
+_MASK32 = 0xFFFFFFFF
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+
+
+def _misfire_tol(d):
+    """Largest accepted misidentification probability at dimension d."""
+    return MISFIRE_RTOL / ((d + 1) * d ** (d - 1))
+
+
+def _check_u64(name, value):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer")
+    value = int(value)
+    if not 0 <= value < SEED_LIMIT:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def trial_stream(seed, index):
-    """Independent RNG stream for one trial, keyed by (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+    """Handle of trial `index` under `seed`: the validated (seed, index).
+
+    run_trial(d, povm, trial_stream(seed, i)) reproduces trial i of
+    run_experiment(d, trials, seed).
+    """
+    return _check_u64("seed", seed), _check_u64("trial index", index)
 
 
-def _draw_trials(d, count, stream_at):
-    """Reference states, true indices and outcome uniforms of `count` trials.
+def _philox4x32(ctr, key):
+    """Philox-4x32-10 of the (4, n) uint32 counters `ctr` under key (k0, k1).
 
-    stream_at(b) returns the stream of row b as it stands at the start of
-    that trial.  Each trial draws, in order: all 2*d*d normals in one call
-    (per reference, d real parts then d imaginary parts, the words that d
-    calls of haar_state take), the true index in 1..d, and the outcome
-    uniform.  The references of all rows are then normalised at once.  A
-    reference of norm exactly 0, which haar_state would redraw, sends its
-    row back through per-state haar_state draws from stream_at(b) again.
+    Returns the (4, n) uint32 output words.  Each product is taken in
+    uint64, whose high and low halves are Philox's mulhi and mullo; the
+    rounds update the four uint64 rows in place.
+    """
+    c = np.array(ctr, dtype=np.uint64)
+    c0, c1, c2, c3 = c
+    p0 = np.empty_like(c0)
+    p1 = np.empty_like(c0)
+    k0, k1 = key
+    for _ in range(10):
+        np.multiply(c0, _PHILOX_M[0], out=p0)
+        np.multiply(c2, _PHILOX_M[1], out=p1)
+        np.right_shift(p1, 32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, 32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p0, _MASK32, out=c3)
+        k0 = (k0 + _PHILOX_W[0]) & _MASK32
+        k1 = (k1 + _PHILOX_W[1]) & _MASK32
+    return c.astype(np.uint32)
+
+
+def _uniforms(a, b):
+    """Uniforms in (0, 1) from word pairs: 26 bits of each word a, b give
+    ((a >> 6) * 2**26 + (b >> 6) + 0.5) / 2**52, exact in float64, so the
+    extremes are 2**-53 and 1 - 2**-53."""
+    m = ((a >> 6).astype(np.uint64) << 26) | (b >> 6)
+    return (m.astype(np.float64) + 0.5) * 2.0**-52
+
+
+def _draw_trials(d, seed, start, count):
+    """Reference states, true indices and outcome uniforms of the trials
+    start .. start + count - 1 under `seed`.
+
+    Block j of trial i is Philox-4x32-10 of counter (i & 0xffffffff,
+    i >> 32, j, 0) under key (seed & 0xffffffff, seed >> 32), for
+    j = 0..d*d.  Its words 0, 1 give uniform u[2j] and its words 2, 3 give
+    u[2j+1].  With k = j*d + l, amplitude l of reference j is
+    sqrt(-ln u[2k]) * exp(2 pi i u[2k+1]), and each reference is then
+    normalised; since every u < 1, every radius is > 0.  The true index
+    is 1 + floor(d u[2d²]) and the outcome uniform is u[2d²+1].
     Returns refs (count, d, d), truths (count,) and uniforms (count,).
     """
-    words = np.empty((count, d, 2, d))
-    truths = np.empty(count, dtype=np.int64)
-    us = np.empty(count)
-    for b in range(count):
-        stream = stream_at(b)
-        stream.standard_normal(out=words[b])
-        truths[b] = stream.integers(1, d + 1)
-        us[b] = stream.random()
-    norms = np.linalg.norm(words.reshape(count, d, 2 * d), axis=-1)
-    zero = norms == 0.0
-    norms[zero] = 1.0  # those rows are redrawn below
-    refs = words[:, :, 1] * 1j
-    refs += words[:, :, 0]
-    refs /= norms[..., None]
-    for b in np.flatnonzero(zero.any(axis=1)):
-        stream = stream_at(b)
-        refs[b] = [haar_state(d, stream) for _ in range(d)]
-        truths[b] = stream.integers(1, d + 1)
-        us[b] = stream.random()
-    return refs, truths, us
+    blocks = d * d + 1
+    trial = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    ctr = np.empty((4, blocks, count), dtype=np.uint32)
+    ctr[0] = trial & _MASK32
+    ctr[1] = trial >> 32
+    ctr[2] = np.arange(blocks, dtype=np.uint32)[:, None]
+    ctr[3] = 0
+    words = _philox4x32(ctr.reshape(4, -1), (seed & _MASK32, seed >> 32))
+    words = words.reshape(4, blocks, count)
+    u = np.stack([_uniforms(words[0], words[1]), _uniforms(words[2], words[3])], axis=1)
+    u = u.reshape(2 * blocks, count)
+    n = d * d
+    energy = -np.log(u[0:2 * n:2].T.reshape(count, d, d))
+    energy /= energy.sum(axis=-1, keepdims=True)
+    refs = np.exp((2j * np.pi) * u[1:2 * n:2].T.reshape(count, d, d))
+    refs *= np.sqrt(energy)
+    truths = 1 + (d * u[2 * n]).astype(np.int64)  # floor, as u > 0
+    return refs, truths, u[2 * n + 1]
 
 
 def _probs_batch(d, scale, probes, refs):
@@ -138,7 +204,7 @@ class TrialRecord:
         if abs(probs.sum() - 1.0) > 1e-10:
             raise ValueError("outcome probabilities do not sum to 1")
         misfire = np.delete(probs[:d], self.truth - 1)
-        if misfire.size and misfire.max() > MISFIRE_TOL:
+        if misfire.size and misfire.max() > _misfire_tol(d):
             raise ValueError("nonzero probability of misidentification")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
@@ -149,17 +215,16 @@ class TrialRecord:
 
 
 def run_trial(d, povm, stream):
-    """Simulate a single trial of the identification experiment."""
+    """Simulate a single trial of the identification experiment.
+
+    stream is a trial_stream(seed, index) handle; the trial is the one
+    run_experiment(d, trials, seed) runs at that index.
+    """
     d = check_dim(d)
     if povm.d != d:
         raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
-    state = stream.bit_generator.state
-
-    def stream_at(_):
-        stream.bit_generator.state = state
-        return stream
-
-    refs, truths, us = _draw_trials(d, 1, stream_at)
+    seed, index = trial_stream(*stream)
+    refs, truths, us = _draw_trials(d, seed, index, 1)
     truth = int(truths[0])
     p, p_inc = _probs_batch(d, povm.scale, refs[:, truth - 1], refs)
     outcome = int(_sample_outcomes(p, p_inc, us)[0])
@@ -225,13 +290,13 @@ class ExperimentReport:
 
 def _simulate_range(d, scale, seed, start, count, truths, outcomes, p_corr, p_inc):
     """Fill result slices for trials [start, start+count)."""
-    refs, tr, us = _draw_trials(d, count, lambda b: trial_stream(seed, start + b))
+    refs, tr, us = _draw_trials(d, seed, start, count)
     probes = refs[np.arange(count), tr - 1]
     p, pq = _probs_batch(d, scale, probes, refs)
     misfire = p.copy()
     misfire[np.arange(count), tr - 1] = 0.0
     worst = float(misfire.max(initial=0.0))
-    if worst > MISFIRE_TOL:
+    if worst > _misfire_tol(d):
         raise RuntimeError(
             f"misidentification probability {worst!r} in batch at trial {start}"
         )
@@ -246,23 +311,18 @@ def run_experiment(d, trials, seed, threads=None):
     """Run `trials` independent trials and aggregate the outcome counts.
 
     threads is an accepted parallelism hint that the run ignores: trials
-    run serially, because the per-trial Python loop holds the GIL and
-    threads only contend for it.  Results are bit-identical for a given
-    (d, trials, seed) whatever it is.  The determinant fast
-    path makes this usable up to d = 5 without ever touching the full
-    tensor space.
+    run serially, in numpy batches of up to _CHUNK trials.  Results are
+    bit-identical for a given (d, trials, seed) whatever it is.  The
+    determinant fast path makes this usable up to d = 5 without ever
+    touching the full tensor space.
     """
     d = check_dim(d)
     if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
         raise TypeError("trials must be an integer")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise TypeError("seed must be an integer")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = _check_u64("seed", seed)
     trials = int(trials)
-    seed = int(seed)
     scale = d / (d + 1)
 
     t0 = time.perf_counter()

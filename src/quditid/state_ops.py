@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor_core import check_dim, haar_state, total_dim
+from .tensor_core import check_dim, total_dim
 
 HERMITICITY_TOL = 1e-12
 # Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).

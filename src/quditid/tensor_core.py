@@ -8,7 +8,6 @@ probe digit most significant:
     flat = sum_j digits[j] * d**(d - j)
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -149,6 +149,7 @@ def test_optimize_grid(capsys):
         ["verify", "--d", "6"],
         ["simulate", "--d", "2", "--trials", "0"],
         ["simulate", "--d", "2", "--seed", "-1"],
+        ["simulate", "--d", "2", "--seed", str(2**64)],
         ["optimize", "--d", "4", "--mode", "grid"],
         ["optimize", "--d", "2", "--resolution", "0.5"],
     ],

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from quditid.analytics import _pair_sym_projector, closed_form_success
 from quditid.montecarlo import (
     INCONCLUSIVE,
     Z_99,
+    SEED_LIMIT,
     TrialRecord,
     outcome_probabilities,
     run_experiment,
@@ -23,10 +25,10 @@ def test_inconclusive_code():
 
 
 def test_sample_haar_norm_and_first_moment():
-    stream = trial_stream(0, 0)
+    rng = np.random.default_rng(0)
     acc = np.zeros(3)
     for _ in range(20000):
-        v = haar_state(3, stream)
+        v = haar_state(3, rng)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         acc += np.abs(v) ** 2
     np.testing.assert_allclose(acc / 20000, 1.0 / 3.0, atol=0.01)
@@ -47,6 +49,20 @@ def test_sample_haar_second_moment():
     assert np.max(np.abs(acc / n_samples - target)) < 0.02
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_draw_trials_haar_second_moment(d):
+    """The references _draw_trials builds satisfy the same identity,
+    E[(|psi><psi|)^{x2}] = 2 P_sym / (d(d+1)), as Haar-random states must."""
+    n_samples = 40000
+    refs, _, _ = montecarlo._draw_trials(d, 23, 0, n_samples // d)
+    psi = refs.reshape(-1, d)
+    np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+    pair = (psi[:, :, None] * psi[:, None, :]).reshape(len(psi), d * d)
+    second = pair.T @ pair.conj() / len(psi)
+    target = 2.0 * _pair_sym_projector(d) / (d * (d + 1))
+    assert np.max(np.abs(second - target)) < 0.02
+
+
 def test_outcome_probabilities_basis_references(povm2):
     p, p_inc = outcome_probabilities(
         povm2, basis_ket(2, 0), [basis_ket(2, 0), basis_ket(2, 1)]
@@ -57,7 +73,7 @@ def test_outcome_probabilities_basis_references(povm2):
 
 
 def test_outcome_probabilities_identical_references(povm2):
-    psi = haar_state(2, trial_stream(3, 0))
+    psi = haar_state(2, np.random.default_rng(3))
     p, p_inc = outcome_probabilities(povm2, psi, [psi, psi])
     assert p.max() <= 1e-25
     assert p_inc >= 1.0 - 1e-10
@@ -122,6 +138,20 @@ def test_trial_record_validation():
         TrialRecord(1, 1, np.array([0.1, 0.05, 0.85]))
 
 
+def test_trial_record_misfire_tolerance_is_relative():
+    """At d=10 the optimum success probability is 1/(11 * 10**9), about
+    9.1e-11, so a misidentification probability of 1e-11 is far from zero."""
+    d = 10
+    probs = np.zeros(d + 1)
+    probs[0] = 1.0 / (11 * 10**9)
+    probs[-1] = 1.0 - probs[0]
+    assert TrialRecord(1, INCONCLUSIVE, probs).d == d
+    probs[1] = 1e-11
+    probs[-1] -= 1e-11
+    with pytest.raises(ValueError, match="misidentification"):
+        TrialRecord(1, INCONCLUSIVE, probs)
+
+
 def test_run_experiment_counts_and_rates(povm2):
     report = run_experiment(2, 5000, 1)
     assert report.success_count + report.error_count + report.inconclusive_count == 5000
@@ -134,90 +164,136 @@ def test_run_experiment_counts_and_rates(povm2):
     assert not report.outcomes.flags.writeable
 
 
-def _rebuild_trial(povm, stream):
-    """One trial redrawn state by state: d calls of haar_state, then the
-    true index, then the outcome uniform, sampled by inverse CDF over
-    [p_1..p_d, p_?] with a boundary draw landing in the later interval."""
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox_block(ctr, key):
+    """Philox-4x32-10 of one counter (c0, c1, c2, c3) under key (k0, k1),
+    on Python integers: ten rounds, the key bumped between rounds."""
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0 = (k0 + 0x9E3779B9) & _MASK32
+            k1 = (k1 + 0xBB67AE85) & _MASK32
+        p0 = 0xD2511F53 * c0
+        p1 = 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (
+            (p1 >> 32) ^ c1 ^ k0,
+            p1 & _MASK32,
+            (p0 >> 32) ^ c3 ^ k1,
+            p0 & _MASK32,
+        )
+    return c0, c1, c2, c3
+
+
+# Random123 known-answer vectors for Philox-4x32-10: counter, key, output.
+_PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    (
+        (_MASK32, _MASK32, _MASK32, _MASK32),
+        (_MASK32, _MASK32),
+        (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+    ),
+    (
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+]
+
+
+@pytest.mark.parametrize("ctr,key,want", _PHILOX_KAT)
+def test_philox4x32_known_answers(ctr, key, want):
+    assert _philox_block(ctr, key) == want
+    got = montecarlo._philox4x32(np.array(ctr, dtype=np.uint32)[:, None], key)
+    assert got.dtype == np.uint32
+    assert tuple(int(w) for w in got[:, 0]) == want
+
+
+def _rebuild_trial(povm, seed, index):
+    """One trial rebuilt from scalar Philox blocks: block j of trial i has
+    counter (i low, i high, j, 0) under key (seed low, seed high); each
+    word pair (a, b) gives the uniform ((a >> 6) 2**26 + (b >> 6) + 0.5) /
+    2**52; amplitude l of reference j is sqrt(-ln u[2k]) exp(2 pi i
+    u[2k+1]) with k = j d + l, normalised per reference; the truth is
+    1 + floor(d u[2d²]); the outcome is sampled from u[2d²+1] by inverse
+    CDF over [p_1..p_d, p_?], a boundary draw landing in the later interval."""
     d = povm.d
-    refs = [haar_state(d, stream) for _ in range(d)]
-    truth = int(stream.integers(1, d + 1))
-    u = float(stream.random())
+    key = (seed & _MASK32, seed >> 32)
+    words = []
+    for j in range(d * d + 1):
+        words += _philox_block((index & _MASK32, index >> 32, j, 0), key)
+    u = [((a >> 6) * 2**26 + (b >> 6) + 0.5) / 2**52 for a, b in zip(words[::2], words[1::2])]
+    refs = []
+    for j in range(d):
+        amps = [
+            math.sqrt(-math.log(u[2 * k])) * cmath.exp(2j * math.pi * u[2 * k + 1])
+            for k in range(j * d, j * d + d)
+        ]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        refs.append(np.array(amps) / norm)
+    truth = 1 + math.floor(d * u[2 * d * d])
     p, p_inc = outcome_probabilities(povm, refs[truth - 1], refs)
-    k = int(np.sum(np.cumsum(np.append(p, p_inc)) <= u))
+    k = int(np.sum(np.cumsum(np.append(p, p_inc)) <= u[2 * d * d + 1]))
     outcome = k + 1 if k < d else INCONCLUSIVE
     return truth, outcome, p[truth - 1], p_inc
 
 
-def test_run_experiment_matches_single_trials(povm2):
-    report = run_experiment(2, 64, 7)
-    for i in (0, 5, 17, 63):
-        rec = run_trial(2, povm2, trial_stream(7, i))
-        assert rec.truth == report.truths[i]
-        assert rec.outcome == report.outcomes[i]
+def test_run_experiment_matches_single_trials(povm2, povm3):
+    for povm, seed in ((povm2, 7), (povm3, 2**64 - 1)):
+        d = povm.d
+        report = run_experiment(d, 64, seed)
+        for i in (0, 5, 17, 63):
+            rec = run_trial(d, povm, trial_stream(seed, i))
+            assert rec.truth == report.truths[i]
+            assert rec.outcome == report.outcomes[i]
+            assert rec.probabilities[rec.truth - 1] == report.p_correct[i]
+            assert rec.probabilities[-1] == report.p_inconclusive[i]
+            truth, outcome, p_correct, p_inc = _rebuild_trial(povm, seed, i)
+            assert truth == report.truths[i]
+            assert outcome == report.outcomes[i]
+            assert abs(p_correct - report.p_correct[i]) <= 1e-12
+            assert abs(p_inc - report.p_inconclusive[i]) <= 1e-12
+
+
+def test_trial_beyond_32_bit_index_matches_oracle(povm2):
+    """The high half of the trial index reaches the Philox counter."""
+    for index in (2**32 + 3, 2**64 - 1):
+        rec = run_trial(2, povm2, trial_stream(5, index))
+        truth, outcome, p_correct, p_inc = _rebuild_trial(povm2, 5, index)
+        assert (rec.truth, rec.outcome) == (truth, outcome)
+        assert abs(rec.probabilities[truth - 1] - p_correct) <= 1e-12
+        assert abs(rec.probabilities[-1] - p_inc) <= 1e-12
+
+
+def test_chunk_boundary_trials(monkeypatch, povm2):
+    """Trials on either side of a batch boundary equal their single-trial
+    rebuild, and a run with different batching gives the same arrays."""
+    chunk = montecarlo._CHUNK
+    report = run_experiment(2, chunk + 2, 11)
+    for i in (chunk - 1, chunk, chunk + 1):
+        rec = run_trial(2, povm2, trial_stream(11, i))
+        assert (rec.truth, rec.outcome) == (report.truths[i], report.outcomes[i])
         assert rec.probabilities[rec.truth - 1] == report.p_correct[i]
         assert rec.probabilities[-1] == report.p_inconclusive[i]
-        truth, outcome, p_correct, _ = _rebuild_trial(povm2, trial_stream(7, i))
-        assert truth == report.truths[i]
-        assert outcome == report.outcomes[i]
-        assert abs(p_correct - report.p_correct[i]) <= 1e-12
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    rebatched = run_experiment(2, chunk + 2, 11)
+    for name in ("truths", "outcomes", "p_correct", "p_inconclusive"):
+        np.testing.assert_array_equal(getattr(report, name), getattr(rebatched, name))
 
 
-class _ZeroedStart:
-    """Stream whose first `zeros` normals come out as 0.0, whether they are
-    drawn in one call or in many; its state covers that count too."""
-
-    def __init__(self, stream, zeros):
-        self.stream = stream
-        self.zeros = zeros
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.stream.bit_generator.state, self.zeros
-
-    @state.setter
-    def state(self, value):
-        self.stream.bit_generator.state, self.zeros = value
-
-    def standard_normal(self, size=None, out=None):
-        x = self.stream.standard_normal(size=size, out=out)
-        flat = x.reshape(-1)
-        k = min(self.zeros, flat.size)
-        flat[:k] = 0.0
-        self.zeros -= k
-        return x
-
-    def integers(self, low, high):
-        return self.stream.integers(low, high)
-
-    def random(self):
-        return self.stream.random()
-
-
-def test_zero_norm_reference_is_redrawn(monkeypatch, povm2):
-    """A reference drawn with norm exactly 0 is redrawn, as haar_state
-    redraws it, in both run_trial and run_experiment."""
-    base = montecarlo.trial_stream
-
-    def zeroed(seed, index):
-        return _ZeroedStart(base(seed, index), 4 if index == 5 else 0)
-
-    truth, outcome, p_correct, p_inc = _rebuild_trial(povm2, zeroed(7, 5))
-    assert (truth, outcome, p_correct) != _rebuild_trial(povm2, base(7, 5))[:3]
-    rec = run_trial(2, povm2, zeroed(7, 5))
-    assert (rec.truth, rec.outcome) == (truth, outcome)
-    np.testing.assert_allclose(
-        rec.probabilities[[truth - 1, 2]], [p_correct, p_inc], atol=1e-12
-    )
-    clean = run_experiment(2, 16, 7)
-    monkeypatch.setattr(montecarlo, "trial_stream", zeroed)
-    report = run_experiment(2, 16, 7)
-    assert (report.truths[5], report.outcomes[5]) == (truth, outcome)
-    assert abs(report.p_correct[5] - p_correct) <= 1e-12
-    assert abs(report.p_inconclusive[5] - p_inc) <= 1e-12
-    others = np.arange(16) != 5
-    np.testing.assert_array_equal(report.outcomes[others], clean.outcomes[others])
-    np.testing.assert_array_equal(report.p_correct[others], clean.p_correct[others])
+def test_extreme_uniforms_stay_inside_unit_interval():
+    """The all-zero and all-one word pairs give the extreme uniforms
+    2**-53 and 1 - 2**-53: the first gives a finite radius, the second a
+    radius > 0 (so no reference can have norm 0) and a truth in 1..d."""
+    words = np.array([0, _MASK32], dtype=np.uint32)
+    lo, hi = montecarlo._uniforms(words, words)
+    assert lo == 2.0**-53 and hi == 1.0 - 2.0**-53
+    assert math.isfinite(math.sqrt(-math.log(lo)))
+    assert math.sqrt(-math.log(hi)) > 0.0
+    for d in range(2, 15):
+        assert 1 + math.floor(d * hi) == d
 
 
 def test_run_experiment_thread_invariance():
@@ -265,6 +341,23 @@ def test_run_experiment_validation():
         run_experiment(2, 10, -1)
     with pytest.raises(TypeError):
         run_experiment(2, 10, "seed")
+
+
+def test_seed_and_index_range():
+    """Seeds and trial indices fill 64 bits of the Philox key and counter."""
+    assert SEED_LIMIT == 2**64
+    assert trial_stream(2**64 - 1, 2**64 - 1) == (2**64 - 1, 2**64 - 1)
+    assert run_experiment(2, 3, 2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValueError):
+        run_experiment(2, 10, 2**64)
+    with pytest.raises(ValueError):
+        trial_stream(2**64, 0)
+    with pytest.raises(ValueError):
+        trial_stream(0, 2**64)
+    with pytest.raises(ValueError):
+        trial_stream(0, -1)
+    with pytest.raises(TypeError):
+        trial_stream(0, 1.0)
 
 
 def test_summary_dict_is_scalar_only():
