@@ -3,7 +3,7 @@
 The register holds one probe qudit and d reference qudits, each of
 dimension d.  This package constructs the measurement that identifies
 which reference the probe matches without ever misidentifying it,
-verifies its algebra (completeness, positivity, zero cross-talk,
+verifies its algebra (positivity, zero cross-talk, spectra,
 closed-form success probability), re-derives the optimal element scale
 in an independent abstract representation, and simulates the experiment
 with reproducible per-trial random streams.

@@ -218,12 +218,9 @@ def verify_report(d, povm=None):
     p_closed = closed_form_success(d)
     p_weights = success_from_weights(povm)
     max_offdiag = conf.max_offdiagonal()
-    max_row_dev = float(np.max(np.abs(conf.row_sums() - 1.0)))
 
     gram, scales = _gram(povm)
     spectrum = _conclusive_spectrum(gram, scales, total_dim(d))
-    # The remainder is defined as I - sum Pi, so completeness is exact.
-    completeness_dev = 0.0
     min_eig_unknown = float(1.0 - spectrum[-1])
     spectrum_dev = float(np.max(np.abs(spectrum - conclusive_sum_spectrum(d))))
     gram_dev = _gram_deviation(gram, d)
@@ -239,8 +236,6 @@ def verify_report(d, povm=None):
         "success_matches_closed_form": abs(p_succ - p_closed) <= EXACT_TOL,
         "success_weight_route_agrees": abs(p_succ - p_weights) <= EXACT_TOL,
         "no_misidentification": max_offdiag <= EXACT_TOL,
-        "confusion_rows_normalized": max_row_dev <= EIG_TOL,
-        "povm_completeness": completeness_dev <= EIG_TOL,
         "inconclusive_psd": min_eig_unknown >= -EIG_TOL,
         "conclusive_spectrum": spectrum_dev <= EIG_TOL,
         "gram_structure": gram_dev <= EXACT_TOL,
@@ -253,8 +248,6 @@ def verify_report(d, povm=None):
         "p_succ_closed_form": p_closed,
         "p_succ_weight_route": p_weights,
         "max_offdiag": max_offdiag,
-        "max_row_sum_dev": max_row_dev,
-        "completeness_max_dev": completeness_dev,
         "min_eig_pi_unknown": min_eig_unknown,
         "conclusive_spectrum_dev": spectrum_dev,
         "gram_max_dev": gram_dev,

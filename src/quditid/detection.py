@@ -197,10 +197,6 @@ def overlap_with_product(d, n, factors):
     factors in ascending slot order, at O(d**3) cost:
 
         overlap = (-1)**n / sqrt(d!) * det M,   M[v, s] = factors[slot s][v]
-
-    Repeated factors among the active slots duplicate a column, so the
-    overlap collapses to floating-point cancellation noise (~1e-16) —
-    the per-trial face of the no-misidentification guarantee.
     """
     d = check_dim(d)
     if not 1 <= n <= d:

@@ -1,11 +1,12 @@
 """Monte Carlo simulation of the identification experiment.
 
 Each trial draws d Haar-random reference states, loads the probe with a
-uniformly chosen one of them, and samples a measurement outcome.  The
-conclusive outcome probabilities come from the determinant fast path
-(never from dense operators), and the inconclusive probability is the
-complement — its nonnegativity is itself one of the invariants checked
-on every trial.
+uniformly chosen one of them, and samples a measurement outcome.  With
+the probe equal to reference t, every conclusive outcome other than t
+has probability zero (its detection states are antisymmetric over two
+equal factors), and outcome t has probability scale/d! |det R|², R the
+d x d matrix of the references: one determinant per trial, never a
+dense operator.  The inconclusive probability is the complement.
 
 Reproducibility: trial i's random words are a pure function of
 (seed, i).  They come from the counter-based generator Philox-4x32-10
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import overlap_with_product
 # perfbench/child.py binds montecarlo.haar_state and .trial_stream by name.
-from .tensor_core import check_dim, haar_state  # noqa: F401
+from .tensor_core import check_dim, check_factors, haar_state  # noqa: F401
 
 # Outcome code for "no identification made"; conclusive outcomes are 1..d.
 INCONCLUSIVE = 0
 
-COMPLEMENT_TOL = 1e-10
 # Misidentification tolerance, relative to the optimum success probability.
 MISFIRE_RTOL = 1e-9
 PROB_FLOOR = -1e-12
@@ -140,45 +141,23 @@ def _draw_trials(d, seed, start, count):
     return refs, truths, u[2 * n + 1]
 
 
-def _probs_batch(d, scale, probes, refs):
-    """Conclusive outcome probabilities for a batch of product inputs.
-
-    probes: (B, d) probe amplitudes; refs: (B, d, d) with refs[b, j-1]
-    the state of reference qudit j.  For outcome m the probability is
-    scale/d! times the squared determinant of the factor matrix with
-    the m-th reference column removed (and the probe column in front).
-    Returns (p, p_inc) with p of shape (B, d).
+def _probs_batch(d, scale, refs):
+    """Success probability of each trial in a batch whose probe equals
+    its true reference: scale/d! |det R|² for refs (B, d, d), R[b] the
+    matrix of trial b's references.  By Hadamard's inequality it is at
+    most scale/d! for unit-norm references.  Returns shape (B,).
     """
-    batch = probes.shape[0]
-    fact = np.concatenate([probes[:, None, :], refs], axis=1)
-    inv_dfact = 1.0 / math.factorial(d)
-    p = np.empty((batch, d))
-    for m in range(1, d + 1):
-        slots = [j for j in range(d + 1) if j != m]
-        mats = fact[:, slots, :].transpose(0, 2, 1)
-        dets = np.linalg.det(np.ascontiguousarray(mats))
-        p[:, m - 1] = (scale * inv_dfact) * (dets.real**2 + dets.imag**2)
-    total = p.sum(axis=1)
-    worst = float(total.max(initial=0.0))
-    if worst > 1.0 + COMPLEMENT_TOL:
-        raise RuntimeError(
-            f"conclusive probabilities sum to {worst!r} > 1: "
-            "measurement construction is inconsistent"
-        )
-    p_inc = np.clip(1.0 - total, 0.0, None)
-    return p, p_inc
+    dets = np.linalg.det(refs)
+    return (scale / math.factorial(d)) * (dets.real**2 + dets.imag**2)
 
 
-def _sample_outcomes(p, p_inc, us):
-    """Inverse-CDF sampling in fixed order [p_1..p_d, p_?].
-
-    A draw exactly on an interval boundary lands in the later interval.
-    """
-    d = p.shape[1]
-    cum = np.cumsum(np.concatenate([p, p_inc[:, None]], axis=1), axis=1)
-    idx = np.sum(cum <= us[:, None], axis=1)
-    np.minimum(idx, d, out=idx)
-    return np.where(idx < d, idx + 1, INCONCLUSIVE)
+def _simulate_range(d, scale, seed, start, count):
+    """Truths, outcomes and success probabilities of the trials
+    [start, start + count).  The outcome is the truth when the outcome
+    uniform lies below the success probability, else inconclusive."""
+    refs, truths, us = _draw_trials(d, seed, start, count)
+    p = _probs_batch(d, scale, refs)
+    return truths, np.where(us < p, truths, INCONCLUSIVE), p
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,26 +203,28 @@ def run_trial(d, povm, stream):
     if povm.d != d:
         raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
     seed, index = trial_stream(*stream)
-    refs, truths, us = _draw_trials(d, seed, index, 1)
+    truths, outcomes, p = _simulate_range(d, povm.scale, seed, index, 1)
     truth = int(truths[0])
-    p, p_inc = _probs_batch(d, povm.scale, refs[:, truth - 1], refs)
-    outcome = int(_sample_outcomes(p, p_inc, us)[0])
-    return TrialRecord(truth, outcome, np.append(p[0], p_inc[0]))
+    probs = np.zeros(d + 1)
+    probs[truth - 1] = p[0]
+    probs[d] = 1.0 - p[0]
+    return TrialRecord(truth, int(outcomes[0]), probs)
 
 
 def outcome_probabilities(povm, probe, refs):
     """Outcome distribution for an explicit product input.
 
-    probe: length-d amplitudes; refs: sequence of d length-d amplitude
-    vectors.  Returns (conclusive probabilities, inconclusive).
+    probe: length-d unit-norm amplitudes; refs: sequence of d such
+    vectors.  Each conclusive probability is scale * |overlap|² with the
+    outcome's detection state (overlap_with_product), for any probe.
+    Returns (conclusive probabilities, inconclusive).
     """
-    probe = np.asarray(probe, dtype=np.complex128)
-    refs = np.stack([np.asarray(r, dtype=np.complex128) for r in refs])
+    factors = check_factors([probe, *refs])
     d = povm.d
-    if probe.shape != (d,) or refs.shape != (d, d):
-        raise ValueError("factor shapes do not match the measurement dimension")
-    p, p_inc = _probs_batch(d, povm.scale, probe[None, :], refs[None])
-    return p[0], float(p_inc[0])
+    p = np.array(
+        [povm.scale * abs(overlap_with_product(d, n, factors)) ** 2 for n in range(1, d + 1)]
+    )
+    return p, max(1.0 - float(p.sum()), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,32 +269,12 @@ class ExperimentReport:
         }
 
 
-def _simulate_range(d, scale, seed, start, count, truths, outcomes, p_corr, p_inc):
-    """Fill result slices for trials [start, start+count)."""
-    refs, tr, us = _draw_trials(d, seed, start, count)
-    probes = refs[np.arange(count), tr - 1]
-    p, pq = _probs_batch(d, scale, probes, refs)
-    misfire = p.copy()
-    misfire[np.arange(count), tr - 1] = 0.0
-    worst = float(misfire.max(initial=0.0))
-    if worst > _misfire_tol(d):
-        raise RuntimeError(
-            f"misidentification probability {worst!r} in batch at trial {start}"
-        )
-    sl = slice(start, start + count)
-    truths[sl] = tr
-    outcomes[sl] = _sample_outcomes(p, pq, us)
-    p_corr[sl] = p[np.arange(count), tr - 1]
-    p_inc[sl] = pq
-
-
-def run_experiment(d, trials, seed, threads=None):
+def run_experiment(d, trials, seed):
     """Run `trials` independent trials and aggregate the outcome counts.
 
-    threads is an accepted parallelism hint that the run ignores: trials
-    run serially, in numpy batches of up to _CHUNK trials.  Results are
-    bit-identical for a given (d, trials, seed) whatever it is.  The
-    determinant fast path makes this usable up to d = 5 without ever
+    Trials run serially, in numpy batches of up to _CHUNK trials, and the
+    results are bit-identical for a given (d, trials, seed).  One d x d
+    determinant per trial makes this usable up to d = 5 without ever
     touching the full tensor space.
     """
     d = check_dim(d)
@@ -329,13 +290,12 @@ def run_experiment(d, trials, seed, threads=None):
     truths = np.empty(trials, dtype=np.int64)
     outcomes = np.empty(trials, dtype=np.int64)
     p_corr = np.empty(trials)
-    p_inc = np.empty(trials)
-
     for start in range(0, trials, _CHUNK):
-        _simulate_range(
-            d, scale, seed, start, min(_CHUNK, trials - start),
-            truths, outcomes, p_corr, p_inc,
+        sl = slice(start, min(start + _CHUNK, trials))
+        truths[sl], outcomes[sl], p_corr[sl] = _simulate_range(
+            d, scale, seed, start, sl.stop - start
         )
+    p_inc = 1.0 - p_corr
 
     success = int(np.count_nonzero(outcomes == truths))
     inconclusive = int(np.count_nonzero(outcomes == INCONCLUSIVE))

@@ -120,11 +120,11 @@ class StateVector:
         return self.amps.shape[0]
 
 
-def product_state(factors):
-    """Tensor product of d+1 single-qudit states, probe factor first.
+def check_factors(factors):
+    """Validate the d+1 single-qudit factors of a product state.
 
     Each factor must be a unit-norm amplitude vector of length d, where
-    d+1 is the number of factors.
+    d+1 is the number of factors.  Returns them as complex arrays.
     """
     factors = [np.asarray(f, dtype=np.complex128) for f in factors]
     d = len(factors) - 1
@@ -134,6 +134,16 @@ def product_state(factors):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
         if abs(np.linalg.norm(f) - 1.0) > NORM_TOL:
             raise ValueError(f"factor {j} is not normalized")
+    return factors
+
+
+def product_state(factors):
+    """Tensor product of d+1 single-qudit states, probe factor first.
+
+    The factors are validated by check_factors.
+    """
+    factors = check_factors(factors)
+    d = len(factors) - 1
     amps = factors[0]
     for f in factors[1:]:
         amps = np.kron(amps, f)

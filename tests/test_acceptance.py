@@ -154,10 +154,10 @@ def test_criterion_06_independent_optimizer():
 def test_criterion_07_monte_carlo_convergence():
     with criterion(7, "simulated success rates converge to the closed form"):
         t0 = time.perf_counter()
-        r2 = run_experiment(2, 100000, 12345, threads=4)
+        r2 = run_experiment(2, 100000, 12345)
         assert r2.error_count == 0
         assert abs(r2.success_rate - 1.0 / 6.0) <= 0.0036
-        r3 = run_experiment(3, 1000000, 12345, threads=4)
+        r3 = run_experiment(3, 1000000, 12345)
         assert r3.error_count == 0
         assert abs(r3.success_rate - 1.0 / 36.0) <= 0.0005
         assert time.perf_counter() - t0 < 120.0

@@ -132,7 +132,6 @@ def test_verify_report_passes(d):
     assert report["gram_ok"] is True
     assert set(report["checks"]) >= {
         "success_matches_closed_form",
-        "povm_completeness",
         "inconclusive_psd",
         "conclusive_spectrum",
         "gram_structure",

@@ -40,11 +40,11 @@ def test_verify_writes_file(capsys, tmp_path):
 
 
 def test_verify_exit_code_2_on_failure(capsys, monkeypatch):
-    fake = {"ok": False, "failed_checks": ["povm_completeness"], "d": 2}
+    fake = {"ok": False, "failed_checks": ["inconclusive_psd"], "d": 2}
     monkeypatch.setattr(cli, "verify_report", lambda d: fake)
     rc, out = run_cli(capsys, "verify", "--d", "2")
     assert rc == 2
-    assert json.loads(out)["failed_checks"] == ["povm_completeness"]
+    assert json.loads(out)["failed_checks"] == ["inconclusive_psd"]
 
 
 def test_build_round_trips(capsys):
