@@ -5,6 +5,12 @@ round-trip exact, but its output length varies and it cannot be told to
 keep a fixed significant-digit form.  Reports here promise 17
 significant digits for every numeric value, so this module renders
 numbers itself and leaves everything else to the stdlib.
+
+A non-empty 1-D or 2-D float ndarray renders exactly as its tolist()
+would, but each distinct value (by bit pattern, so -0.0 stays apart
+from 0.0) is formatted once and each distinct row is built once.  A
+measurement vector of d**(d+1) amplitudes holds only a handful of
+distinct doubles, so this keeps `build` output cheap.
 """
 
 import json
@@ -22,6 +28,30 @@ def format_float(x):
     if not any(c in s for c in ".eE"):
         s += ".0"
     return s
+
+
+def _render_floats(arr, indent, level):
+    """Text of a non-empty 1-D or 2-D float array, as _render(arr.tolist())."""
+    pad = " " * (indent * (level + 1))
+    bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+    width = bits.shape[1] if arr.ndim == 2 else 1
+    # One void item per row, so np.unique compares rows bit for bit.
+    row_items = bits.view(np.dtype((np.void, 8 * width))).reshape(-1)
+    rows, row_codes = np.unique(row_items, return_inverse=True)
+    uniq, codes = np.unique(rows.view(np.uint64), return_inverse=True)
+    texts = [format_float(x) for x in uniq.view(np.float64)]
+    codes = codes.reshape(len(rows), width).tolist()
+    if arr.ndim == 1:
+        row_texts = [pad + texts[c] for (c,) in codes]
+    else:
+        inner_pad = " " * (indent * (level + 2))
+        sep = ",\n" + inner_pad
+        row_texts = [
+            f"{pad}[\n{inner_pad}{sep.join(texts[c] for c in row)}\n{pad}]"
+            for row in codes
+        ]
+    lines = np.array(row_texts, dtype=object)[row_codes.reshape(-1)]
+    return "[\n" + ",\n".join(lines.tolist()) + "\n" + " " * (indent * level) + "]"
 
 
 def _render(obj, indent, level):
@@ -46,6 +76,13 @@ def _render(obj, indent, level):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             parts.append(f"{pad}{json.dumps(key)}: {_render(value, indent, level + 1)}")
         return "{\n" + ",\n".join(parts) + "\n" + close_pad + "}"
+    if (
+        isinstance(obj, np.ndarray)
+        and obj.dtype.kind == "f"
+        and obj.ndim in (1, 2)
+        and obj.size
+    ):
+        return _render_floats(obj, indent, level)
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
         if not items:

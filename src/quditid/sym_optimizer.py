@@ -12,7 +12,6 @@ agreement of the two routes is asserted in the test suite, not wired in
 here.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,6 +110,10 @@ def optimal_weight_grid(fam, resolution):
     ties in the total break toward the lexicographically smallest
     weight tuple.  Only d in {2, 3} is supported — the grid is an
     oracle, not a production optimizer.
+
+    Candidates are visited in order of decreasing total, ties in
+    lexicographic order (a stable sort of the lexicographic grid), so
+    the first feasible one is the answer and the rest are never solved.
     """
     if fam.d not in (2, 3):
         raise ValueError(f"grid search supports d in {{2, 3}}, got {fam.d}")
@@ -120,28 +123,23 @@ def optimal_weight_grid(fam, resolution):
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
     projs = rank_one_projectors(fam)
+    index_rows = np.indices((steps,) * d).reshape(d, -1).T
+    totals = values[index_rows].sum(axis=1)
+    order = np.argsort(-totals, kind="stable")
 
-    best_total = -np.inf
-    best = None
-
-    def consider(index_rows):
-        nonlocal best_total, best
-        alphas = values[np.asarray(index_rows)]
-        ops = np.tensordot(alphas, projs, axes=(1, 0))
+    # perfbench/child.py counts grid candidates from the eigvalsh calls
+    # made in a function of this name.
+    def consider(rows):
+        """Position in `rows` of the first feasible candidate, or None."""
+        ops = np.tensordot(values[index_rows[rows]], projs, axes=(1, 0))
         top = np.linalg.eigvalsh(ops)[:, -1]
-        totals = alphas.sum(axis=1)
-        totals[top > 1.0 + FEASIBILITY_TOL] = -np.inf
-        i = int(np.argmax(totals))
-        if totals[i] > best_total:
-            best_total = totals[i]
-            best = alphas[i].copy()
+        feasible = np.flatnonzero(top <= 1.0 + FEASIBILITY_TOL)
+        return int(feasible[0]) if feasible.size else None
 
-    buf = []
-    for combo in itertools.product(range(steps), repeat=d):
-        buf.append(combo)
-        if len(buf) == _GRID_CHUNK:
-            consider(buf)
-            buf.clear()
-    if buf:
-        consider(buf)
-    return best, float(best_total)
+    for start in range(0, order.size, _GRID_CHUNK):
+        rows = order[start:start + _GRID_CHUNK]
+        hit = consider(rows)
+        if hit is not None:
+            best = rows[hit]
+            return values[index_rows[best]], float(totals[best])
+    raise AssertionError("the zero weight vector is always feasible")

@@ -158,14 +158,24 @@ def inner_product(a, b):
 
 
 def state_to_dict(state):
-    """JSON-ready form: {"d": int, "amps": [[re, im], ...]} in flat order."""
+    """JSON-ready form: {"d": int, "amps": (D, 2) float64 array}.
+
+    Row i of `amps` holds (re, im) of flat amplitude i; jsonio.dumps
+    renders it as the nested list [[re, im], ...].
+    """
     return {
         "d": state.d,
-        "amps": [[float(a.real), float(a.imag)] for a in state.amps],
+        "amps": np.stack([state.amps.real, state.amps.imag], axis=1),
     }
 
 
 def state_from_dict(obj):
-    """Rebuild a StateVector from its JSON form (validates normalization)."""
-    amps = np.array([complex(re, im) for re, im in obj["amps"]], dtype=np.complex128)
-    return StateVector(int(obj["d"]), amps)
+    """Rebuild a StateVector from its JSON form (validates normalization).
+
+    `amps` may be the (D, 2) array of state_to_dict or the parsed nested
+    list; each row is one (re, im) pair, signed zeros included.
+    """
+    pairs = np.array(obj["amps"], dtype=np.float64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"amps must be (re, im) pairs, got shape {pairs.shape}")
+    return StateVector(int(obj["d"]), pairs.view(np.complex128))

@@ -1,9 +1,20 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from quditid import cli
-from quditid.detection import povm_from_dict
+from quditid.detection import build_povm, povm_from_dict, povm_to_dict
+
+# SHA-256 of `build --d N --out FILE`, pinned so that faster rendering
+# cannot change a single output byte.
+BUILD_SHA256 = {
+    2: "81c142fb642909a0a2850a5c3dbecad0407cc1feb62bdd549eeba6999a86f8e7",
+    3: "145be0dfbd834078d12b41cec2f83929d17cee20a84c6cd52fa6ac3cc85d7b31",
+    4: "fad37e72211b1d256d7697f881ef1770f34bcaf7574288b6e59be517923ff7ff",
+    5: "1530affc06e8405a915cc89d22adc2ebd30d2aee5eca46bc747aa50d699d109c",
+}
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +68,27 @@ def test_build_round_trips(capsys):
     assert all(len(e["vectors"]) == 2 for e in obj["elements"])
     povm = povm_from_dict(obj)
     assert povm.d == 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_build_bytes_are_pinned(capsys, tmp_path, d):
+    path = tmp_path / "povm.json"
+    rc, out = run_cli(capsys, "build", "--d", str(d), "--out", str(path))
+    assert rc == 0
+    assert out == ""
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BUILD_SHA256[d]
+    want = build_povm(d)
+    for back in (povm_from_dict(json.loads(data)), povm_from_dict(povm_to_dict(want))):
+        assert back.d == d
+        assert back.scale == want.scale
+        for got_elem, want_elem in zip(back.elements, want.elements, strict=True):
+            assert got_elem.label == want_elem.label
+            for got, ref in zip(got_elem.vectors, want_elem.vectors, strict=True):
+                # Bit patterns, so signed zeros must survive too.
+                np.testing.assert_array_equal(
+                    got.amps.view(np.uint64), ref.amps.view(np.uint64)
+                )
 
 
 def test_simulate_json_summary(capsys):

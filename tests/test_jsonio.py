@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -57,3 +58,61 @@ def test_dumps_rejects_unserializable():
 def test_dumps_empty_containers():
     assert jsonio.dumps({}) == "{}"
     assert jsonio.dumps([]) == "[]"
+
+
+_SPECIALS = np.array([0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1e300, 3.0, -12.0])
+
+
+def _float_arrays():
+    rng = np.random.default_rng(5)
+    return {
+        "random-1d": rng.standard_normal(40),
+        "random-2d": rng.standard_normal((9, 3)),
+        "specials-1d": _SPECIALS,
+        "specials-2d": np.stack([_SPECIALS, -_SPECIALS], axis=1),
+        "repeated-rows": rng.choice(_SPECIALS, size=(64, 2)),
+        "strided": rng.standard_normal((5, 4))[:, ::2],
+        "float32": rng.standard_normal(6).astype(np.float32),
+        "one-by-one": np.array([[0.1]]),
+        "no-columns": np.zeros((3, 0)),
+        "three-d": rng.choice(_SPECIALS, size=(2, 3, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float_arrays()))
+@pytest.mark.parametrize("indent", [0, 2, 3])
+def test_float_array_renders_like_its_list(name, indent):
+    arr = _float_arrays()[name]
+    assert jsonio.dumps(arr, indent) == jsonio.dumps(arr.tolist(), indent)
+    nested = {"outer": [arr, {"inner": arr}], "x": 1.5}
+    as_lists = {"outer": [arr.tolist(), {"inner": arr.tolist()}], "x": 1.5}
+    assert jsonio.dumps(nested, indent) == jsonio.dumps(as_lists, indent)
+
+
+def test_float_array_keeps_signed_zero():
+    text = jsonio.dumps(np.array([0.0, -0.0, 0.0]))
+    assert text == "[\n  0.0,\n  -0.0,\n  0.0\n]"
+    assert [math.copysign(1.0, x) for x in json.loads(text)] == [1.0, -1.0, 1.0]
+
+
+def test_float_array_formats_each_distinct_value_once(monkeypatch):
+    calls = []
+    real = jsonio.format_float
+
+    def counting(x):
+        calls.append(float(x))
+        return real(x)
+
+    monkeypatch.setattr(jsonio, "format_float", counting)
+    arr = np.array([[0.5, -0.0], [0.0, 0.5], [0.5, -0.0]] * 100)
+    text = jsonio.dumps(arr)
+    assert sorted(calls) == [-0.0, 0.0, 0.5]
+    assert text == jsonio.dumps(arr.tolist())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", [(4,), (2, 2)])
+def test_float_array_rejects_non_finite(bad, shape):
+    arr = np.array([0.25, 1.0, bad, 1.0]).reshape(shape)
+    with pytest.raises(ValueError):
+        jsonio.dumps({"x": arr})

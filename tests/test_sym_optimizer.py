@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from quditid.sym_optimizer import (
+    FEASIBILITY_TOL,
     SymmetricFamily,
     build_symmetric_family,
     frame_operator,
@@ -142,3 +146,56 @@ def test_grid_search_validation():
         optimal_weight_grid(fam, 0.2)
     with pytest.raises(ValueError):
         optimal_weight_grid(fam, 0.0)
+
+
+def _exhaustive_grid(fam, resolution, chunk=8192):
+    """Oracle: scan the whole grid in lexicographic order, keeping the
+    first candidate with the largest feasible total."""
+    steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
+    values = np.arange(steps) * resolution
+    projs = rank_one_projectors(fam)
+    best_total, best = -np.inf, None
+    combos = list(itertools.product(range(steps), repeat=fam.d))
+    for start in range(0, len(combos), chunk):
+        alphas = values[np.asarray(combos[start:start + chunk])]
+        top = np.linalg.eigvalsh(np.tensordot(alphas, projs, axes=(1, 0)))[:, -1]
+        totals = alphas.sum(axis=1)
+        totals[top > 1.0 + FEASIBILITY_TOL] = -np.inf
+        i = int(np.argmax(totals))
+        if totals[i] > best_total:
+            best_total, best = totals[i], alphas[i].copy()
+    return best, float(best_total)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("resolution", [0.1, 0.07, 0.05, 0.03])
+def test_grid_search_matches_exhaustive_scan(d, resolution):
+    fam = build_symmetric_family(d)
+    weights, total = optimal_weight_grid(fam, resolution)
+    want_weights, want_total = _exhaustive_grid(fam, resolution)
+    assert weights.tolist() == want_weights.tolist()
+    assert total == want_total
+
+
+def test_grid_search_tie_breaks_on_float_total():
+    # With a = 10 * 0.07 and b = 11 * 0.07, (a, a, b) sums to 2.17 while
+    # (a, b, a) and (b, a, a) both sum to 2.1700000000000004: the float
+    # total beats the lexicographic order, then breaks the remaining tie.
+    weights, total = optimal_weight_grid(build_symmetric_family(3), 0.07)
+    assert weights.tolist() == [0.7000000000000001, 0.77, 0.7000000000000001]
+    assert total == 2.1700000000000004
+
+
+def test_grid_search_stops_at_first_feasible_total(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    weights, total = optimal_weight_grid(build_symmetric_family(3), 0.01)
+    assert weights.tolist() == [0.75, 0.75, 0.75]
+    assert total == 2.25
+    assert 0 < sum(solved) <= 100_000 < 101**3

@@ -151,6 +151,24 @@ def test_state_serialization_round_trip():
     np.testing.assert_array_equal(back.amps, sv.amps)
 
 
+def test_state_dict_amps_are_pairs_with_signed_zeros():
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0] = complex(-0.0, 0.6)
+    amps[5] = complex(0.8, -0.0)
+    sv = StateVector(2, amps)
+    obj = state_to_dict(sv)
+    assert obj["amps"].shape == (8, 2)
+    assert obj["amps"].dtype == np.float64
+    for pairs in (obj["amps"], obj["amps"].tolist()):
+        back = state_from_dict({"d": 2, "amps": pairs})
+        np.testing.assert_array_equal(back.amps.view(np.uint64), sv.amps.view(np.uint64))
+
+
+def test_state_from_dict_rejects_non_pairs():
+    with pytest.raises(ValueError):
+        state_from_dict({"d": 2, "amps": [[1.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 7})
+
+
 def test_state_from_dict_checks_norm():
     obj = {"d": 2, "amps": [[0.5, 0.0]] * 8}
     with pytest.raises(ValueError):
