@@ -13,9 +13,7 @@ from .analytics import (
     ConfusionMatrix,
     closed_form_success,
     confusion,
-    success_from_weights,
     success_probability,
-    sym_block_trace,
     verify_report,
 )
 from .detection import (
@@ -39,13 +37,9 @@ from .montecarlo import (
 )
 from .state_ops import (
     HermitianOperator,
-    build_asym_projector,
     build_rho,
     build_sym_projector,
     haar_average_check,
-    identity_operator,
-    operator_from_dict,
-    operator_to_dict,
 )
 from .sym_optimizer import (
     SymmetricFamily,
@@ -56,8 +50,6 @@ from .sym_optimizer import (
 )
 from .tensor_core import (
     StateVector,
-    basis_ket,
-    decode_index,
     encode_index,
     haar_state,
     inner_product,
@@ -65,7 +57,6 @@ from .tensor_core import (
     state_from_dict,
     state_to_dict,
     total_dim,
-    total_excitation,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +71,6 @@ __all__ = [
     "StateVector",
     "SymmetricFamily",
     "TrialRecord",
-    "basis_ket",
-    "build_asym_projector",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",
@@ -90,15 +79,11 @@ __all__ = [
     "build_symmetric_family",
     "closed_form_success",
     "confusion",
-    "decode_index",
     "encode_index",
     "frame_operator",
     "haar_average_check",
     "haar_state",
-    "identity_operator",
     "inner_product",
-    "operator_from_dict",
-    "operator_to_dict",
     "optimal_weight_eigen",
     "optimal_weight_grid",
     "outcome_probabilities",
@@ -110,11 +95,8 @@ __all__ = [
     "run_trial",
     "state_from_dict",
     "state_to_dict",
-    "success_from_weights",
     "success_probability",
-    "sym_block_trace",
     "total_dim",
-    "total_excitation",
     "trial_stream",
     "verify_report",
 ]

@@ -33,6 +33,7 @@ INCONCLUSIVE = 0
 
 # Misidentification tolerance, relative to the optimum success probability.
 MISFIRE_RTOL = 1e-9
+# Roundoff allowance below zero, absolute: probabilities are at most 1.
 PROB_FLOOR = -1e-12
 
 # Two-sided 99% normal quantile, for the confidence half-width.
@@ -180,6 +181,7 @@ class TrialRecord:
             raise ValueError(f"outcome {self.outcome} invalid for d={d}")
         if probs.min() < PROB_FLOOR:
             raise ValueError("negative outcome probability")
+        # Absolute, against the total of 1 the probabilities must reach.
         if abs(probs.sum() - 1.0) > 1e-10:
             raise ValueError("outcome probabilities do not sum to 1")
         misfire = np.delete(probs[:d], self.truth - 1)
@@ -234,6 +236,11 @@ class ExperimentReport:
     inconclusive_rate is defined as the complement of the other two
     rates so the three sum to exactly 1.0 in floating point; it agrees
     with inconclusive_count/trials to within one ulp.
+
+    error_count and error_rate are 0 by the outcome rule: a trial's
+    outcome is its truth or inconclusive, since every other conclusive
+    outcome has probability zero.  They stay in the report as constants
+    of its JSON form.
     """
 
     d: int

@@ -54,10 +54,6 @@ class HermitianOperator:
     def apply(self, vec):
         return self.mat @ vec
 
-    def expectation(self, vec):
-        """<vec| A |vec> (real up to roundoff for Hermitian A)."""
-        return complex(np.vdot(vec, self.mat @ vec))
-
     def trace(self):
         return float(self.mat.trace().real)
 
@@ -75,11 +71,6 @@ def _from_triplets(d, rows, cols, vals):
     D = total_dim(d)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(D, D), dtype=np.complex128)
     return HermitianOperator(d, mat.tocsr())
-
-
-def identity_operator(d):
-    D = total_dim(d)
-    return HermitianOperator(d, sp.identity(D, dtype=np.complex128, format="csr"))
 
 
 def _pair_index_maps(d, n):
@@ -204,33 +195,3 @@ def haar_average_check(d, n, samples, seed):
     dense_rho = build_rho(d, n).to_dense()
     return float(np.max(np.abs(avg - dense_rho)))
 
-
-def operator_to_dict(op):
-    """JSON-ready form with only the upper triangle stored."""
-    coo = sp.triu(op.mat, k=0).tocoo()
-    triplets = [
-        [int(i), int(j), float(v.real), float(v.imag)]
-        for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    triplets.sort(key=lambda t: (t[0], t[1]))
-    return {"d": op.d, "dim": op.dim, "triplets": triplets}
-
-
-def operator_from_dict(obj):
-    """Rebuild an operator from its upper-triangle JSON form."""
-    d = check_dim(int(obj["d"]))
-    D = total_dim(d)
-    if int(obj["dim"]) != D:
-        raise ValueError(f"dim {obj['dim']} does not match d={d}")
-    rows, cols, vals = [], [], []
-    for i, j, re, im in obj["triplets"]:
-        if j < i:
-            raise ValueError("triplets must be upper-triangular")
-        rows.append(i)
-        cols.append(j)
-        vals.append(complex(re, im))
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(complex(re, -im))
-    return _from_triplets(d, rows, cols, vals)

@@ -25,6 +25,15 @@ def dense_conclusive_sum(elements):
     return sum(elem.scale * (elem.matrix.T @ elem.matrix.conj()) for elem in elements)
 
 
+def pair_sym_projector(d):
+    """Symmetric-subspace projector (I + SWAP)/2 on a pair of qudits."""
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    return (np.eye(d * d) + swap) / 2.0
+
+
 def haar_unitary(n, rng):
     """Haar-distributed unitary via QR with the standard phase fix."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import pair_sym_projector
 from quditid import montecarlo
-from quditid.analytics import _pair_sym_projector, closed_form_success
+from quditid.analytics import closed_form_success
 from quditid.montecarlo import (
     INCONCLUSIVE,
     Z_99,
@@ -45,7 +46,7 @@ def test_sample_haar_second_moment():
         psi = haar_state(d, rng)
         pair = np.kron(psi, psi)
         acc += np.outer(pair, pair.conj())
-    target = 2.0 * _pair_sym_projector(d) / (d * (d + 1))
+    target = 2.0 * pair_sym_projector(d) / (d * (d + 1))
     assert np.max(np.abs(acc / n_samples - target)) < 0.02
 
 
@@ -59,7 +60,7 @@ def test_draw_trials_haar_second_moment(d):
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
     pair = (psi[:, :, None] * psi[:, None, :]).reshape(len(psi), d * d)
     second = pair.T @ pair.conj() / len(psi)
-    target = 2.0 * _pair_sym_projector(d) / (d * (d + 1))
+    target = 2.0 * pair_sym_projector(d) / (d * (d + 1))
     assert np.max(np.abs(second - target)) < 0.02
 
 

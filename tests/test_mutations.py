@@ -1,0 +1,143 @@
+"""Mutation suite for `verify_report`: every check it keeps must flag at
+least one deliberately broken measurement.
+
+Each mutant rebuilds the element vectors from digits with one named
+break and passes the result to `verify_report`; the table below pins
+exactly which checks flag it at d=2 and d=3.  The unbroken builder
+reproduces `build_povm` bit for bit, so each mutant differs from the
+real measurement only by its break.
+
+Two rows need a word.  Dropping the (-1)**n phase multiplies every
+vector of element n by the same sign, so every element operator, and
+with it every trace and spectrum, is unchanged; only `gram_structure`,
+whose -1/d cross term encodes the sign convention, catches it.
+Reversing the slot order is an equivalent mutant, not a gap: it
+multiplies every vector by the same sign (-1)**(d(d-1)/2), and every
+check passes on it, as it should.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from quditid.analytics import verify_report
+from quditid.detection import LowRankPovmElement, Povm, build_povm
+from quditid.tensor_core import StateVector, encode_index, total_dim
+
+
+def _parity(perm):
+    inversions = sum(
+        perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm))
+    )
+    return -1.0 if inversions % 2 else 1.0
+
+
+def _other(d, n):
+    """A reference qudit other than n."""
+    return n % d + 1
+
+
+def _vector(d, n, k, *, signed=True, phase=True, reverse=False, anti=None, shift=None):
+    """v_{n,k}: the d qudits other than `anti` (default n) antisymmetrised
+    over the digit values 0..d-1, then the digit of qudit `shift`
+    (default n) raised by k mod d, with the overall phase (-1)**n."""
+    anti = n if anti is None else anti
+    shift = n if shift is None else shift
+    slots = [j for j in range(d + 1) if j != anti]
+    if reverse:
+        slots.reverse()
+    weight = (-1.0 if n % 2 and phase else 1.0) / math.sqrt(math.factorial(d))
+    amps = np.zeros(total_dim(d), dtype=np.complex128)
+    for perm in itertools.permutations(range(d)):
+        digits = [0] * (d + 1)
+        for slot, value in zip(slots, perm):
+            digits[slot] = value
+        digits[shift] = (digits[shift] + k) % d
+        amps[encode_index(digits, d)] = weight * (_parity(perm) if signed else 1.0)
+    return StateVector(d, amps)
+
+
+def _povm(d, scale=1.0, vectors=None, **breaks):
+    """Measurement from `_vector(..., **breaks)` at `scale` times the
+    optimum; `vectors(d, n, k)` overrides the vector choice."""
+    vectors = vectors or (lambda d, n, k: _vector(d, n, k, **breaks))
+    return Povm(
+        d,
+        [
+            LowRankPovmElement(n, scale * d / (d + 1), [vectors(d, n, k) for k in range(d)])
+            for n in range(1, d + 1)
+        ],
+    )
+
+
+def _borrowed(d, n, k):
+    """Element 1's branch-0 vector taken from element 2."""
+    return _vector(d, 2 if (n, k) == (1, 0) else n, k)
+
+
+MUTANTS = {
+    "scale x1.01": lambda d: _povm(d, scale=1.01),
+    "scale x0.99": lambda d: _povm(d, scale=0.99),
+    "unsigned permutations": lambda d: _povm(d, signed=False),
+    "antisymmetrised over the wrong qudit": lambda d: _povm(
+        d, vectors=lambda d, n, k: _vector(d, n, k, anti=_other(d, n))
+    ),
+    "branch shift on the wrong qudit": lambda d: _povm(
+        d, vectors=lambda d, n, k: _vector(d, n, k, shift=_other(d, n))
+    ),
+    "dropped (-1)**n phase": lambda d: _povm(d, phase=False),
+    "one vector from another element": lambda d: _povm(d, vectors=_borrowed),
+    "reversed slot order (equivalent)": lambda d: _povm(d, reverse=True),
+}
+
+SUCCESS = "success_matches_closed_form"
+MISID = "no_misidentification"
+PSD = "inconclusive_psd"
+SPECTRUM = "conclusive_spectrum"
+GRAM = "gram_structure"
+
+# (mutant, d) -> the checks that flag it.
+FLAGGED = {
+    ("scale x1.01", 2): {SUCCESS, PSD, SPECTRUM},
+    ("scale x1.01", 3): {SUCCESS, PSD, SPECTRUM},
+    ("scale x0.99", 2): {SUCCESS, SPECTRUM},
+    ("scale x0.99", 3): {SUCCESS, SPECTRUM},
+    ("unsigned permutations", 2): {MISID},
+    ("unsigned permutations", 3): {MISID, PSD, SPECTRUM, GRAM},
+    ("antisymmetrised over the wrong qudit", 2): {SUCCESS, MISID},
+    ("antisymmetrised over the wrong qudit", 3): {SUCCESS, MISID, SPECTRUM, GRAM},
+    ("branch shift on the wrong qudit", 2): {MISID},
+    ("branch shift on the wrong qudit", 3): {MISID, SPECTRUM, GRAM},
+    ("dropped (-1)**n phase", 2): {GRAM},
+    ("dropped (-1)**n phase", 3): {GRAM},
+    ("one vector from another element", 2): {SUCCESS, MISID, PSD, SPECTRUM, GRAM},
+    ("one vector from another element", 3): {SUCCESS, MISID, PSD, SPECTRUM, GRAM},
+    ("reversed slot order (equivalent)", 2): set(),
+    ("reversed slot order (equivalent)", 3): set(),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unbroken_builder_reproduces_build_povm(d):
+    built = build_povm(d)
+    rebuilt = _povm(d)
+    assert rebuilt.scale == built.scale
+    for mine, theirs in zip(rebuilt.elements, built.elements):
+        np.testing.assert_array_equal(mine.matrix, theirs.matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_mutant_flagged_by_exactly(mutant, d):
+    report = verify_report(d, povm=MUTANTS[mutant](d))
+    assert set(report["failed_checks"]) == FLAGGED[mutant, d]
+    assert report["ok"] == (not FLAGGED[mutant, d])
+
+
+def test_every_check_flags_a_mutant():
+    checks = set(verify_report(2)["checks"])
+    assert checks == {SUCCESS, MISID, PSD, SPECTRUM, GRAM}
+    for check in checks:
+        assert any(check in flagged for flagged in FLAGGED.values()), check

@@ -10,9 +10,6 @@ from quditid.state_ops import (
     build_rho,
     build_sym_projector,
     haar_average_check,
-    identity_operator,
-    operator_from_dict,
-    operator_to_dict,
     rho_prefactor,
 )
 from quditid.tensor_core import total_dim
@@ -131,33 +128,9 @@ def test_hermitian_operator_validation():
         HermitianOperator(2, sp.identity(7, format="csr"))
 
 
-def test_identity_operator():
-    ident = identity_operator(2)
-    assert ident.trace() == pytest.approx(8.0)
-    vec = np.arange(8, dtype=np.complex128)
-    np.testing.assert_array_equal(ident.apply(vec), vec)
-
-
 def test_dense_guard_blocks_large_spaces():
     assert total_dim(5) > DENSE_DIM_LIMIT
     rho = build_rho(5, 1)  # construction itself stays sparse and cheap
     with pytest.raises(ValueError):
         rho.to_dense()
 
-
-def test_operator_serialization_round_trip():
-    rho = build_rho(2, 2)
-    obj = operator_to_dict(rho)
-    assert obj["d"] == 2 and obj["dim"] == 8
-    assert all(j >= i for i, j, _, _ in obj["triplets"])
-    back = operator_from_dict(obj)
-    dev = abs(back.mat - rho.mat)
-    assert (dev.max() if dev.nnz else 0.0) < 1e-15
-
-
-def test_operator_from_dict_rejects_lower_triangle():
-    obj = {"d": 2, "dim": 8, "triplets": [[1, 0, 0.5, 0.0]]}
-    with pytest.raises(ValueError):
-        operator_from_dict(obj)
-    with pytest.raises(ValueError):
-        operator_from_dict({"d": 2, "dim": 9, "triplets": []})
