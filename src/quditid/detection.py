@@ -126,18 +126,6 @@ class LowRankPovmElement:
         """Vectors stacked as a read-only (rank, D) array."""
         return self._matrix
 
-    def apply(self, vec):
-        coeffs = self._matrix.conj() @ vec
-        return self.scale * (self._matrix.T @ coeffs)
-
-    def expectation(self, vec):
-        """<vec| element |vec> — real and nonnegative by construction."""
-        coeffs = self._matrix.conj() @ vec
-        return self.scale * float(np.real(np.vdot(coeffs, coeffs)))
-
-    def trace(self):
-        return self.scale * len(self.vectors)
-
 
 @dataclass(frozen=True)
 class Povm:

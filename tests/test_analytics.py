@@ -3,6 +3,7 @@ import pytest
 from conftest import dense_conclusive_sum
 
 from quditid.analytics import (
+    EXACT_TOL,
     ConfusionMatrix,
     _conclusive_spectrum,
     _gram,
@@ -24,21 +25,48 @@ def test_closed_form_values():
     assert closed_form_success(5) == pytest.approx(1.0 / 3750.0, abs=1e-16)
 
 
+def _rescaled(povm, scale):
+    return Povm(
+        povm.d,
+        [LowRankPovmElement(e.label, scale, e.vectors) for e in povm.elements],
+    )
+
+
+def _assert_success_matches(povm, d):
+    p = closed_form_success(d)
+    assert abs(success_probability(povm, d) - p) <= EXACT_TOL * p
+
+
+def _assert_confusion_structure(povm, d):
+    conf = confusion(povm, d)
+    p = closed_form_success(d)
+    np.testing.assert_allclose(conf.diagonal(), p, rtol=0, atol=EXACT_TOL * p)
+    assert conf.max_offdiagonal() <= EXACT_TOL * p
+    np.testing.assert_allclose(conf.inconclusive_column(), 1.0 - p, atol=1e-10)
+    np.testing.assert_allclose(conf.row_sums(), 1.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_success_probability_matches_closed_form(d, povm2, povm3, povm4):
-    povm = {2: povm2, 3: povm3, 4: povm4}[d]
-    assert abs(success_probability(povm, d) - closed_form_success(d)) <= 1e-12
+    _assert_success_matches({2: povm2, 3: povm3, 4: povm4}[d], d)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_confusion_matrix_structure(d, povm2, povm3):
-    povm = {2: povm2, 3: povm3}[d]
-    conf = confusion(povm, d)
-    p = closed_form_success(d)
-    np.testing.assert_allclose(conf.diagonal(), p, atol=1e-12)
-    assert conf.max_offdiagonal() <= 1e-12
-    np.testing.assert_allclose(conf.inconclusive_column(), 1.0 - p, atol=1e-10)
-    np.testing.assert_allclose(conf.row_sums(), 1.0, atol=1e-10)
+    _assert_confusion_structure({2: povm2, 3: povm3}[d], d)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [_assert_success_matches, _assert_confusion_structure],
+    ids=["success", "confusion"],
+)
+def test_closed_form_comparisons_are_relative(check, povm4):
+    """At d=4 a scale off by 5e-11 (relative) moves the success probability
+    by 1.6e-13, inside an absolute 1e-12 but far outside EXACT_TOL of the
+    closed form 1/320; both comparisons above must reject it."""
+    with pytest.raises(AssertionError):
+        check(_rescaled(povm4, povm4.scale * (1 - 5e-11)), 4)
 
 
 def test_confusion_dimension_mismatch(povm2):
@@ -63,7 +91,7 @@ def test_sym_block_trace_matches_full_space(d):
     n: the identity that collapses the success-probability trace to its
     closed form, for every reference n."""
     for n in range(1, d + 1):
-        proj = build_sym_projector(d, n)
+        proj = build_sym_projector(d, n).to_dense()
         for k in range(d):
             for kp in range(d):
                 acc = 0.0
@@ -74,7 +102,7 @@ def test_sym_block_trace_matches_full_space(d):
                     row = encode_index(digits, d)
                     digits[n] = kp
                     col = encode_index(digits, d)
-                    acc += proj.entry(row, col).real
+                    acc += proj[row, col].real
                 want = (d + 1) / 2 if k == kp else 0.0
                 assert abs(acc - want) < 1e-12
 
@@ -105,8 +133,9 @@ def test_verify_report_passes(d):
         "min_eig_pi_unknown",
     ):
         assert key in report
-    assert abs(report["p_succ"] - report["p_succ_closed_form"]) <= 1e-12
-    assert report["max_offdiag"] <= 1e-12
+    prob_tol = EXACT_TOL * report["p_succ_closed_form"]
+    assert abs(report["p_succ"] - report["p_succ_closed_form"]) <= prob_tol
+    assert report["max_offdiag"] <= prob_tol
     assert report["min_eig_pi_unknown"] >= -1e-10
     assert set(report["checks"]) >= {
         "success_matches_closed_form",
@@ -124,13 +153,6 @@ def test_verify_report_accepts_prebuilt(povm2):
 def test_verify_report_rejects_large_d():
     with pytest.raises(ValueError):
         verify_report(6)
-
-
-def _rescaled(povm, scale):
-    return Povm(
-        povm.d,
-        [LowRankPovmElement(e.label, scale, e.vectors) for e in povm.elements],
-    )
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -243,18 +243,6 @@ def test_low_rank_element_validation():
         LowRankPovmElement(1, 2.0 / 3.0, ())
 
 
-def test_element_apply_matches_dense(povm2):
-    elem = povm2.elements[0]
-    dense = dense_conclusive_sum([elem])
-    rng = np.random.default_rng(8)
-    vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    np.testing.assert_allclose(elem.apply(vec), dense @ vec, atol=1e-12)
-    assert elem.trace() == pytest.approx(2 * 2.0 / 3.0)
-    assert elem.expectation(vec) == pytest.approx(
-        np.vdot(vec, dense @ vec).real, abs=1e-10
-    )
-
-
 def test_povm_wrapper_validation(povm2):
     with pytest.raises(ValueError):
         Povm(2, povm2.elements[:1])

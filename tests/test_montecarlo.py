@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import pair_sym_projector
+from conftest import element_expectation, pair_sym_projector
 from quditid import montecarlo
 from quditid.analytics import closed_form_success
 from quditid.montecarlo import (
@@ -106,7 +106,7 @@ def test_probabilities_match_operator_expectations(d, povm2, povm3):
         full = product_state(factors)
         p, p_inc = outcome_probabilities(povm, factors[0], factors[1:])
         for elem in povm.elements:
-            want = elem.expectation(full.amps)
+            want = element_expectation(elem, full.amps)
             assert abs(p[elem.label - 1] - want) <= 1e-12
         assert abs(p_inc - (1.0 - p.sum())) <= 1e-12
 
@@ -125,7 +125,7 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
     for i, t in enumerate(truths):
         full = product_state([refs[i, t - 1], *refs[i]]).amps
         for elem in povm.elements:
-            want = elem.expectation(full)
+            want = element_expectation(elem, full)
             if elem.label == t:
                 assert abs(report.p_correct[i] - want) <= 1e-12
             else:

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import quditid
 
 PUBLIC_NAMES = [
@@ -45,3 +50,20 @@ def test_public_names_are_pinned_and_resolve():
     assert quditid.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(quditid, name) is not None
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the package has no scipy module loaded."""
+    src = os.path.dirname(os.path.dirname(quditid.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys, quditid; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == []

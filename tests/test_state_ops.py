@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from conftest import haar_unitary
+from conftest import dense_pair_projector, haar_unitary
 from quditid.state_ops import (
     DENSE_DIM_LIMIT,
     HermitianOperator,
@@ -15,6 +14,25 @@ from quditid.state_ops import (
 from quditid.tensor_core import total_dim
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_projectors_match_dense_oracle(d):
+    """The digit-swap form a*I + b*SWAP equals, entry for entry, the sum of
+    pair-state outer products tensored with the spectator identity."""
+    for n in range(1, d + 1):
+        sym = build_sym_projector(d, n).to_dense()
+        asym = build_asym_projector(d, n).to_dense()
+        assert np.array_equal(sym, dense_pair_projector(d, n, +1))
+        assert np.array_equal(asym, dense_pair_projector(d, n, -1))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (4, 3)])
+def test_apply_matches_dense(d, n):
+    rng = np.random.default_rng(d * 10 + n)
+    vec = rng.standard_normal(total_dim(d)) + 1j * rng.standard_normal(total_dim(d))
+    for op in (build_sym_projector(d, n), build_asym_projector(d, n), build_rho(d, n)):
+        np.testing.assert_allclose(op.apply(vec), op.to_dense() @ vec, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "d,n,sym_rank,asym_rank",
     [(2, 1, 6, 2), (2, 2, 6, 2), (3, 1, 54, 27), (3, 2, 54, 27), (3, 3, 54, 27)],
@@ -22,27 +40,30 @@ from quditid.tensor_core import total_dim
 def test_projector_ranks(d, n, sym_rank, asym_rank):
     """Rank = trace for a projector: d(d+1)/2 resp. d(d-1)/2 pair states,
     times d**(d-1) spectator configurations."""
-    assert build_sym_projector(d, n).trace() == pytest.approx(sym_rank, abs=1e-12)
-    assert build_asym_projector(d, n).trace() == pytest.approx(asym_rank, abs=1e-12)
+    assert np.trace(build_sym_projector(d, n).to_dense()).real == pytest.approx(
+        sym_rank, abs=1e-12
+    )
+    assert np.trace(build_asym_projector(d, n).to_dense()).real == pytest.approx(
+        asym_rank, abs=1e-12
+    )
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2)])
 def test_projectors_are_projectors(d, n):
     for build in (build_sym_projector, build_asym_projector):
-        p = build(d, n).mat
-        assert abs(p - p.conjugate().T).max() < 1e-14
-        assert abs((p @ p) - p).max() < 1e-12
+        p = build(d, n).to_dense()
+        assert np.max(np.abs(p - p.conj().T)) < 1e-14
+        assert np.max(np.abs(p @ p - p)) < 1e-12
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 3)])
 def test_sym_plus_asym_is_identity(d, n):
-    total = build_sym_projector(d, n).mat + build_asym_projector(d, n).mat
-    dev = abs(total - sp.identity(total_dim(d), format="csr"))
-    assert (dev.max() if dev.nnz else 0.0) < 1e-14
+    total = build_sym_projector(d, n).to_dense() + build_asym_projector(d, n).to_dense()
+    assert np.max(np.abs(total - np.eye(total_dim(d)))) < 1e-14
 
 
 def test_projector_eigenvalues_are_binary():
-    eigs = build_sym_projector(2, 1).eigenvalues()
+    eigs = np.linalg.eigvalsh(build_sym_projector(2, 1).to_dense())
     assert np.all((np.abs(eigs) < 1e-12) | (np.abs(eigs - 1.0) < 1e-12))
 
 
@@ -61,17 +82,17 @@ def test_rho_prefactor_values():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_rho_unit_trace(d):
     for n in range(1, d + 1):
-        assert build_rho(d, n).trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(build_rho(d, n).to_dense()).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_entry_example():
     # digits (0,0,0): probe and reference 1 coincide -> diagonal sym entry
-    assert build_rho(2, 1).entry(0, 0) == pytest.approx(1.0 / 6.0, abs=1e-16)
+    assert build_rho(2, 1).to_dense()[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-16)
 
 
 def test_rho_spectrum_two_valued():
     rho = build_rho(2, 1)
-    eigs = rho.eigenvalues()
+    eigs = np.linalg.eigvalsh(rho.to_dense())
     assert eigs[0] > -1e-12
     top = rho_prefactor(2)
     assert np.all((np.abs(eigs) < 1e-12) | (np.abs(eigs - top) < 1e-12))
@@ -119,18 +140,16 @@ def test_haar_average_validation():
 
 
 def test_hermitian_operator_validation():
-    bad = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    full = sp.block_diag([bad] * 4, format="csr")
-    assert full.shape == (8, 8)
-    with pytest.raises(ValueError):
-        HermitianOperator(2, full)
-    with pytest.raises(ValueError):
-        HermitianOperator(2, sp.identity(7, format="csr"))
+    assert HermitianOperator(2, np.int64(2), 1, 0) == HermitianOperator(2, 2, 1.0, 0.0)
+    bad = [(1, 1), (2.0, 1), (True, 1), (2, 0), (2, 3), (2, 1.0), (2, True), (3, None)]
+    for d, n in bad:
+        with pytest.raises(ValueError):
+            HermitianOperator(d, n, 0.5, 0.5)
 
 
 def test_dense_guard_blocks_large_spaces():
     assert total_dim(5) > DENSE_DIM_LIMIT
-    rho = build_rho(5, 1)  # construction itself stays sparse and cheap
+    rho = build_rho(5, 1)  # construction stores four numbers
     with pytest.raises(ValueError):
         rho.to_dense()
 
