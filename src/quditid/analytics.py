@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import build_povm
+from .detection import DENSE_MAX_D, build_povm
 from .state_ops import build_rho
 from .tensor_core import check_dim, total_dim
-
-# Largest d verify_report accepts: at d=6 the dense element vectors
-# alone take 36 * 6**7 * 16 B, about 161 MB.
-VERIFY_MAX_D = 5
 
 # Relative to the closed-form success probability for the success and
 # misidentification checks; absolute on the unit-scale Gram entries.
@@ -162,13 +158,13 @@ def verify_report(d, povm=None):
     checks that did not hold, and "ok" is their conjunction.  The
     spectral checks are exact eigenproblems on the d**2 x d**2 Gram
     matrix of the element vectors (see _conclusive_spectrum).  Accepts
-    d <= VERIFY_MAX_D, the largest d whose dense element vectors
-    build_povm can hold in modest memory.
+    d <= DENSE_MAX_D, the largest d whose dense element vectors
+    build_povm builds.
     """
     d = check_dim(d)
-    if d > VERIFY_MAX_D:
+    if d > DENSE_MAX_D:
         raise ValueError(
-            f"verification supports d <= {VERIFY_MAX_D}; the element vectors "
+            f"verification supports d <= {DENSE_MAX_D}; the element vectors "
             f"for d={d} are stored densely and would not fit"
         )
     if povm is None:

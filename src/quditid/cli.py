@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio
 from .analytics import verify_report
-from .detection import build_povm, povm_to_dict
+from .detection import DENSE_MAX_D, build_povm, povm_to_dict
 from .montecarlo import SEED_LIMIT, run_experiment
 from .sym_optimizer import (
     build_symmetric_family,
@@ -105,11 +105,11 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="construct the measurement")
-    build.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
+    build.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
     build.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the algebraic checks")
-    verify.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
+    verify.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
     verify.add_argument("--out", default=None)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo experiment")

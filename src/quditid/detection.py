@@ -18,70 +18,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (
-    StateVector,
-    check_dim,
-    encode_index,
-    state_from_dict,
-    state_to_dict,
-    total_dim,
-)
+from .tensor_core import StateVector, check_dim, state_from_dict, state_to_dict
 
 ORTHONORMALITY_TOL = 1e-12
 
-
-def _perm_sign(perm):
-    """Parity (+1/-1) of a permutation given as a tuple of 0..len-1."""
-    inversions = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inversions += 1
-    return -1.0 if inversions % 2 else 1.0
+# Largest d whose measurement is built: the d*d element vectors are dense,
+# and at d=6 they alone take 36 * 6**7 * 16 B, about 161 MB.
+DENSE_MAX_D = 5
 
 
 def build_detection_core(d, n):
-    """Totally antisymmetric detection state for outcome n.
-
-    Assigns the digit values 0..d-1 to the d qudit slots other than n
-    (slots in ascending label order) in all d! ways, weighting each
-    assignment by the permutation sign relative to the ascending
-    reference assignment, with an overall (-1)**n phase.  Qudit n's
-    digit is held at 0 in the returned amplitudes; build_povm_vector
-    relocates it.  Unit norm.
-    """
-    d = check_dim(d)
-    if not 1 <= n <= d:
-        raise ValueError(f"outcome index {n} out of range 1..{d}")
-    slots = [j for j in range(d + 1) if j != n]
-    amps = np.zeros(total_dim(d), dtype=np.complex128)
-    weight = (-1.0 if n % 2 else 1.0) / math.sqrt(math.factorial(d))
-    digits = [0] * (d + 1)
-    for perm in itertools.permutations(range(d)):
-        for slot, value in zip(slots, perm):
-            digits[slot] = value
-        amps[encode_index(digits, d)] = weight * _perm_sign(perm)
-    return StateVector(d, amps)
+    """Totally antisymmetric detection state for outcome n: branch 0 of
+    build_povm_vector, with qudit n's digit held at 0.  Unit norm."""
+    return build_povm_vector(d, n, 0)
 
 
 def build_povm_vector(d, n, k):
     """Basis vector of the conclusive element for outcome n, branch k.
 
     Puts qudit n in basis state |k> and the remaining d qudits in the
-    antisymmetric detection state.  Every nonzero amplitude sits in the
-    total-excitation sector k + d(d-1)/2, which makes different-k
-    vectors orthogonal regardless of the outcome indices.
+    antisymmetric detection state: the digit values 0..d-1 go to those
+    d slots (ascending label order) in all d! ways, each assignment
+    weighted by its permutation sign and an overall (-1)**n phase.  The
+    d! amplitudes are placed in one pass over the (d!, d) permutation
+    table: one broadcast inversion count gives the signs, and one
+    product with the slots' place values d**(d - slot), plus
+    k * d**(d - n), gives the flat indices.  Every nonzero amplitude
+    sits in the total-excitation sector k + d(d-1)/2, which makes
+    different-k vectors orthogonal regardless of the outcome indices.
+
+    The vector is dense, so d above DENSE_MAX_D is refused before
+    anything is allocated.
     """
     d = check_dim(d)
+    if d > DENSE_MAX_D:
+        raise ValueError(
+            f"the measurement is built densely for d <= {DENSE_MAX_D}; "
+            f"d={d} would not fit"
+        )
+    if not 1 <= n <= d:
+        raise ValueError(f"outcome index {n} out of range 1..{d}")
     if not 0 <= k <= d - 1:
         raise ValueError(f"branch index {k} out of range 0..{d - 1}")
-    core = build_detection_core(d, n)
-    if k == 0:
-        return core
-    shift = k * d ** (d - n)
-    amps = np.zeros_like(core.amps)
-    support = np.nonzero(core.amps)[0]
-    amps[support + shift] = core.amps[support]
+    perms = np.array(list(itertools.permutations(range(d))))
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    slots = np.array([j for j in range(d + 1) if j != n])
+    flat = perms @ d ** (d - slots) + k * d ** (d - n)
+    amps = np.zeros(d ** (d + 1), dtype=np.complex128)
+    amps[flat] = np.where((n + inversions) % 2, -1.0, 1.0) / math.sqrt(math.factorial(d))
     return StateVector(d, amps)
 
 
@@ -161,8 +145,8 @@ def build_povm(d):
 
     Each conclusive element carries scale d/(d+1) — the largest value
     for which the inconclusive remainder stays positive semidefinite.
-    Only the low-rank conclusive elements are built, at every d; no
-    D x D operator is ever formed.
+    Only the low-rank conclusive elements are built; no D x D operator
+    is ever formed.  d above DENSE_MAX_D is refused (build_povm_vector).
     """
     d = check_dim(d)
     scale = d / (d + 1)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import closed_form_success
 from .detection import overlap_with_product
 # perfbench/child.py binds montecarlo.haar_state and .trial_stream by name.
 from .tensor_core import check_dim, check_factors, haar_state  # noqa: F401
@@ -52,7 +53,7 @@ _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 
 def _misfire_tol(d):
     """Largest accepted misidentification probability at dimension d."""
-    return MISFIRE_RTOL / ((d + 1) * d ** (d - 1))
+    return MISFIRE_RTOL * closed_form_success(d)
 
 
 def _check_u64(name, value):
@@ -179,6 +180,8 @@ class TrialRecord:
             raise ValueError(f"truth {self.truth} out of range 1..{d}")
         if not (self.outcome == INCONCLUSIVE or 1 <= self.outcome <= d):
             raise ValueError(f"outcome {self.outcome} invalid for d={d}")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("non-finite outcome probability")
         if probs.min() < PROB_FLOOR:
             raise ValueError("negative outcome probability")
         # Absolute, against the total of 1 the probabilities must reach.

@@ -8,6 +8,7 @@ from conftest import dense_conclusive_sum
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
 from quditid.detection import (
+    DENSE_MAX_D,
     LowRankPovmElement,
     Povm,
     build_detection_core,
@@ -95,6 +96,17 @@ def test_detection_index_validation():
         build_povm_vector(3, 1, 3)
     with pytest.raises(ValueError):
         build_povm_vector(3, 1, -1)
+
+
+def test_builders_refuse_d_above_dense_limit():
+    """The size limit is checked before any amplitude is allocated."""
+    d = DENSE_MAX_D + 1
+    with pytest.raises(ValueError, match="densely"):
+        build_povm_vector(d, 1, 0)
+    with pytest.raises(ValueError, match="densely"):
+        build_detection_core(d, 1)
+    with pytest.raises(ValueError, match="densely"):
+        build_povm(d)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -169,6 +169,8 @@ def test_trial_record_validation():
     with pytest.raises(ValueError):
         # nonzero probability on the wrong conclusive outcome
         TrialRecord(1, 1, np.array([0.1, 0.05, 0.85]))
+    with pytest.raises(ValueError):
+        TrialRecord(1, 0, np.array([math.nan, math.nan, math.nan]))
 
 
 def test_trial_record_misfire_tolerance_is_relative():

@@ -119,7 +119,7 @@ FLAGGED = {
 }
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_unbroken_builder_reproduces_build_povm(d):
     built = build_povm(d)
     rebuilt = _povm(d)
