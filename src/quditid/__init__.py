@@ -33,6 +33,7 @@ from .montecarlo import (
     outcome_probabilities,
     run_experiment,
     run_trial,
+    trial_batches,
     trial_stream,
 )
 from .state_ops import (
@@ -97,6 +98,7 @@ __all__ = [
     "state_to_dict",
     "success_probability",
     "total_dim",
+    "trial_batches",
     "trial_stream",
     "verify_report",
 ]

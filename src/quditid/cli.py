@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .analytics import verify_report
 from .detection import DENSE_MAX_D, build_povm, povm_to_dict
-from .montecarlo import SEED_LIMIT, run_experiment
+from .montecarlo import SEED_LIMIT, run_experiment, trial_batches
 from .sym_optimizer import (
     build_symmetric_family,
     frame_operator,
@@ -38,44 +38,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+def _emit(pieces, out):
+    """Write the text pieces, then a newline, to the file `out` or stdout."""
+    fh = open(out, "w", encoding="utf-8") if out else sys.stdout
+    try:
+        fh.writelines(pieces)
+        fh.write("\n")
+    finally:
+        if out:
+            fh.close()
 
 
 def _cmd_build(args):
     povm = build_povm(args.d)
-    _emit(jsonio.dumps(povm_to_dict(povm)), args.out)
+    _emit([jsonio.dumps(povm_to_dict(povm))], args.out)
     return 0
 
 
 def _cmd_verify(args):
     report = verify_report(args.d)
-    _emit(jsonio.dumps(report), args.out)
+    _emit([jsonio.dumps(report)], args.out)
     return 0 if report["ok"] else 2
 
 
-def _csv_lines(report):
+def _csv_blocks(batches):
+    """The CSV header, then one block of rows per batch of trials."""
     yield "trial,truth,outcome,p_success,p_inconclusive"
-    for i in range(report.trials):
-        yield (
-            f"{i},{report.truths[i]},{report.outcomes[i]},"
-            f"{jsonio.format_float(report.p_correct[i])},"
-            f"{jsonio.format_float(report.p_inconclusive[i])}"
+    for start, truths, outcomes, p_correct in batches:
+        rows = zip(truths.tolist(), outcomes.tolist(), p_correct.tolist())
+        yield "".join(
+            f"\n{i},{t},{o},{jsonio.format_float(p)},{jsonio.format_float(1.0 - p)}"
+            for i, (t, o, p) in enumerate(rows, start)
         )
 
 
 def _cmd_simulate(args):
-    report = run_experiment(args.d, args.trials, args.seed)
     if args.format == "csv":
-        _emit("\n".join(_csv_lines(report)), args.out)
+        pieces = _csv_blocks(trial_batches(args.d, args.trials, args.seed))
     else:
-        _emit(jsonio.dumps(report.summary_dict()), args.out)
+        report = run_experiment(args.d, args.trials, args.seed)
+        pieces = [jsonio.dumps(report.summary_dict())]
+    _emit(pieces, args.out)
     return 0
 
 
@@ -96,7 +99,7 @@ def _cmd_optimize(args, parser):
         payload["resolution"] = args.resolution
         payload["alpha_opt"] = list(weights)
         payload["S_opt"] = total
-    _emit(jsonio.dumps(payload), args.out)
+    _emit([jsonio.dumps(payload)], args.out)
     return 0
 
 

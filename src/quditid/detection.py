@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, check_dim, state_from_dict, state_to_dict
+from .tensor_core import StateVector, _check_index, check_dim, state_from_dict, state_to_dict
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -56,10 +56,8 @@ def build_povm_vector(d, n, k):
             f"the measurement is built densely for d <= {DENSE_MAX_D}; "
             f"d={d} would not fit"
         )
-    if not 1 <= n <= d:
-        raise ValueError(f"outcome index {n} out of range 1..{d}")
-    if not 0 <= k <= d - 1:
-        raise ValueError(f"branch index {k} out of range 0..{d - 1}")
+    n = _check_index("outcome index", n, 1, d)
+    k = _check_index("branch index", k, 0, d - 1)
     perms = np.array(list(itertools.permutations(range(d))))
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     slots = np.array([j for j in range(d + 1) if j != n])
@@ -171,8 +169,7 @@ def overlap_with_product(d, n, factors):
         overlap = (-1)**n / sqrt(d!) * det M,   M[v, s] = factors[slot s][v]
     """
     d = check_dim(d)
-    if not 1 <= n <= d:
-        raise ValueError(f"outcome index {n} out of range 1..{d}")
+    n = _check_index("outcome index", n, 1, d)
     if len(factors) != d + 1:
         raise ValueError(f"expected {d + 1} factors, got {len(factors)}")
     cols = []

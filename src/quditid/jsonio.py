@@ -6,10 +6,10 @@ keep a fixed significant-digit form.  Reports here promise 17
 significant digits for every numeric value, so this module renders
 numbers itself and leaves everything else to the stdlib.
 
-A non-empty 1-D or 2-D float ndarray renders exactly as its tolist()
-would, but each distinct value (by bit pattern, so -0.0 stays apart
-from 0.0) is formatted once and each distinct row is built once.  A
-measurement vector of d**(d+1) amplitudes holds only a handful of
+A non-empty 2-D float ndarray renders exactly as its tolist() would,
+but each distinct value (by bit pattern, so -0.0 stays apart from 0.0)
+is formatted once and each distinct row is built once.  A measurement
+vector's (D, 2) array of d**(d+1) amplitudes holds only a handful of
 distinct doubles, so this keeps `build` output cheap.
 """
 
@@ -31,25 +31,20 @@ def format_float(x):
 
 
 def _render_floats(arr, indent, level):
-    """Text of a non-empty 1-D or 2-D float array, as _render(arr.tolist())."""
+    """Text of a non-empty 2-D float array, as _render(arr.tolist())."""
     pad = " " * (indent * (level + 1))
+    inner_pad = " " * (indent * (level + 2))
     bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-    width = bits.shape[1] if arr.ndim == 2 else 1
     # One void item per row, so np.unique compares rows bit for bit.
-    row_items = bits.view(np.dtype((np.void, 8 * width))).reshape(-1)
+    row_items = bits.view(np.dtype((np.void, 8 * bits.shape[1]))).reshape(-1)
     rows, row_codes = np.unique(row_items, return_inverse=True)
     uniq, codes = np.unique(rows.view(np.uint64), return_inverse=True)
     texts = [format_float(x) for x in uniq.view(np.float64)]
-    codes = codes.reshape(len(rows), width).tolist()
-    if arr.ndim == 1:
-        row_texts = [pad + texts[c] for (c,) in codes]
-    else:
-        inner_pad = " " * (indent * (level + 2))
-        sep = ",\n" + inner_pad
-        row_texts = [
-            f"{pad}[\n{inner_pad}{sep.join(texts[c] for c in row)}\n{pad}]"
-            for row in codes
-        ]
+    sep = ",\n" + inner_pad
+    row_texts = [
+        f"{pad}[\n{inner_pad}{sep.join(texts[c] for c in row)}\n{pad}]"
+        for row in codes.reshape(len(rows), -1).tolist()
+    ]
     lines = np.array(row_texts, dtype=object)[row_codes.reshape(-1)]
     return "[\n" + ",\n".join(lines.tolist()) + "\n" + " " * (indent * level) + "]"
 
@@ -76,12 +71,7 @@ def _render(obj, indent, level):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             parts.append(f"{pad}{json.dumps(key)}: {_render(value, indent, level + 1)}")
         return "{\n" + ",\n".join(parts) + "\n" + close_pad + "}"
-    if (
-        isinstance(obj, np.ndarray)
-        and obj.dtype.kind == "f"
-        and obj.ndim in (1, 2)
-        and obj.size
-    ):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and obj.size:
         return _render_floats(obj, indent, level)
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)

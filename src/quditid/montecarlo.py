@@ -13,14 +13,16 @@ Reproducibility: trial i's random words are a pure function of
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 keyed by the seed and counted by the trial index, and are computed for
 a whole batch of trials at once.  Seeds and trial indices are integers
-in [0, 2**64).  Reports are bit-identical for a given (d, trials, seed)
-however trials are batched, and run_trial(d, povm, trial_stream(seed, i))
-reproduces trial i of run_experiment(d, trials, seed) on its own.
+in [0, 2**64).  trial_batches(d, trials, seed) yields the trials one
+batch at a time, so nothing holds every trial at once; its values, and
+the counts run_experiment adds up from them, are bit-identical for a
+given (d, trials, seed) however trials are batched.
+run_trial(d, povm, trial_stream(seed, i)) reproduces trial i on its own.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,7 +71,7 @@ def trial_stream(seed, index):
     """Handle of trial `index` under `seed`: the validated (seed, index).
 
     run_trial(d, povm, trial_stream(seed, i)) reproduces trial i of
-    run_experiment(d, trials, seed).
+    trial_batches(d, trials, seed).
     """
     return _check_u64("seed", seed), _check_u64("trial index", index)
 
@@ -202,7 +204,7 @@ def run_trial(d, povm, stream):
     """Simulate a single trial of the identification experiment.
 
     stream is a trial_stream(seed, index) handle; the trial is the one
-    run_experiment(d, trials, seed) runs at that index.
+    trial_batches(d, trials, seed) yields at that index.
     """
     d = check_dim(d)
     if povm.d != d:
@@ -232,9 +234,35 @@ def outcome_probabilities(povm, probe, refs):
     return p, max(1.0 - float(p.sum()), 0.0)
 
 
+def trial_batches(d, trials, seed):
+    """Trials 0 .. trials - 1 under `seed`, one batch at a time.
+
+    The arguments are validated at the call.  Each item is
+    (start, truths, outcomes, p_correct) for the batch of up to _CHUNK
+    trials that begins at trial `start`: the true indices, the sampled
+    outcomes (the truth or INCONCLUSIVE), and the success probabilities,
+    whose complements are the inconclusive probabilities.
+    """
+    d = check_dim(d)
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
+        raise TypeError("trials must be an integer")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return _batches(d, int(trials), _check_u64("seed", seed))
+
+
+# A generator's body runs only at its first next(), so trial_batches checks
+# its arguments and then hands the checked values to this one.
+def _batches(d, trials, seed):
+    scale = d / (d + 1)
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        yield (start, *_simulate_range(d, scale, seed, start, count))
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Aggregated results plus the per-trial arrays needed for CSV export.
+    """Outcome counts and rates of a run, with its wall time.
 
     inconclusive_rate is defined as the complement of the other two
     rates so the three sum to exactly 1.0 in floating point; it agrees
@@ -257,58 +285,27 @@ class ExperimentReport:
     inconclusive_rate: float
     ci99_half_width: float
     wall_time_s: float
-    truths: np.ndarray
-    outcomes: np.ndarray
-    p_correct: np.ndarray
-    p_inconclusive: np.ndarray
 
     def summary_dict(self):
-        """Scalar fields only, ready for JSON."""
-        return {
-            "d": self.d,
-            "trials": self.trials,
-            "seed": self.seed,
-            "success_count": self.success_count,
-            "error_count": self.error_count,
-            "inconclusive_count": self.inconclusive_count,
-            "success_rate": self.success_rate,
-            "error_rate": self.error_rate,
-            "inconclusive_rate": self.inconclusive_rate,
-            "ci99_half_width": self.ci99_half_width,
-            "wall_time_s": self.wall_time_s,
-        }
+        """Every field, in declaration order, ready for JSON."""
+        return asdict(self)
 
 
 def run_experiment(d, trials, seed):
     """Run `trials` independent trials and aggregate the outcome counts.
 
-    Trials run serially, in numpy batches of up to _CHUNK trials, and the
-    results are bit-identical for a given (d, trials, seed).  One d x d
-    determinant per trial makes this usable up to d = 5 without ever
-    touching the full tensor space.
+    One loop over trial_batches adds up the counts, so memory does not
+    grow with `trials`, and the results are bit-identical for a given
+    (d, trials, seed).  One d x d determinant per trial makes this usable
+    up to d = 5 without ever touching the full tensor space.
     """
-    d = check_dim(d)
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise TypeError("trials must be an integer")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    seed = _check_u64("seed", seed)
-    trials = int(trials)
-    scale = d / (d + 1)
-
     t0 = time.perf_counter()
-    truths = np.empty(trials, dtype=np.int64)
-    outcomes = np.empty(trials, dtype=np.int64)
-    p_corr = np.empty(trials)
-    for start in range(0, trials, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, trials))
-        truths[sl], outcomes[sl], p_corr[sl] = _simulate_range(
-            d, scale, seed, start, sl.stop - start
-        )
-    p_inc = 1.0 - p_corr
+    success = inconclusive = 0
+    for _, truths, outcomes, _ in trial_batches(d, trials, seed):
+        success += int(np.count_nonzero(outcomes == truths))
+        inconclusive += int(np.count_nonzero(outcomes == INCONCLUSIVE))
 
-    success = int(np.count_nonzero(outcomes == truths))
-    inconclusive = int(np.count_nonzero(outcomes == INCONCLUSIVE))
+    trials = int(trials)
     error = trials - success - inconclusive
     success_rate = success / trials
     error_rate = error / trials
@@ -316,12 +313,10 @@ def run_experiment(d, trials, seed):
     ci = Z_99 * math.sqrt(success_rate * (1.0 - success_rate) / trials)
     wall = time.perf_counter() - t0
 
-    for arr in (truths, outcomes, p_corr, p_inc):
-        arr.setflags(write=False)
     return ExperimentReport(
-        d=d,
+        d=int(d),
         trials=trials,
-        seed=seed,
+        seed=int(seed),
         success_count=success,
         error_count=error,
         inconclusive_count=inconclusive,
@@ -330,8 +325,4 @@ def run_experiment(d, trials, seed):
         inconclusive_rate=inconclusive_rate,
         ci99_half_width=ci,
         wall_time_s=wall,
-        truths=truths,
-        outcomes=outcomes,
-        p_correct=p_corr,
-        p_inconclusive=p_inc,
     )

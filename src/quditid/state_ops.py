@@ -18,16 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import check_dim, total_dim
+from .tensor_core import _check_index, check_dim, total_dim
 
 # Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).
 DENSE_DIM_LIMIT = 4096
-
-
-def _check_reference(d, n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= d:
-        raise ValueError(f"reference index {n!r} out of range 1..{d}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,7 @@ class HermitianOperator:
     def __post_init__(self):
         d = check_dim(self.d)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", _check_reference(d, self.n))
+        object.__setattr__(self, "n", _check_index("reference index", self.n, 1, d))
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 
@@ -111,7 +105,7 @@ def haar_average_check(d, n, samples, seed):
     entrywise deviation from build_rho(d, n).  Decays as O(1/sqrt(samples)).
     """
     d = check_dim(d)
-    n = _check_reference(d, n)
+    n = _check_index("reference index", n, 1, d)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     D = total_dim(d)

@@ -27,6 +27,15 @@ def check_dim(d):
     return d
 
 
+def _check_index(name, value, low, high):
+    """Validate an integer index in low..high (bools refused); returns it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} {value} out of range {low}..{high}")
+    return int(value)
+
+
 def total_dim(d):
     """Dimension D = d**(d+1) of the full (d+1)-qudit space."""
     d = check_dim(d)

@@ -96,6 +96,10 @@ def test_detection_index_validation():
         build_povm_vector(3, 1, 3)
     with pytest.raises(ValueError):
         build_povm_vector(3, 1, -1)
+    with pytest.raises(ValueError):
+        build_povm_vector(3, 1, 1.0)
+    with pytest.raises(ValueError):
+        build_povm_vector(3, 2.0, 0)
 
 
 def test_builders_refuse_d_above_dense_limit():
@@ -237,6 +241,10 @@ def test_overlap_validation():
         overlap_with_product(3, 4, factors)
     with pytest.raises(ValueError):
         overlap_with_product(3, 1, factors[:3])
+    with pytest.raises(ValueError):
+        overlap_with_product(3, 2.0, factors)
+    with pytest.raises(ValueError):
+        overlap_with_product(3, 1.5, factors)
     bad = factors[:2] + [np.ones(2) / math.sqrt(2.0)] + factors[3:]
     with pytest.raises(ValueError):
         overlap_with_product(3, 1, bad)

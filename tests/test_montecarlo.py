@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from conftest import element_expectation, pair_sym_projector
-from quditid import montecarlo
+from quditid import cli, montecarlo
 from quditid.analytics import closed_form_success
 from quditid.montecarlo import (
     INCONCLUSIVE,
@@ -16,9 +16,21 @@ from quditid.montecarlo import (
     outcome_probabilities,
     run_experiment,
     run_trial,
+    trial_batches,
     trial_stream,
 )
 from quditid.tensor_core import basis_ket, haar_state, product_state
+
+
+def _trial_arrays(d, trials, seed):
+    """(truths, outcomes, p_correct) of every trial, joined from
+    trial_batches, whose batches must start where the last one ended."""
+    starts, *arrays = zip(*trial_batches(d, trials, seed))
+    truths, outcomes, p_correct = (np.concatenate(col) for col in arrays)
+    sizes = [len(t) for t in arrays[0]]
+    assert list(starts) == np.cumsum([0, *sizes[:-1]]).tolist()
+    assert len(truths) == len(outcomes) == len(p_correct) == trials
+    return truths, outcomes, p_correct
 
 
 def test_inconclusive_code():
@@ -120,14 +132,14 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
     povm = {2: povm2, 3: povm3, 4: povm4}[d]
     seed = 40 + d
     refs, truths, _ = montecarlo._draw_trials(d, seed, 0, 20)
-    report = run_experiment(d, 20, seed)
-    np.testing.assert_array_equal(report.truths, truths)
+    batch_truths, _, p_correct = _trial_arrays(d, 20, seed)
+    np.testing.assert_array_equal(batch_truths, truths)
     for i, t in enumerate(truths):
         full = product_state([refs[i, t - 1], *refs[i]]).amps
         for elem in povm.elements:
             want = element_expectation(elem, full)
             if elem.label == t:
-                assert abs(report.p_correct[i] - want) <= 1e-12
+                assert abs(p_correct[i] - want) <= 1e-12
             else:
                 assert want <= 1e-12
 
@@ -195,8 +207,9 @@ def test_run_experiment_counts_and_rates(povm2):
     assert report.ci99_half_width == pytest.approx(
         Z_99 * math.sqrt(report.success_rate * (1 - report.success_rate) / 5000)
     )
-    assert report.truths.shape == (5000,)
-    assert not report.outcomes.flags.writeable
+    truths, outcomes, _ = _trial_arrays(2, 5000, 1)
+    assert report.success_count == np.count_nonzero(outcomes == truths)
+    assert report.inconclusive_count == np.count_nonzero(outcomes == INCONCLUSIVE)
 
 
 _MASK32 = 0xFFFFFFFF
@@ -278,18 +291,18 @@ def _rebuild_trial(povm, seed, index):
 def test_run_experiment_matches_single_trials(povm2, povm3):
     for povm, seed in ((povm2, 7), (povm3, 2**64 - 1)):
         d = povm.d
-        report = run_experiment(d, 64, seed)
+        truths, outcomes, p_correct = _trial_arrays(d, 64, seed)
         for i in (0, 5, 17, 63):
             rec = run_trial(d, povm, trial_stream(seed, i))
-            assert rec.truth == report.truths[i]
-            assert rec.outcome == report.outcomes[i]
-            assert rec.probabilities[rec.truth - 1] == report.p_correct[i]
-            assert rec.probabilities[-1] == report.p_inconclusive[i]
-            truth, outcome, p_correct, p_inc = _rebuild_trial(povm, seed, i)
-            assert truth == report.truths[i]
-            assert outcome == report.outcomes[i]
-            assert abs(p_correct - report.p_correct[i]) <= 1e-12
-            assert abs(p_inc - report.p_inconclusive[i]) <= 1e-12
+            assert rec.truth == truths[i]
+            assert rec.outcome == outcomes[i]
+            assert rec.probabilities[rec.truth - 1] == p_correct[i]
+            assert rec.probabilities[-1] == 1.0 - p_correct[i]
+            truth, outcome, p_want, p_inc = _rebuild_trial(povm, seed, i)
+            assert truth == truths[i]
+            assert outcome == outcomes[i]
+            assert abs(p_want - p_correct[i]) <= 1e-12
+            assert abs(p_inc - (1.0 - p_correct[i])) <= 1e-12
 
 
 def test_trial_beyond_32_bit_index_matches_oracle(povm2):
@@ -302,20 +315,29 @@ def test_trial_beyond_32_bit_index_matches_oracle(povm2):
         assert abs(rec.probabilities[-1] - p_inc) <= 1e-12
 
 
-def test_chunk_boundary_trials(monkeypatch, povm2):
+def test_chunk_boundary_trials(monkeypatch, capsys, povm2):
     """Trials on either side of a batch boundary equal their single-trial
-    rebuild, and a run with different batching gives the same arrays."""
+    rebuild, and a run with different batching gives the same arrays,
+    the same counts and the same CSV bytes."""
     chunk = montecarlo._CHUNK
-    report = run_experiment(2, chunk + 2, 11)
+    truths, outcomes, p_correct = _trial_arrays(2, chunk + 2, 11)
     for i in (chunk - 1, chunk, chunk + 1):
         rec = run_trial(2, povm2, trial_stream(11, i))
-        assert (rec.truth, rec.outcome) == (report.truths[i], report.outcomes[i])
-        assert rec.probabilities[rec.truth - 1] == report.p_correct[i]
-        assert rec.probabilities[-1] == report.p_inconclusive[i]
+        assert (rec.truth, rec.outcome) == (truths[i], outcomes[i])
+        assert rec.probabilities[rec.truth - 1] == p_correct[i]
+        assert rec.probabilities[-1] == 1.0 - p_correct[i]
+    argv = ["simulate", "--d", "2", "--trials", str(chunk + 2), "--seed", "11"]
+    report = run_experiment(2, chunk + 2, 11)
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    csv = capsys.readouterr().out.splitlines(keepends=True)
     monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    for got, want in zip(_trial_arrays(2, chunk + 2, 11), (truths, outcomes, p_correct)):
+        np.testing.assert_array_equal(got, want)
     rebatched = run_experiment(2, chunk + 2, 11)
-    for name in ("truths", "outcomes", "p_correct", "p_inconclusive"):
-        np.testing.assert_array_equal(getattr(report, name), getattr(rebatched, name))
+    assert rebatched.success_count == report.success_count
+    assert rebatched.inconclusive_count == report.inconclusive_count
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines(keepends=True) == csv
 
 
 def test_extreme_uniforms_stay_inside_unit_interval():
@@ -340,27 +362,31 @@ def test_run_experiment_convergence():
 
 def test_success_rate_symmetric_across_truths():
     """No prepared index is easier to identify than another (1% chi-square)."""
-    report = run_experiment(2, 30000, 99)
+    truths, outcomes, _ = _trial_arrays(2, 30000, 99)
     table = []
     for n in (1, 2):
-        mask = report.truths == n
-        succ = int(np.count_nonzero(report.outcomes[mask] == n))
+        mask = truths == n
+        succ = int(np.count_nonzero(outcomes[mask] == n))
         table.append([succ, int(mask.sum()) - succ])
     result = scipy.stats.chi2_contingency(np.array(table))
     assert result.pvalue >= 0.01
 
 
 def test_run_experiment_validation():
-    with pytest.raises(ValueError):
-        run_experiment(2, 0, 0)
-    with pytest.raises(TypeError):
-        run_experiment(2, 10.5, 0)
-    with pytest.raises(TypeError):
-        run_experiment(2, True, 0)
-    with pytest.raises(ValueError):
-        run_experiment(2, 10, -1)
-    with pytest.raises(TypeError):
-        run_experiment(2, 10, "seed")
+    """Both raise at the call: trial_batches before its first batch."""
+    for run in (run_experiment, trial_batches):
+        with pytest.raises(ValueError):
+            run(2, 0, 0)
+        with pytest.raises(TypeError):
+            run(2, 10.5, 0)
+        with pytest.raises(TypeError):
+            run(2, True, 0)
+        with pytest.raises(ValueError):
+            run(2, 10, -1)
+        with pytest.raises(TypeError):
+            run(2, 10, "seed")
+        with pytest.raises(ValueError):
+            run(1, 10, 0)
 
 
 def test_seed_and_index_range():
@@ -383,7 +409,7 @@ def test_seed_and_index_range():
 def test_summary_dict_is_scalar_only():
     report = run_experiment(2, 100, 0)
     summary = report.summary_dict()
-    assert set(summary) == {
+    assert list(summary) == [
         "d",
         "trials",
         "seed",
@@ -395,5 +421,5 @@ def test_summary_dict_is_scalar_only():
         "inconclusive_rate",
         "ci99_half_width",
         "wall_time_s",
-    }
+    ]
     assert all(np.isscalar(v) for v in summary.values())

@@ -41,6 +41,7 @@ PUBLIC_NAMES = [
     "state_to_dict",
     "success_probability",
     "total_dim",
+    "trial_batches",
     "trial_stream",
     "verify_report",
 ]
