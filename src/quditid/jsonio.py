@@ -20,10 +20,14 @@ import numpy as np
 
 
 def format_float(x):
-    """17-significant-digit decimal form, always visibly a float."""
+    """17-significant-digit decimal form, always visibly a float.
+
+    The one rule for a written double: the JSON reports and the
+    `simulate` CSV both use it.
+    """
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in JSON output")
+        raise ValueError(f"non-finite value {x!r} in output")
     s = format(x, ".17g")
     if not any(c in s for c in ".eE"):
         s += ".0"

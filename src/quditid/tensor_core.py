@@ -62,10 +62,8 @@ def encode_index(digits, d):
 def decode_index(flat, d):
     """Per-qudit digits of a flat basis index (inverse of encode_index)."""
     D = total_dim(d)
-    if not 0 <= flat < D:
-        raise ValueError(f"flat index {flat} out of range for dimension {D}")
+    rest = _check_index("flat index", flat, 0, D - 1)
     digits = [0] * (d + 1)
-    rest = int(flat)
     for j in range(d, -1, -1):
         rest, digits[j] = divmod(rest, d)
     return tuple(digits)
@@ -79,8 +77,7 @@ def total_excitation(digits):
 def basis_ket(d, i):
     """Single-qudit computational basis state |i> as an amplitude vector."""
     d = check_dim(d)
-    if not 0 <= i < d:
-        raise ValueError(f"basis label {i} out of range for dimension {d}")
+    i = _check_index("basis label", i, 0, d - 1)
     v = np.zeros(d, dtype=np.complex128)
     v[i] = 1.0
     return v

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quditid import cli
+from quditid import cli, jsonio
 from quditid.detection import build_povm, povm_from_dict, povm_to_dict
 
 # SHA-256 of `build --d N --out FILE`, pinned so that faster rendering
@@ -14,6 +14,15 @@ BUILD_SHA256 = {
     3: "145be0dfbd834078d12b41cec2f83929d17cee20a84c6cd52fa6ac3cc85d7b31",
     4: "fad37e72211b1d256d7697f881ef1770f34bcaf7574288b6e59be517923ff7ff",
     5: "1530affc06e8405a915cc89d22adc2ebd30d2aee5eca46bc747aa50d699d109c",
+}
+
+# SHA-256 of `simulate --format csv --out FILE` for (d, trials, seed),
+# pinned so that batch rendering keeps every byte of the format_float
+# form.  The trial counts cross 2048-trial batch boundaries.
+CSV_SHA256 = {
+    (5, 20000, 1001): "b7963c93680b3385734401b307b60f93d74e27a1cbf47eb06a2a9567129f659c",
+    (2, 4099, 11): "7df72bd46a2058452a72b99d9a3d8cf03df6e4f1dbacaffdec972a402f65b30e",
+    (3, 2049, 0): "56917059274b13381f3c4ded3c561bfda49f37ea880997fa1a98ade6375dae6d",
 }
 
 
@@ -125,6 +134,60 @@ def test_simulate_csv(capsys):
     assert total <= 1.0 + 1e-10
     # trial indices are sequential
     assert [row.split(",")[0] for row in lines[1:]] == [str(i) for i in range(50)]
+
+
+@pytest.mark.parametrize("d, trials, seed", sorted(CSV_SHA256))
+def test_simulate_csv_bytes_are_pinned(capsys, tmp_path, d, trials, seed):
+    path = tmp_path / "trials.csv"
+    rc, out = run_cli(
+        capsys, "simulate", "--d", str(d), "--trials", str(trials),
+        "--seed", str(seed), "--format", "csv", "--out", str(path),
+    )
+    assert rc == 0
+    assert out == ""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == CSV_SHA256[d, trials, seed]
+
+
+def _oracle_rows(start, truths, outcomes, p):
+    """Each row built from jsonio.format_float, one call per value."""
+    return "".join(
+        f"\n{start + k},{t},{o},{jsonio.format_float(x)},{jsonio.format_float(1.0 - x)}"
+        for k, (t, o, x) in enumerate(zip(truths.tolist(), outcomes.tolist(), p.tolist()))
+    )
+
+
+def test_csv_rows_equal_format_float():
+    rng = np.random.default_rng(7)
+    edges = [
+        0.0, -0.0, 1.0, 1e-17, 2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53,
+        5e-324, 2.2250738585072014e-308, 3.0, 1e17, 1.5e300,
+    ]
+    # 1 - p rounds to exactly 1.0 for p <= 2**-54, so "%.17g" prints "1".
+    assert 1.0 - 2.0**-54 == 1.0 and 1.0 - 2.0**-53 < 1.0
+    p = np.concatenate([
+        edges,
+        1.0 - rng.random(10_000),
+        1e-8 * (1.0 - rng.random(10_000)),
+    ])
+    truths = rng.integers(1, 6, size=p.size)
+    outcomes = np.where(rng.random(p.size) < 0.5, truths, 0)
+    batches = [(0, truths[:100], outcomes[:100], p[:100]),
+               (100, truths[100:], outcomes[100:], p[100:])]
+    text = "".join(cli._csv_blocks(batches))
+    header = "trial,truth,outcome,p_success,p_inconclusive"
+    want = header + "".join(_oracle_rows(*batch) for batch in batches)
+    assert text == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_csv_rows_reject_non_finite(bad):
+    p = np.array([0.25, bad, 0.5])
+    batch = (0, np.array([1, 2, 3]), np.array([1, 0, 3]), p)
+    blocks = cli._csv_blocks([batch])
+    assert next(blocks) == "trial,truth,outcome,p_success,p_inconclusive"
+    with pytest.raises(ValueError, match="non-finite"):
+        next(blocks)
 
 
 def test_simulate_threads_hint_does_not_change_output(capsys, monkeypatch):

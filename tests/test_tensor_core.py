@@ -78,6 +78,23 @@ def test_basis_ket():
         basis_ket(3, 3)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, np.float64(2.0)])
+def test_basis_ket_rejects_non_integer_label(bad):
+    # numpy would read v[True] = 1.0 as "every entry": [1, 1, 1].
+    with pytest.raises(ValueError, match="must be an integer"):
+        basis_ket(3, bad)
+
+
+@pytest.mark.parametrize("bad", [5.5, 5.0, True])
+def test_decode_index_rejects_non_integer(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        decode_index(bad, 2)
+
+
+def test_decode_index_accepts_numpy_integers():
+    assert decode_index(np.int64(5), 2) == (1, 0, 1)
+
+
 def test_haar_state_normalized():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
