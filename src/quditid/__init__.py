@@ -29,17 +29,12 @@ from .detection import (
 from .montecarlo import (
     INCONCLUSIVE,
     ExperimentReport,
-    TrialRecord,
-    outcome_probabilities,
     run_experiment,
-    run_trial,
     trial_batches,
-    trial_stream,
 )
 from .state_ops import (
     HermitianOperator,
     build_rho,
-    build_sym_projector,
     haar_average_check,
 )
 from .sym_optimizer import (
@@ -71,12 +66,10 @@ __all__ = [
     "Povm",
     "StateVector",
     "SymmetricFamily",
-    "TrialRecord",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",
     "build_rho",
-    "build_sym_projector",
     "build_symmetric_family",
     "closed_form_success",
     "confusion",
@@ -87,18 +80,15 @@ __all__ = [
     "inner_product",
     "optimal_weight_eigen",
     "optimal_weight_grid",
-    "outcome_probabilities",
     "overlap_with_product",
     "povm_from_dict",
     "povm_to_dict",
     "product_state",
     "run_experiment",
-    "run_trial",
     "state_from_dict",
     "state_to_dict",
     "success_probability",
     "total_dim",
     "trial_batches",
-    "trial_stream",
     "verify_report",
 ]

@@ -54,14 +54,8 @@ class ConfusionMatrix:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", entries)
 
-    def row_sums(self):
-        return self.entries.sum(axis=1)
-
     def diagonal(self):
         return np.diagonal(self.entries[:, : self.d]).copy()
-
-    def inconclusive_column(self):
-        return self.entries[:, self.d].copy()
 
     def max_offdiagonal(self):
         conclusive = self.entries[:, : self.d]

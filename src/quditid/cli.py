@@ -20,6 +20,7 @@ serially, and its numbers depend only on (d, trials, seed).
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def _cmd_simulate(args):
         pieces = _csv_blocks(trial_batches(args.d, args.trials, args.seed))
     else:
         report = run_experiment(args.d, args.trials, args.seed)
-        pieces = [jsonio.dumps(report.summary_dict())]
+        pieces = [jsonio.dumps(asdict(report))]
     _emit(pieces, args.out)
     return 0
 

@@ -17,27 +17,21 @@ in [0, 2**64).  trial_batches(d, trials, seed) yields the trials one
 batch at a time, so nothing holds every trial at once; its values, and
 the counts run_experiment adds up from them, are bit-identical for a
 given (d, trials, seed) however trials are batched.
-run_trial(d, povm, trial_stream(seed, i)) reproduces trial i on its own.
+_simulate_range(d, d/(d+1), seed, i, 1) reproduces trial i on its own.
 """
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import closed_form_success
-from .detection import overlap_with_product
-# perfbench/child.py binds montecarlo.haar_state and .trial_stream by name.
-from .tensor_core import check_dim, check_factors, haar_state  # noqa: F401
+# perfbench/child.py binds montecarlo.haar_state and .trial_stream by name,
+# so both stay module attributes though no library path calls them.
+from .tensor_core import check_dim, haar_state  # noqa: F401
 
 # Outcome code for "no identification made"; conclusive outcomes are 1..d.
 INCONCLUSIVE = 0
-
-# Misidentification tolerance, relative to the optimum success probability.
-MISFIRE_RTOL = 1e-9
-# Roundoff allowance below zero, absolute: probabilities are at most 1.
-PROB_FLOOR = -1e-12
 
 # Two-sided 99% normal quantile, for the confidence half-width.
 Z_99 = 2.5758293035489004
@@ -53,11 +47,6 @@ _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 
 
-def _misfire_tol(d):
-    """Largest accepted misidentification probability at dimension d."""
-    return MISFIRE_RTOL * closed_form_success(d)
-
-
 def _check_u64(name, value):
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer")
@@ -68,11 +57,7 @@ def _check_u64(name, value):
 
 
 def trial_stream(seed, index):
-    """Handle of trial `index` under `seed`: the validated (seed, index).
-
-    run_trial(d, povm, trial_stream(seed, i)) reproduces trial i of
-    trial_batches(d, trials, seed).
-    """
+    """Handle of trial `index` under `seed`: the validated (seed, index)."""
     return _check_u64("seed", seed), _check_u64("trial index", index)
 
 
@@ -164,76 +149,6 @@ def _simulate_range(d, scale, seed, start, count):
     return truths, np.where(us < p, truths, INCONCLUSIVE), p
 
 
-@dataclass(frozen=True, eq=False)
-class TrialRecord:
-    """One simulated trial: the true index, the sampled outcome, and the
-    full outcome distribution [p_1, ..., p_d, p_inconclusive]."""
-
-    truth: int
-    outcome: int
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=np.float64)
-        d = probs.shape[0] - 1
-        if d < 2 or probs.ndim != 1:
-            raise ValueError("need d+1 outcome probabilities with d >= 2")
-        if not 1 <= self.truth <= d:
-            raise ValueError(f"truth {self.truth} out of range 1..{d}")
-        if not (self.outcome == INCONCLUSIVE or 1 <= self.outcome <= d):
-            raise ValueError(f"outcome {self.outcome} invalid for d={d}")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("non-finite outcome probability")
-        if probs.min() < PROB_FLOOR:
-            raise ValueError("negative outcome probability")
-        # Absolute, against the total of 1 the probabilities must reach.
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError("outcome probabilities do not sum to 1")
-        misfire = np.delete(probs[:d], self.truth - 1)
-        if misfire.size and misfire.max() > _misfire_tol(d):
-            raise ValueError("nonzero probability of misidentification")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-
-    @property
-    def d(self):
-        return self.probabilities.shape[0] - 1
-
-
-def run_trial(d, povm, stream):
-    """Simulate a single trial of the identification experiment.
-
-    stream is a trial_stream(seed, index) handle; the trial is the one
-    trial_batches(d, trials, seed) yields at that index.
-    """
-    d = check_dim(d)
-    if povm.d != d:
-        raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
-    seed, index = trial_stream(*stream)
-    truths, outcomes, p = _simulate_range(d, povm.scale, seed, index, 1)
-    truth = int(truths[0])
-    probs = np.zeros(d + 1)
-    probs[truth - 1] = p[0]
-    probs[d] = 1.0 - p[0]
-    return TrialRecord(truth, int(outcomes[0]), probs)
-
-
-def outcome_probabilities(povm, probe, refs):
-    """Outcome distribution for an explicit product input.
-
-    probe: length-d unit-norm amplitudes; refs: sequence of d such
-    vectors.  Each conclusive probability is scale * |overlap|² with the
-    outcome's detection state (overlap_with_product), for any probe.
-    Returns (conclusive probabilities, inconclusive).
-    """
-    factors = check_factors([probe, *refs])
-    d = povm.d
-    p = np.array(
-        [povm.scale * abs(overlap_with_product(d, n, factors)) ** 2 for n in range(1, d + 1)]
-    )
-    return p, max(1.0 - float(p.sum()), 0.0)
-
-
 def trial_batches(d, trials, seed):
     """Trials 0 .. trials - 1 under `seed`, one batch at a time.
 
@@ -285,10 +200,6 @@ class ExperimentReport:
     inconclusive_rate: float
     ci99_half_width: float
     wall_time_s: float
-
-    def summary_dict(self):
-        """Every field, in declaration order, ready for JSON."""
-        return asdict(self)
 
 
 def run_experiment(d, trials, seed):

@@ -60,19 +60,6 @@ class HermitianOperator:
         return self.apply(np.eye(D, dtype=np.complex128))
 
 
-def build_asym_projector(d, n):
-    """Projector (I - SWAP_{0n})/2 onto the antisymmetric subspace of the
-    (probe, n) pair.  Rank d(d-1)/2 * d**(d-1)."""
-    return HermitianOperator(d, n, 0.5, -0.5)
-
-
-def build_sym_projector(d, n):
-    """Projector (I + SWAP_{0n})/2 onto the symmetric subspace of the
-    (probe, n) pair.  Rank d(d+1)/2 * d**(d-1); together with the
-    antisymmetric projector it resolves the identity."""
-    return HermitianOperator(d, n, 0.5, 0.5)
-
-
 def rho_prefactor(d):
     """Normalization 2/((d+1) d**d) that gives rho_n unit trace."""
     d = check_dim(d)

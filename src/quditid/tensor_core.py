@@ -22,7 +22,8 @@ def check_dim(d):
     d = int(d)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if d ** (d + 1) >= 2**62:
+    # d**(d+1) >= 2**(d+1), so d >= 61 fails without taking the power.
+    if d >= 61 or d ** (d + 1) >= 2**62:
         raise ValueError(f"total dimension d**(d+1) overflows the index range for d={d}")
     return d
 
@@ -57,30 +58,6 @@ def encode_index(digits, d):
             raise ValueError(f"digit {x} out of range for dimension {d}")
         flat = flat * d + int(x)
     return flat
-
-
-def decode_index(flat, d):
-    """Per-qudit digits of a flat basis index (inverse of encode_index)."""
-    D = total_dim(d)
-    rest = _check_index("flat index", flat, 0, D - 1)
-    digits = [0] * (d + 1)
-    for j in range(d, -1, -1):
-        rest, digits[j] = divmod(rest, d)
-    return tuple(digits)
-
-
-def total_excitation(digits):
-    """Sum of the basis-label digits of a multi-qudit basis state."""
-    return int(sum(digits))
-
-
-def basis_ket(d, i):
-    """Single-qudit computational basis state |i> as an amplitude vector."""
-    d = check_dim(d)
-    i = _check_index("basis label", i, 0, d - 1)
-    v = np.zeros(d, dtype=np.complex128)
-    v[i] = 1.0
-    return v
 
 
 def haar_state(d, rng):
@@ -121,35 +98,20 @@ class StateVector:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self):
-        return self.amps.shape[0]
 
-
-def check_factors(factors):
-    """Validate the d+1 single-qudit factors of a product state.
+def product_state(factors):
+    """Tensor product of d+1 single-qudit states, probe factor first.
 
     Each factor must be a unit-norm amplitude vector of length d, where
-    d+1 is the number of factors.  Returns them as complex arrays.
+    d+1 is the number of factors.
     """
     factors = [np.asarray(f, dtype=np.complex128) for f in factors]
-    d = len(factors) - 1
-    check_dim(d)
+    d = check_dim(len(factors) - 1)
     for j, f in enumerate(factors):
         if f.shape != (d,):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
         if abs(np.linalg.norm(f) - 1.0) > NORM_TOL:
             raise ValueError(f"factor {j} is not normalized")
-    return factors
-
-
-def product_state(factors):
-    """Tensor product of d+1 single-qudit states, probe factor first.
-
-    The factors are validated by check_factors.
-    """
-    factors = check_factors(factors)
-    d = len(factors) - 1
     amps = factors[0]
     for f in factors[1:]:
         amps = np.kron(amps, f)

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from quditid import build_povm
-from quditid.tensor_core import encode_index, total_dim
+from quditid import build_povm, overlap_with_product
+from quditid.tensor_core import _check_index, encode_index, total_dim
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,36 @@ def povm3():
 @pytest.fixture(scope="session")
 def povm4():
     return build_povm(4)
+
+
+def basis_ket(d, i):
+    """Single-qudit computational basis state |i> as a complex vector."""
+    v = np.zeros(d, dtype=np.complex128)
+    v[_check_index("basis label", i, 0, d - 1)] = 1.0
+    return v
+
+
+def decode_index(flat, d):
+    """Per-qudit digits of a flat basis index, probe digit first: the
+    inverse of encode_index."""
+    rest = _check_index("flat index", flat, 0, total_dim(d) - 1)
+    digits = [0] * (d + 1)
+    for j in range(d, -1, -1):
+        rest, digits[j] = divmod(rest, d)
+    return tuple(digits)
+
+
+def outcome_probabilities(povm, probe, refs):
+    """General-probe oracle for the outcome distribution of the product
+    input probe (x) refs: each conclusive probability is
+    scale * |overlap|^2 with the outcome's detection state, for any probe.
+    Returns (conclusive probabilities, inconclusive)."""
+    factors = [probe, *refs]
+    p = np.array(
+        [povm.scale * abs(overlap_with_product(povm.d, n, factors)) ** 2
+         for n in range(1, povm.d + 1)]
+    )
+    return p, max(1.0 - float(p.sum()), 0.0)
 
 
 def dense_conclusive_sum(elements):

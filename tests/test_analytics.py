@@ -14,7 +14,7 @@ from quditid.analytics import (
     verify_report,
 )
 from quditid.detection import LowRankPovmElement, Povm, build_povm
-from quditid.state_ops import build_sym_projector
+from quditid.state_ops import HermitianOperator
 from quditid.tensor_core import encode_index, total_dim
 
 
@@ -42,8 +42,8 @@ def _assert_confusion_structure(povm, d):
     p = closed_form_success(d)
     np.testing.assert_allclose(conf.diagonal(), p, rtol=0, atol=EXACT_TOL * p)
     assert conf.max_offdiagonal() <= EXACT_TOL * p
-    np.testing.assert_allclose(conf.inconclusive_column(), 1.0 - p, atol=1e-10)
-    np.testing.assert_allclose(conf.row_sums(), 1.0, atol=1e-10)
+    np.testing.assert_allclose(conf.entries[:, d], 1.0 - p, atol=1e-10)
+    np.testing.assert_allclose(conf.entries.sum(axis=1), 1.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -91,7 +91,7 @@ def test_sym_block_trace_matches_full_space(d):
     n: the identity that collapses the success-probability trace to its
     closed form, for every reference n."""
     for n in range(1, d + 1):
-        proj = build_sym_projector(d, n).to_dense()
+        proj = HermitianOperator(d, n, 0.5, 0.5).to_dense()
         for k in range(d):
             for kp in range(d):
                 acc = 0.0

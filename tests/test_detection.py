@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_conclusive_sum
+from conftest import basis_ket, decode_index, dense_conclusive_sum
 
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
@@ -20,14 +20,11 @@ from quditid.detection import (
 )
 from quditid.state_ops import build_rho
 from quditid.tensor_core import (
-    basis_ket,
-    decode_index,
     encode_index,
     haar_state,
     inner_product,
     product_state,
     total_dim,
-    total_excitation,
 )
 
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
@@ -121,7 +118,7 @@ def test_branch_vectors_live_in_one_excitation_sector(d):
             v = build_povm_vector(d, n, k)
             assert abs(np.linalg.norm(v.amps) - 1.0) < 1e-12
             for flat in np.nonzero(v.amps)[0]:
-                assert total_excitation(decode_index(int(flat), d)) == base + k
+                assert sum(decode_index(int(flat), d)) == base + k
 
 
 def test_branch_zero_is_the_core():

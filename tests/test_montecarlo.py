@@ -1,25 +1,24 @@
 import cmath
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import element_expectation, pair_sym_projector
+from conftest import basis_ket, element_expectation, outcome_probabilities, pair_sym_projector
 from quditid import cli, montecarlo
 from quditid.analytics import closed_form_success
 from quditid.montecarlo import (
     INCONCLUSIVE,
     Z_99,
     SEED_LIMIT,
-    TrialRecord,
-    outcome_probabilities,
+    _simulate_range,
     run_experiment,
-    run_trial,
     trial_batches,
     trial_stream,
 )
-from quditid.tensor_core import basis_ket, haar_state, product_state
+from quditid.tensor_core import haar_state, product_state
 
 
 def _trial_arrays(d, trials, seed):
@@ -92,21 +91,6 @@ def test_outcome_probabilities_identical_references(povm2):
     assert p_inc >= 1.0 - 1e-10
 
 
-def test_outcome_probabilities_validation(povm2):
-    with pytest.raises(ValueError):
-        outcome_probabilities(povm2, basis_ket(3, 0), [basis_ket(3, 0)] * 3)
-
-
-def test_outcome_probabilities_rejects_unnormalized_factors(povm2):
-    """Unnormalized factors are input errors, whether the conclusive
-    probabilities they would give stay below 1 (probe 1.2 e0) or exceed
-    it (probe 3 e0)."""
-    e0, e1 = basis_ket(2, 0), basis_ket(2, 1)
-    for probe, refs in ((1.2 * e0, [e0, e1]), (3.0 * e0, [e0, e1]), (e0, [e0, 2.0 * e1])):
-        with pytest.raises(ValueError, match="not normalized"):
-            outcome_probabilities(povm2, probe, refs)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_probabilities_match_operator_expectations(d, povm2, povm3):
     """Determinant fast path against <Psi| element |Psi> computed from the
@@ -144,59 +128,25 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
                 assert want <= 1e-12
 
 
-def test_run_trial_record_shape(povm3):
-    rec = run_trial(3, povm3, trial_stream(5, 0))
-    assert rec.d == 3
-    assert 1 <= rec.truth <= 3
-    assert rec.outcome == INCONCLUSIVE or 1 <= rec.outcome <= 3
-    assert rec.probabilities.shape == (4,)
-    assert abs(rec.probabilities.sum() - 1.0) <= 1e-10
-    assert not np.delete(rec.probabilities[:3], rec.truth - 1).any()
-    assert not rec.probabilities.flags.writeable
+def _one_trial(d, seed, index):
+    """Trial `index` under `seed`, simulated on its own: (truth, outcome,
+    success probability)."""
+    truths, outcomes, p = _simulate_range(d, d / (d + 1), seed, index, 1)
+    return int(truths[0]), int(outcomes[0]), float(p[0])
 
 
-def test_run_trial_deterministic(povm2):
-    a = run_trial(2, povm2, trial_stream(9, 4))
-    b = run_trial(2, povm2, trial_stream(9, 4))
-    assert a.truth == b.truth and a.outcome == b.outcome
-    np.testing.assert_array_equal(a.probabilities, b.probabilities)
+def test_run_trial_record_shape():
+    """One trial on its own: a truth in 1..d, an outcome that is the truth
+    or inconclusive, and a success probability in [0, scale/d!]."""
+    truths, outcomes, p = _simulate_range(3, 0.75, 5, 0, 1)
+    assert truths.shape == outcomes.shape == p.shape == (1,)
+    assert 1 <= truths[0] <= 3
+    assert outcomes[0] in (truths[0], INCONCLUSIVE)
+    assert 0.0 <= p[0] <= 0.75 / 6
 
 
-def test_run_trial_dimension_mismatch(povm2):
-    with pytest.raises(ValueError):
-        run_trial(3, povm2, trial_stream(0, 0))
-
-
-def test_trial_record_validation():
-    good = np.array([0.15, 0.0, 0.85])
-    TrialRecord(1, INCONCLUSIVE, good)
-    with pytest.raises(ValueError):
-        TrialRecord(0, 1, good)
-    with pytest.raises(ValueError):
-        TrialRecord(1, 3, good)
-    with pytest.raises(ValueError):
-        TrialRecord(1, 1, np.array([0.5, 0.0, 0.6]))  # sum != 1
-    with pytest.raises(ValueError):
-        TrialRecord(1, 1, np.array([1.2, 0.0, -0.2]))  # negative entry
-    with pytest.raises(ValueError):
-        # nonzero probability on the wrong conclusive outcome
-        TrialRecord(1, 1, np.array([0.1, 0.05, 0.85]))
-    with pytest.raises(ValueError):
-        TrialRecord(1, 0, np.array([math.nan, math.nan, math.nan]))
-
-
-def test_trial_record_misfire_tolerance_is_relative():
-    """At d=10 the optimum success probability is 1/(11 * 10**9), about
-    9.1e-11, so a misidentification probability of 1e-11 is far from zero."""
-    d = 10
-    probs = np.zeros(d + 1)
-    probs[0] = 1.0 / (11 * 10**9)
-    probs[-1] = 1.0 - probs[0]
-    assert TrialRecord(1, INCONCLUSIVE, probs).d == d
-    probs[1] = 1e-11
-    probs[-1] -= 1e-11
-    with pytest.raises(ValueError, match="misidentification"):
-        TrialRecord(1, INCONCLUSIVE, probs)
+def test_run_trial_deterministic():
+    assert _one_trial(2, 9, 4) == _one_trial(2, 9, 4)
 
 
 def test_run_experiment_counts_and_rates(povm2):
@@ -293,11 +243,7 @@ def test_run_experiment_matches_single_trials(povm2, povm3):
         d = povm.d
         truths, outcomes, p_correct = _trial_arrays(d, 64, seed)
         for i in (0, 5, 17, 63):
-            rec = run_trial(d, povm, trial_stream(seed, i))
-            assert rec.truth == truths[i]
-            assert rec.outcome == outcomes[i]
-            assert rec.probabilities[rec.truth - 1] == p_correct[i]
-            assert rec.probabilities[-1] == 1.0 - p_correct[i]
+            assert _one_trial(d, seed, i) == (truths[i], outcomes[i], p_correct[i])
             truth, outcome, p_want, p_inc = _rebuild_trial(povm, seed, i)
             assert truth == truths[i]
             assert outcome == outcomes[i]
@@ -308,24 +254,21 @@ def test_run_experiment_matches_single_trials(povm2, povm3):
 def test_trial_beyond_32_bit_index_matches_oracle(povm2):
     """The high half of the trial index reaches the Philox counter."""
     for index in (2**32 + 3, 2**64 - 1):
-        rec = run_trial(2, povm2, trial_stream(5, index))
+        got_truth, got_outcome, got_p = _one_trial(2, 5, index)
         truth, outcome, p_correct, p_inc = _rebuild_trial(povm2, 5, index)
-        assert (rec.truth, rec.outcome) == (truth, outcome)
-        assert abs(rec.probabilities[truth - 1] - p_correct) <= 1e-12
-        assert abs(rec.probabilities[-1] - p_inc) <= 1e-12
+        assert (got_truth, got_outcome) == (truth, outcome)
+        assert abs(got_p - p_correct) <= 1e-12
+        assert abs((1.0 - got_p) - p_inc) <= 1e-12
 
 
-def test_chunk_boundary_trials(monkeypatch, capsys, povm2):
+def test_chunk_boundary_trials(monkeypatch, capsys):
     """Trials on either side of a batch boundary equal their single-trial
     rebuild, and a run with different batching gives the same arrays,
     the same counts and the same CSV bytes."""
     chunk = montecarlo._CHUNK
     truths, outcomes, p_correct = _trial_arrays(2, chunk + 2, 11)
     for i in (chunk - 1, chunk, chunk + 1):
-        rec = run_trial(2, povm2, trial_stream(11, i))
-        assert (rec.truth, rec.outcome) == (truths[i], outcomes[i])
-        assert rec.probabilities[rec.truth - 1] == p_correct[i]
-        assert rec.probabilities[-1] == 1.0 - p_correct[i]
+        assert _one_trial(2, 11, i) == (truths[i], outcomes[i], p_correct[i])
     argv = ["simulate", "--d", "2", "--trials", str(chunk + 2), "--seed", "11"]
     report = run_experiment(2, chunk + 2, 11)
     assert cli.main(argv + ["--format", "csv"]) == 0
@@ -407,8 +350,10 @@ def test_seed_and_index_range():
 
 
 def test_summary_dict_is_scalar_only():
+    """The simulate JSON is asdict(report): every field, in declaration
+    order, each a scalar."""
     report = run_experiment(2, 100, 0)
-    summary = report.summary_dict()
+    summary = asdict(report)
     assert list(summary) == [
         "d",
         "trials",

@@ -14,12 +14,10 @@ PUBLIC_NAMES = [
     "Povm",
     "StateVector",
     "SymmetricFamily",
-    "TrialRecord",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",
     "build_rho",
-    "build_sym_projector",
     "build_symmetric_family",
     "closed_form_success",
     "confusion",
@@ -30,20 +28,27 @@ PUBLIC_NAMES = [
     "inner_product",
     "optimal_weight_eigen",
     "optimal_weight_grid",
-    "outcome_probabilities",
     "overlap_with_product",
     "povm_from_dict",
     "povm_to_dict",
     "product_state",
     "run_experiment",
-    "run_trial",
     "state_from_dict",
     "state_to_dict",
     "success_probability",
     "total_dim",
     "trial_batches",
-    "trial_stream",
     "verify_report",
+]
+
+
+# Names once exported that only tests called; each is gone from the package.
+REMOVED_NAMES = [
+    "TrialRecord",
+    "build_sym_projector",
+    "outcome_probabilities",
+    "run_trial",
+    "trial_stream",
 ]
 
 
@@ -51,6 +56,8 @@ def test_public_names_are_pinned_and_resolve():
     assert quditid.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(quditid, name) is not None
+    for name in REMOVED_NAMES:
+        assert not hasattr(quditid, name)
 
 
 def test_import_loads_no_scipy():

@@ -5,13 +5,21 @@ from conftest import dense_pair_projector, haar_unitary
 from quditid.state_ops import (
     DENSE_DIM_LIMIT,
     HermitianOperator,
-    build_asym_projector,
     build_rho,
-    build_sym_projector,
     haar_average_check,
     rho_prefactor,
 )
 from quditid.tensor_core import total_dim
+
+
+def sym_projector(d, n):
+    """(I + SWAP_{0n})/2, rank d(d+1)/2 * d**(d-1)."""
+    return HermitianOperator(d, n, 0.5, 0.5)
+
+
+def asym_projector(d, n):
+    """(I - SWAP_{0n})/2, rank d(d-1)/2 * d**(d-1)."""
+    return HermitianOperator(d, n, 0.5, -0.5)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -19,8 +27,8 @@ def test_projectors_match_dense_oracle(d):
     """The digit-swap form a*I + b*SWAP equals, entry for entry, the sum of
     pair-state outer products tensored with the spectator identity."""
     for n in range(1, d + 1):
-        sym = build_sym_projector(d, n).to_dense()
-        asym = build_asym_projector(d, n).to_dense()
+        sym = sym_projector(d, n).to_dense()
+        asym = asym_projector(d, n).to_dense()
         assert np.array_equal(sym, dense_pair_projector(d, n, +1))
         assert np.array_equal(asym, dense_pair_projector(d, n, -1))
 
@@ -29,7 +37,7 @@ def test_projectors_match_dense_oracle(d):
 def test_apply_matches_dense(d, n):
     rng = np.random.default_rng(d * 10 + n)
     vec = rng.standard_normal(total_dim(d)) + 1j * rng.standard_normal(total_dim(d))
-    for op in (build_sym_projector(d, n), build_asym_projector(d, n), build_rho(d, n)):
+    for op in (sym_projector(d, n), asym_projector(d, n), build_rho(d, n)):
         np.testing.assert_allclose(op.apply(vec), op.to_dense() @ vec, rtol=0, atol=1e-15)
 
 
@@ -40,17 +48,17 @@ def test_apply_matches_dense(d, n):
 def test_projector_ranks(d, n, sym_rank, asym_rank):
     """Rank = trace for a projector: d(d+1)/2 resp. d(d-1)/2 pair states,
     times d**(d-1) spectator configurations."""
-    assert np.trace(build_sym_projector(d, n).to_dense()).real == pytest.approx(
+    assert np.trace(sym_projector(d, n).to_dense()).real == pytest.approx(
         sym_rank, abs=1e-12
     )
-    assert np.trace(build_asym_projector(d, n).to_dense()).real == pytest.approx(
+    assert np.trace(asym_projector(d, n).to_dense()).real == pytest.approx(
         asym_rank, abs=1e-12
     )
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2)])
 def test_projectors_are_projectors(d, n):
-    for build in (build_sym_projector, build_asym_projector):
+    for build in (sym_projector, asym_projector):
         p = build(d, n).to_dense()
         assert np.max(np.abs(p - p.conj().T)) < 1e-14
         assert np.max(np.abs(p @ p - p)) < 1e-12
@@ -58,20 +66,20 @@ def test_projectors_are_projectors(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 3)])
 def test_sym_plus_asym_is_identity(d, n):
-    total = build_sym_projector(d, n).to_dense() + build_asym_projector(d, n).to_dense()
+    total = sym_projector(d, n).to_dense() + asym_projector(d, n).to_dense()
     assert np.max(np.abs(total - np.eye(total_dim(d)))) < 1e-14
 
 
 def test_projector_eigenvalues_are_binary():
-    eigs = np.linalg.eigvalsh(build_sym_projector(2, 1).to_dense())
+    eigs = np.linalg.eigvalsh(sym_projector(2, 1).to_dense())
     assert np.all((np.abs(eigs) < 1e-12) | (np.abs(eigs - 1.0) < 1e-12))
 
 
 def test_projector_rejects_bad_reference():
     with pytest.raises(ValueError):
-        build_sym_projector(2, 0)
+        sym_projector(2, 0)
     with pytest.raises(ValueError):
-        build_asym_projector(2, 3)
+        asym_projector(2, 3)
 
 
 def test_rho_prefactor_values():

@@ -1,13 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import basis_ket, decode_index
 from quditid.tensor_core import (
     StateVector,
-    basis_ket,
     check_dim,
-    decode_index,
     encode_index,
     haar_state,
     inner_product,
@@ -15,7 +16,6 @@ from quditid.tensor_core import (
     state_from_dict,
     state_to_dict,
     total_dim,
-    total_excitation,
 )
 
 
@@ -26,10 +26,20 @@ def test_total_dim_values():
     assert total_dim(5) == 15625
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3, 2.5, "3", True, 16])
+@pytest.mark.parametrize("bad", [1, 0, -3, 2.5, "3", True, 15, 16])
 def test_check_dim_rejects(bad):
     with pytest.raises(ValueError):
         check_dim(bad)
+
+
+def test_check_dim_bounds_d_before_the_power():
+    """The largest accepted d is 14 (14**15 < 2**62 <= 15**16), and a huge
+    d is refused at once rather than after computing d**(d+1)."""
+    assert check_dim(14) == 14
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="overflows the index range"):
+        check_dim(10**9)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_encode_examples():
@@ -62,12 +72,6 @@ def test_round_trip_exhaustive(d):
 @settings(max_examples=200)
 def test_round_trip_d4(digits):
     assert decode_index(encode_index(digits, 4), 4) == tuple(digits)
-
-
-def test_total_excitation():
-    assert total_excitation([0, 0, 0]) == 0
-    assert total_excitation((2, 0, 1, 2)) == 5
-    assert total_excitation(decode_index(15, 3)) == 3
 
 
 def test_basis_ket():
@@ -108,7 +112,7 @@ def test_state_vector_validation():
     amps = np.zeros(8, dtype=np.complex128)
     amps[3] = 1.0
     sv = StateVector(2, amps)
-    assert sv.dim == 8
+    assert sv.amps.shape == (8,)
     assert not sv.amps.flags.writeable
     # the buffer is copied at construction
     amps[3] = 0.0
@@ -131,14 +135,14 @@ def test_product_state_random_normalized():
     rng = np.random.default_rng(42)
     for d in (2, 3, 4):
         sv = product_state([haar_state(d, rng) for _ in range(d + 1)])
-        assert sv.dim == total_dim(d)
+        assert sv.amps.shape == (total_dim(d),)
         assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-12
 
 
 def test_product_state_rejects_bad_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor 2 is not normalized"):
         product_state([basis_ket(2, 0), basis_ket(2, 0), np.array([1.0, 1.0])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"factor 0 has shape \(3,\), expected \(2,\)"):
         product_state([np.array([1.0, 0.0, 0.0])] * 3)  # shape (3,) but d = 2
 
 
