@@ -1,28 +1,25 @@
-"""Scalar diagnostics of the identification measurement.
+"""Scalar diagnostics of the identification measurement: the confusion
+matrix, the overall success probability, and a bundled verification
+report for the CLI.
 
-Everything here reduces to traces against the averaged density
-operators: the confusion matrix, the overall success probability, and a
-bundled verification report for the CLI.
+Every trace is exact.  Element m's vectors are S_k / sqrt(d!) for its
+integer sign matrix S (detection.LowRankPovmElement), and
+rho_n = (I + SWAP_0n) / ((d+1) d**d), so with the integers
+d! q_k = S_k . SWAP_0n(S_k) from build_rho's digit swap,
 
-Traces against the low-rank conclusive elements are computed as
-scale * sum_k <v_k| rho |v_k> — no dense operator products.  Spectral
-checks use the d**2 x d**2 Gram matrix of the element vectors, never a
-D x D operator.
+    Tr(rho_n Pi_m) = s_m / ((d+1) d**d) * sum_k (1 + q_k).
+
+Each float reported is rounded once from these fractions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DENSE_MAX_D, build_povm
+from .detection import build_povm
 from .state_ops import build_rho
 from .tensor_core import check_dim, total_dim
-
-# Relative to the closed-form success probability for the success and
-# misidentification checks; absolute on the unit-scale Gram entries.
-EXACT_TOL = 1e-12
-# Absolute on the conclusive spectrum, whose largest eigenvalue is 1.
-EIG_TOL = 1e-10
 
 
 def closed_form_success(d):
@@ -63,59 +60,50 @@ class ConfusionMatrix:
         return float(np.max(np.abs(off)))
 
 
-def confusion(povm, d):
-    """Confusion matrix of the measurement against the averaged states."""
+def _exact_scale(scale, d):
+    """The rational a scale stands for, as a Fraction: d/(d+1) for its
+    nearest double, the double's own value for any other."""
+    # Imported on first use: fractions pulls in decimal, about 0.5 MiB
+    # and 2 ms that every `simulate` run would otherwise pay at import.
+    from fractions import Fraction
+
+    return Fraction(d, d + 1) if scale == d / (d + 1) else Fraction(scale)
+
+
+def _traces(povm, d):
+    """Exact Tr(rho_n Pi_m) as Fractions, indexed [n-1][m-1]."""
     d = check_dim(d)
     if povm.d != d:
         raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
-    rhos = [build_rho(d, n) for n in range(1, d + 1)]
-    entries = np.zeros((d, d + 1))
-    for n, rho in enumerate(rhos, start=1):
+    fact = math.factorial(d)
+    denominator = (d + 1) * d**d * fact
+    traces = []
+    for n in range(1, d + 1):
+        rho = build_rho(d, n)
+        row = []
         for elem in povm.elements:
-            acc = 0.0
-            for v in elem.vectors:
-                acc += float(np.real(np.vdot(v.amps, rho.apply(v.amps))))
-            entries[n - 1, elem.label - 1] = elem.scale * acc
-        entries[n - 1, d] = 1.0 - entries[n - 1, :d].sum()
-    return ConfusionMatrix(d, entries)
+            cols = elem.signs.T
+            swapped = int(np.sum(cols * rho.swap(cols), dtype=np.int64))
+            rank = len(elem.vectors)
+            row.append(_exact_scale(elem.scale, d) * (rank * fact + swapped) / denominator)
+        traces.append(row)
+    return traces
+
+
+def _success(traces):
+    return sum(row[n] for n, row in enumerate(traces)) / len(traces)
+
+
+def confusion(povm, d):
+    """Confusion matrix against the averaged states, each entry rounded
+    once from its exact trace (inconclusive: one minus the row sum)."""
+    rows = _traces(povm, d)
+    return ConfusionMatrix(d, [[*map(float, row), float(1 - sum(row))] for row in rows])
 
 
 def success_probability(povm, d):
     """Average probability of a correct conclusive outcome, equal priors."""
-    return float(np.mean(confusion(povm, d).diagonal()))
-
-
-def _gram(povm):
-    """Gram matrix <v_i|v_j> of all element vectors, in element order,
-    and the scale that each vector carries."""
-    stacked = np.vstack([elem.matrix for elem in povm.elements])
-    scales = np.concatenate(
-        [np.full(len(elem.vectors), elem.scale) for elem in povm.elements]
-    )
-    return stacked.conj() @ stacked.T, scales
-
-
-def _gram_deviation(gram, d):
-    """Max deviation of the basis-vector Gram matrix from its target.
-
-    Target: identity within each element, -1/d between same-branch
-    vectors of different elements, zero across branches.
-    """
-    cross = np.eye(d) + (-1.0 / d) * (np.ones((d, d)) - np.eye(d))
-    target = np.kron(cross, np.eye(d))
-    return float(np.max(np.abs(gram - target)))
-
-
-def _conclusive_spectrum(gram, scales, dim):
-    """All dim eigenvalues (ascending) of the conclusive sum V^H W V.
-
-    V stacks the element vectors and W holds their scales.  The nonzero
-    eigenvalues of V^H W V are those of W^1/2 (V V^H) W^1/2, the scaled
-    Gram matrix; the rest of the spectrum is zero.
-    """
-    root = np.sqrt(scales)
-    nonzero = np.linalg.eigvalsh(root[:, None] * gram * root[None, :])
-    return np.sort(np.concatenate([np.zeros(dim - len(nonzero)), nonzero]))
+    return float(_success(_traces(povm, d)))
 
 
 def conclusive_sum_spectrum(d):
@@ -138,62 +126,55 @@ def conclusive_sum_spectrum(d):
 
 
 def verify_report(d, povm=None):
-    """Run the full battery of algebraic checks and bundle the results.
+    """Run the algebraic checks and bundle the results.
 
-    The checks: the success probability equals the closed form and no
-    conclusive outcome fires on a wrong state (both to EXACT_TOL relative
-    to the closed form), the inconclusive remainder is positive
-    semidefinite, the conclusive sum has its exact spectrum, and the
-    element vectors have the Gram structure whose -1/d cross term fixes
-    the sign convention.  Each flags at least one broken measurement
-    (tests/test_mutations.py).
+    Every check is an exact equality on the sign matrix S of the stacked
+    element vectors, v = S / sqrt(d!), and each flags at least one
+    broken measurement (tests/test_mutations.py):
 
-    Returns a JSON-ready dict; "failed_checks" lists the names of any
-    checks that did not hold, and "ok" is their conjunction.  The
-    spectral checks are exact eigenproblems on the d**2 x d**2 Gram
-    matrix of the element vectors (see _conclusive_spectrum).  Accepts
-    d <= DENSE_MAX_D, the largest d whose dense element vectors
-    build_povm builds.
+    - gram_structure: S S^T is d! times the optimal Gram matrix
+      (identity within an element, -1/d between same-branch vectors of
+      different elements, which fixes the sign convention, 0 across
+      branches);
+    - success_matches_closed_form: success == 1/((d+1) d**(d-1));
+    - no_misidentification: every Tr(rho_n Pi_m), m != n, is 0;
+    - scale_is_optimal: every scale is the double nearest d/(d+1), which
+      stands for d/(d+1); any other double enters as its exact value,
+      so a scale one ulp off fails.
+
+    Positivity of I - sum Pi_m needs no check of its own: with these
+    Gram entries and scales the conclusive sum shares its nonzero
+    eigenvalues with d/(d+1) times the Gram matrix, so its spectrum is
+    conclusive_sum_spectrum(d), within [0, 1].  The report's floats are
+    each rounded once from their exact values; "ok" is true when
+    "failed_checks" is empty.  build_povm refuses d > DENSE_MAX_D.
     """
     d = check_dim(d)
-    if d > DENSE_MAX_D:
-        raise ValueError(
-            f"verification supports d <= {DENSE_MAX_D}; the element vectors "
-            f"for d={d} are stored densely and would not fit"
-        )
-    if povm is None:
-        povm = build_povm(d)
-    if povm.d != d:
-        raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
-
-    conf = confusion(povm, d)
-    p_succ = float(np.mean(conf.diagonal()))
-    p_closed = closed_form_success(d)
-    max_offdiag = conf.max_offdiagonal()
-
-    gram, scales = _gram(povm)
-    spectrum = _conclusive_spectrum(gram, scales, total_dim(d))
-    min_eig_unknown = float(1.0 - spectrum[-1])
-    spectrum_dev = float(np.max(np.abs(spectrum - conclusive_sum_spectrum(d))))
-    gram_dev = _gram_deviation(gram, d)
-
-    prob_tol = EXACT_TOL * p_closed
+    povm = build_povm(d) if povm is None else povm
+    traces = _traces(povm, d)
+    p_succ = _success(traces)
+    max_offdiag = max(abs(t) for n, row in enumerate(traces) for m, t in enumerate(row) if m != n)
+    fact = math.factorial(d)
+    signs = np.vstack([elem.signs for elem in povm.elements]).astype(np.int64)
+    same = np.eye(d, dtype=np.int64)
+    target = np.kron(fact * same - fact // d * (1 - same), same)
+    gram_dev = int(np.max(np.abs(signs @ signs.T - target)))
+    optimal = _exact_scale(d / (d + 1), d)
+    scale_dev = max(abs(_exact_scale(e.scale, d) - optimal) for e in povm.elements)
     checks = {
-        "success_matches_closed_form": abs(p_succ - p_closed) <= prob_tol,
-        "no_misidentification": max_offdiag <= prob_tol,
-        "inconclusive_psd": min_eig_unknown >= -EIG_TOL,
-        "conclusive_spectrum": spectrum_dev <= EIG_TOL,
-        "gram_structure": gram_dev <= EXACT_TOL,
+        "success_matches_closed_form": p_succ * (d + 1) * d ** (d - 1) == 1,
+        "no_misidentification": max_offdiag == 0,
+        "gram_structure": gram_dev == 0,
+        "scale_is_optimal": scale_dev == 0,
     }
     failed = sorted(name for name, ok in checks.items() if not ok)
     return {
         "d": d,
-        "p_succ": p_succ,
-        "p_succ_closed_form": p_closed,
-        "max_offdiag": max_offdiag,
-        "min_eig_pi_unknown": min_eig_unknown,
-        "conclusive_spectrum_dev": spectrum_dev,
-        "gram_max_dev": gram_dev,
+        "p_succ": float(p_succ),
+        "p_succ_closed_form": closed_form_success(d),
+        "max_offdiag": float(max_offdiag),
+        "gram_max_dev": gram_dev / fact,
+        "scale_max_dev": float(scale_dev),
         "checks": checks,
         "failed_checks": failed,
         "ok": not failed,

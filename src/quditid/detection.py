@@ -20,8 +20,6 @@ import numpy as np
 
 from .tensor_core import StateVector, _check_index, check_dim, state_from_dict, state_to_dict
 
-ORTHONORMALITY_TOL = 1e-12
-
 # Largest d whose measurement is built: the d*d element vectors are dense,
 # and at d=6 they alone take 36 * 6**7 * 16 B, about 161 MB.
 DENSE_MAX_D = 5
@@ -71,9 +69,12 @@ def build_povm_vector(d, n, k):
 class LowRankPovmElement:
     """Conclusive measurement operator scale * sum_k |v_k><v_k|.
 
-    Stored as its scale and the d orthonormal vectors rather than as a
-    full matrix, so it stays usable at dimensions where a dense operator
-    would not fit.
+    Stored as its scale and its orthonormal vectors, never as a full
+    matrix.  The vectors must be in sign form, v = S / sqrt(d!): every
+    amplitude is exactly 0 or +-1/sqrt(d!), the double build_povm_vector
+    writes, with imaginary part 0.  `signs` keeps the integer matrix S as
+    read-only int8, `matrix` the stacked vectors as a read-only (rank, D)
+    array, and orthonormality is the exact equality S S^T = d! I.
     """
 
     label: int
@@ -87,26 +88,27 @@ class LowRankPovmElement:
         d = vectors[0].d
         if any(v.d != d for v in vectors):
             raise ValueError("mixed dimensions in element vectors")
-        if not 1 <= self.label <= d:
-            raise ValueError(f"outcome label {self.label} out of range 1..{d}")
+        label = _check_index("outcome label", self.label, 1, d)
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale {self.scale} outside (0, 1]")
+        fact = math.factorial(d)
         mat = np.stack([v.amps for v in vectors])
-        gram = mat.conj() @ mat.T
-        if np.max(np.abs(gram - np.eye(len(vectors)))) > ORTHONORMALITY_TOL:
+        signs = (mat.real > 0).astype(np.int8) - (mat.real < 0)
+        if np.any(mat.imag != 0) or np.any(mat.real != signs / math.sqrt(fact)):
+            raise ValueError("element vectors must have every amplitude 0 or +-1/sqrt(d!)")
+        wide = signs.astype(np.int64)
+        if not np.array_equal(wide @ wide.T, fact * np.eye(len(vectors), dtype=np.int64)):
             raise ValueError("element vectors are not orthonormal")
         mat.setflags(write=False)
+        signs.setflags(write=False)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_matrix", mat)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def d(self):
         return self.vectors[0].d
-
-    @property
-    def matrix(self):
-        """Vectors stacked as a read-only (rank, D) array."""
-        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class Povm:
 
     The inconclusive element is not stored: it is defined as the
     identity minus the conclusive sum, so completeness holds by
-    construction and only its positivity needs checking.
+    construction, and verify_report's exact checks imply its positivity.
     """
 
     d: int
@@ -186,7 +188,13 @@ def overlap_with_product(d, n, factors):
 
 
 def povm_to_dict(povm):
-    """JSON-ready form: scale plus the raw vectors of each element."""
+    """JSON-ready form: the one scale plus the raw vectors of each element.
+
+    Raises ValueError when the element scales differ, which this form
+    cannot hold.
+    """
+    if any(elem.scale != povm.scale for elem in povm.elements):
+        raise ValueError("element scales differ; the JSON form holds one scale")
     return {
         "d": povm.d,
         "scale": float(povm.scale),
@@ -198,10 +206,10 @@ def povm_to_dict(povm):
 
 
 def povm_from_dict(obj):
-    d = check_dim(int(obj["d"]))
+    d = check_dim(obj["d"])
     scale = float(obj["scale"])
     elements = []
     for entry in obj["elements"]:
         vectors = tuple(state_from_dict(v) for v in entry["vectors"])
-        elements.append(LowRankPovmElement(int(entry["n"]), scale, vectors))
+        elements.append(LowRankPovmElement(entry["n"], scale, vectors))
     return Povm(d, sorted(elements, key=lambda e: e.label))

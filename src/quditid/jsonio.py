@@ -53,39 +53,45 @@ def _render_floats(arr, indent, level):
     return "[\n" + ",\n".join(lines.tolist()) + "\n" + " " * (indent * level) + "]"
 
 
-def _render(obj, indent, level):
+def _render(obj, indent, level, out):
+    """Append the text of `obj` to the list `out`, piece by piece."""
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
     if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
+        out.append("null")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        sep = "{"
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{pad}{json.dumps(key)}: {_render(value, indent, level + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + close_pad + "}"
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and obj.size:
-        return _render_floats(obj, indent, level)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        parts = [f"{pad}{_render(item, indent, level + 1)}" for item in items]
-        return "[\n" + ",\n".join(parts) + "\n" + close_pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+            out.append(f"{sep}\n{pad}{json.dumps(key)}: ")
+            _render(value, indent, level + 1, out)
+            sep = ","
+        out.append(f"\n{close_pad}}}" if obj else "{}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and obj.size:
+        out.append(_render_floats(obj, indent, level))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        sep = "["
+        for item in obj:
+            out.append(f"{sep}\n{pad}")
+            _render(item, indent, level + 1, out)
+            sep = ","
+        out.append(f"\n{close_pad}]" if len(obj) else "[]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dumps(obj, indent=2):
-    """Serialize to pretty-printed JSON with deterministic numerics."""
-    return _render(obj, indent, 0)
+    """Serialize to pretty-printed JSON with deterministic numerics.  The
+    pieces go into one list, joined once, so no text is copied twice."""
+    out = []
+    _render(obj, indent, 0, out)
+    return "".join(out)

@@ -44,14 +44,14 @@ class HermitianOperator:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 
-    def _swap(self, vec):
+    def swap(self, vec):
         """SWAP_{0n} applied along the first axis of `vec`."""
         grid = vec.reshape((self.d,) * (self.d + 1) + vec.shape[1:])
         return grid.swapaxes(0, self.n).reshape(vec.shape)
 
     def apply(self, vec):
         vec = np.asarray(vec)
-        return self.a * vec + self.b * self._swap(vec)
+        return self.a * vec + self.b * self.swap(vec)
 
     def to_dense(self):
         D = total_dim(self.d)

@@ -146,4 +146,4 @@ def state_from_dict(obj):
     pairs = np.array(obj["amps"], dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"amps must be (re, im) pairs, got shape {pairs.shape}")
-    return StateVector(int(obj["d"]), pairs.view(np.complex128))
+    return StateVector(obj["d"], pairs.view(np.complex128))

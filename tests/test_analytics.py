@@ -3,10 +3,7 @@ import pytest
 from conftest import dense_conclusive_sum
 
 from quditid.analytics import (
-    EXACT_TOL,
     ConfusionMatrix,
-    _conclusive_spectrum,
-    _gram,
     closed_form_success,
     conclusive_sum_spectrum,
     confusion,
@@ -33,15 +30,14 @@ def _rescaled(povm, scale):
 
 
 def _assert_success_matches(povm, d):
-    p = closed_form_success(d)
-    assert abs(success_probability(povm, d) - p) <= EXACT_TOL * p
+    assert success_probability(povm, d) == closed_form_success(d)
 
 
 def _assert_confusion_structure(povm, d):
     conf = confusion(povm, d)
     p = closed_form_success(d)
-    np.testing.assert_allclose(conf.diagonal(), p, rtol=0, atol=EXACT_TOL * p)
-    assert conf.max_offdiagonal() <= EXACT_TOL * p
+    np.testing.assert_array_equal(conf.diagonal(), p)
+    assert conf.max_offdiagonal() == 0.0
     np.testing.assert_allclose(conf.entries[:, d], 1.0 - p, atol=1e-10)
     np.testing.assert_allclose(conf.entries.sum(axis=1), 1.0, atol=1e-10)
 
@@ -63,8 +59,8 @@ def test_confusion_matrix_structure(d, povm2, povm3):
 )
 def test_closed_form_comparisons_are_relative(check, povm4):
     """At d=4 a scale off by 5e-11 (relative) moves the success probability
-    by 1.6e-13, inside an absolute 1e-12 but far outside EXACT_TOL of the
-    closed form 1/320; both comparisons above must reject it."""
+    by 1.6e-13, inside an absolute 1e-12 of the closed form 1/320; both
+    comparisons above must reject it."""
     with pytest.raises(AssertionError):
         check(_rescaled(povm4, povm4.scale * (1 - 5e-11)), 4)
 
@@ -126,22 +122,15 @@ def test_verify_report_passes(d):
     assert report["ok"] is True
     assert report["failed_checks"] == []
     assert report["d"] == d
-    for key in (
-        "p_succ",
-        "p_succ_closed_form",
-        "max_offdiag",
-        "min_eig_pi_unknown",
-    ):
-        assert key in report
-    prob_tol = EXACT_TOL * report["p_succ_closed_form"]
-    assert abs(report["p_succ"] - report["p_succ_closed_form"]) <= prob_tol
-    assert report["max_offdiag"] <= prob_tol
-    assert report["min_eig_pi_unknown"] >= -1e-10
-    assert set(report["checks"]) >= {
+    assert report["p_succ"] == report["p_succ_closed_form"] == closed_form_success(d)
+    assert report["max_offdiag"] == 0.0
+    assert report["gram_max_dev"] == 0.0
+    assert report["scale_max_dev"] == 0.0
+    assert set(report["checks"]) == {
         "success_matches_closed_form",
-        "inconclusive_psd",
-        "conclusive_spectrum",
+        "no_misidentification",
         "gram_structure",
+        "scale_is_optimal",
     }
 
 
@@ -163,38 +152,39 @@ def test_verify_report_flags_oversized_scale(d, excess, povm2, povm3):
     scale = {"tiny": d / (d + 1) + 1e-6, "unit": 1.0}[excess]
     report = verify_report(d, povm=_rescaled(povm, scale))
     assert report["ok"] is False
-    assert {
-        "inconclusive_psd",
-        "conclusive_spectrum",
-        "success_matches_closed_form",
-    } <= set(report["failed_checks"])
+    assert report["failed_checks"] == ["scale_is_optimal", "success_matches_closed_form"]
+    assert report["scale_max_dev"] == pytest.approx(scale - d / (d + 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_verify_report_success_tolerance_is_relative(d, povm4):
     """A scale off by 5e-11 (relative) moves the success probability by
     5e-11 of itself: below 1e-12 in absolute terms at d >= 4, where the
-    optimum is at most 1/320, but far outside 1e-12 relative to it."""
+    optimum is at most 1/320.  The exact checks flag it all the same."""
     povm = povm4 if d == 4 else build_povm(5)
     report = verify_report(d, povm=_rescaled(povm, povm.scale * (1 - 5e-11)))
-    assert report["failed_checks"] == ["success_matches_closed_form"]
+    assert report["failed_checks"] == ["scale_is_optimal", "success_matches_closed_form"]
+    p = closed_form_success(d)
+    assert report["p_succ"] == pytest.approx(p * (1 - 5e-11), rel=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("optimal", [True, False])
 def test_gram_spectrum_matches_dense_oracle(d, optimal, povm2, povm3):
-    """The Gram-matrix spectrum equals the eigenvalues of the dense
-    conclusive sum, for the optimal scale and for an oversized one."""
+    """The spectrum the exact Gram check implies, scale times the Gram
+    eigenvalues {1/d, (d+1)/d} padded with zeros, equals the eigenvalues
+    of the dense conclusive sum: conclusive_sum_spectrum(d) at the
+    optimal scale, (d+1)/d times it at scale 1, whose remainder is
+    indefinite."""
     povm = {2: povm2, 3: povm3}[d]
     if not optimal:
         povm = _rescaled(povm, 1.0)
+    report = verify_report(d, povm=povm)
+    assert report["checks"]["gram_structure"] is True
+    assert report["checks"]["scale_is_optimal"] is optimal
     D = total_dim(d)
     dense = dense_conclusive_sum(povm.elements)
-    want = np.linalg.eigvalsh(dense)
-    gram, scales = _gram(povm)
-    assert np.max(np.abs(_conclusive_spectrum(gram, scales, D) - want)) <= 1e-12
-    report = verify_report(d, povm=povm)
-    want_min = np.linalg.eigvalsh(np.eye(D) - dense)[0]
-    assert abs(report["min_eig_pi_unknown"] - want_min) <= 1e-12
-    want_dev = np.max(np.abs(want - conclusive_sum_spectrum(d)))
-    assert abs(report["conclusive_spectrum_dev"] - want_dev) <= 1e-12
+    want = conclusive_sum_spectrum(d) * povm.scale * (d + 1) / d
+    assert np.max(np.abs(np.linalg.eigvalsh(dense) - want)) <= 1e-12
+    min_remainder = np.linalg.eigvalsh(np.eye(D) - dense)[0]
+    assert bool(min_remainder >= -1e-12) is optimal

@@ -16,6 +16,24 @@ BUILD_SHA256 = {
     5: "1530affc06e8405a915cc89d22adc2ebd30d2aee5eca46bc747aa50d699d109c",
 }
 
+# SHA-256 of `verify --d N --out FILE`, pinned so that every key and
+# every exactly computed value of the report stays as it is.
+VERIFY_SHA256 = {
+    2: "886eba87264fd2038f403ebdf7a979a6732f26a1644166d49c069c7c031ccdd8",
+    3: "05d2adf6fd4044a0cc0e3a9f69108364e37335337804d44b262379fb3e880174",
+    4: "84c9a7630f28a62689fc32ea3df85ce6681b6a98f46b0db4078c9713b399412c",
+    5: "c528b69370aaaf1b03fde077c2dacc3f24c8f64862381610521da51800d21836",
+}
+
+VERIFY_KEYS = [
+    "d", "p_succ", "p_succ_closed_form", "max_offdiag", "gram_max_dev",
+    "scale_max_dev", "checks", "failed_checks", "ok",
+]
+VERIFY_CHECKS = [
+    "success_matches_closed_form", "no_misidentification", "gram_structure",
+    "scale_is_optimal",
+]
+
 # SHA-256 of `simulate --format csv --out FILE` for (d, trials, seed),
 # pinned so that batch rendering keeps every byte of the format_float
 # form.  The trial counts cross 2048-trial batch boundaries.
@@ -37,8 +55,7 @@ def test_verify_d3(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["failed_checks"] == []
-    assert abs(report["p_succ"] - 1.0 / 36.0) <= 1e-12
-    assert abs(report["p_succ"] - report["p_succ_closed_form"]) <= 1e-12
+    assert report["p_succ"] == report["p_succ_closed_form"] == 1.0 / 36.0
 
 
 def test_verify_d5(capsys):
@@ -47,6 +64,19 @@ def test_verify_d5(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["failed_checks"] == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_verify_bytes_are_pinned(capsys, tmp_path, d):
+    path = tmp_path / "report.json"
+    rc, out = run_cli(capsys, "verify", "--d", str(d), "--out", str(path))
+    assert rc == 0
+    assert out == ""
+    data = path.read_bytes()
+    report = json.loads(data)
+    assert list(report) == VERIFY_KEYS
+    assert list(report["checks"]) == VERIFY_CHECKS
+    assert hashlib.sha256(data).hexdigest() == VERIFY_SHA256[d]
 
 
 def test_verify_writes_file(capsys, tmp_path):
@@ -60,11 +90,11 @@ def test_verify_writes_file(capsys, tmp_path):
 
 
 def test_verify_exit_code_2_on_failure(capsys, monkeypatch):
-    fake = {"ok": False, "failed_checks": ["inconclusive_psd"], "d": 2}
+    fake = {"ok": False, "failed_checks": ["scale_is_optimal"], "d": 2}
     monkeypatch.setattr(cli, "verify_report", lambda d: fake)
     rc, out = run_cli(capsys, "verify", "--d", "2")
     assert rc == 2
-    assert json.loads(out)["failed_checks"] == ["inconclusive_psd"]
+    assert json.loads(out)["failed_checks"] == ["scale_is_optimal"]
 
 
 def test_build_round_trips(capsys):

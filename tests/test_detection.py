@@ -20,6 +20,7 @@ from quditid.detection import (
 )
 from quditid.state_ops import build_rho
 from quditid.tensor_core import (
+    StateVector,
     encode_index,
     haar_state,
     inner_product,
@@ -254,10 +255,40 @@ def test_low_rank_element_validation():
         LowRankPovmElement(1, 2.0 / 3.0, (v0, v0))  # not orthonormal
     with pytest.raises(ValueError):
         LowRankPovmElement(0, 2.0 / 3.0, (v0, v1))  # bad label
+    for label in (1.0, 1.5, True):
+        with pytest.raises(ValueError):
+            LowRankPovmElement(label, 2.0 / 3.0, (v0, v1))  # not an integer
     with pytest.raises(ValueError):
         LowRankPovmElement(1, 0.0, (v0, v1))  # scale outside (0, 1]
     with pytest.raises(ValueError):
         LowRankPovmElement(1, 2.0 / 3.0, ())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_low_rank_element_keeps_integer_signs(d):
+    elem = build_povm(d).elements[0]
+    assert elem.signs.dtype == np.int8
+    assert not elem.signs.flags.writeable
+    np.testing.assert_array_equal(
+        elem.signs / math.sqrt(math.factorial(d)), elem.matrix.real
+    )
+    assert set(np.unique(elem.signs).tolist()) == {-1, 0, 1}
+
+
+def test_low_rank_element_requires_sign_form():
+    """Only amplitudes exactly 0 or +-1/sqrt(d!) with imaginary part 0
+    are accepted, so S S^T = d! I is an exact orthonormality check."""
+    v0 = build_povm_vector(2, 1, 0)
+    v1 = build_povm_vector(2, 1, 1)
+    nudged = v0.amps.copy()
+    i = np.flatnonzero(nudged)[0]
+    nudged[i] = np.nextafter(nudged[i].real, 0.0)
+    nudged /= np.linalg.norm(nudged)  # unit norm, amplitudes off by an ulp
+    rotated = (v0.amps + v1.amps) / math.sqrt(2.0)  # orthonormal, amplitudes 1/2
+    phased = 1j * v0.amps
+    for amps in (nudged, rotated, phased):
+        with pytest.raises(ValueError, match="sqrt"):
+            LowRankPovmElement(1, 2.0 / 3.0, (StateVector(2, amps), v1))
 
 
 def test_povm_wrapper_validation(povm2):
@@ -284,3 +315,35 @@ def test_povm_serialization_round_trip(d, povm2, povm3):
         assert a.label == b.label
         for va, vb in zip(a.vectors, b.vectors):
             np.testing.assert_array_equal(va.amps, vb.amps)
+
+
+def test_povm_to_dict_refuses_differing_scales(povm2):
+    """The JSON form holds one scale, so a measurement whose element
+    scales differ is refused rather than written with the first one."""
+    mixed = Povm(
+        2,
+        [
+            LowRankPovmElement(e.label, scale, e.vectors)
+            for e, scale in zip(povm2.elements, (0.6, 2.0 / 3.0))
+        ],
+    )
+    with pytest.raises(ValueError, match="scales differ"):
+        povm_to_dict(mixed)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("d", 2.9), ("n", 1.7), ("vector d", 2.5), ("d", True), ("n", True), ("vector d", True)],
+)
+def test_povm_from_dict_refuses_non_integers(povm2, field, bad):
+    """d, each element's n and each vector's d must be integers: a float
+    or a bool is refused, not truncated."""
+    wire = json.loads(jsonio.dumps(povm_to_dict(povm2)))
+    if field == "d":
+        wire["d"] = bad
+    elif field == "n":
+        wire["elements"][0]["n"] = bad
+    else:
+        wire["elements"][0]["vectors"][0]["d"] = bad
+    with pytest.raises(ValueError, match="integer"):
+        povm_from_dict(wire)

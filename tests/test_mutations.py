@@ -3,17 +3,23 @@ least one deliberately broken measurement.
 
 Each mutant rebuilds the element vectors from digits with one named
 break and passes the result to `verify_report`; the table below pins
-exactly which checks flag it at d=2 and d=3.  The unbroken builder
+exactly which checks flag it, at d=2 and d=3 and, for the scale
+mutants closest to the optimum, at d=4 and d=5.  The unbroken builder
 reproduces `build_povm` bit for bit, so each mutant differs from the
 real measurement only by its break.
 
-Two rows need a word.  Dropping the (-1)**n phase multiplies every
+Some rows need a word.  Dropping the (-1)**n phase multiplies every
 vector of element n by the same sign, so every element operator, and
 with it every trace and spectrum, is unchanged; only `gram_structure`,
 whose -1/d cross term encodes the sign convention, catches it.
-Reversing the slot order is an equivalent mutant, not a gap: it
-multiplies every vector by the same sign (-1)**(d(d-1)/2), and every
-check passes on it, as it should.
+Tilting the scales of elements 1 and 2 by +-eps keeps their mean, so
+the success probability stays exactly optimal and only
+`scale_is_optimal` catches it; at eps = 2**-40 the dense remainder's
+smallest eigenvalue is only about -7e-13, which a float positivity
+check with an absolute 1e-10 tolerance passes.  Reversing the slot
+order is an equivalent mutant, not a gap: it multiplies every vector
+by the same sign (-1)**(d(d-1)/2), and every check passes on it, as it
+should.
 """
 
 import itertools
@@ -21,8 +27,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_conclusive_sum
 
-from quditid.analytics import verify_report
+from quditid.analytics import conclusive_sum_spectrum, verify_report
 from quditid.detection import LowRankPovmElement, Povm, build_povm
 from quditid.tensor_core import StateVector, encode_index, total_dim
 
@@ -59,17 +66,29 @@ def _vector(d, n, k, *, signed=True, phase=True, reverse=False, anti=None, shift
     return StateVector(d, amps)
 
 
-def _povm(d, scale=1.0, vectors=None, **breaks):
+def _povm(d, scale=1.0, vectors=None, scales=None, **breaks):
     """Measurement from `_vector(..., **breaks)` at `scale` times the
-    optimum; `vectors(d, n, k)` overrides the vector choice."""
+    optimum; `vectors(d, n, k)` overrides the vector choice, and
+    `scales[n]` overrides the scale of element n."""
     vectors = vectors or (lambda d, n, k: _vector(d, n, k, **breaks))
+    scales = scales or {}
     return Povm(
         d,
         [
-            LowRankPovmElement(n, scale * d / (d + 1), [vectors(d, n, k) for k in range(d)])
+            LowRankPovmElement(
+                n,
+                scales.get(n, scale * d / (d + 1)),
+                [vectors(d, n, k) for k in range(d)],
+            )
             for n in range(1, d + 1)
         ],
     )
+
+
+def _tilted(d, eps):
+    """Elements 1 and 2 at d/(d+1) + eps and d/(d+1) - eps: the mean
+    scale, and with it the success probability, is exactly optimal."""
+    return _povm(d, scales={1: d / (d + 1) + eps, 2: d / (d + 1) - eps})
 
 
 def _borrowed(d, n, k):
@@ -80,6 +99,11 @@ def _borrowed(d, n, k):
 MUTANTS = {
     "scale x1.01": lambda d: _povm(d, scale=1.01),
     "scale x0.99": lambda d: _povm(d, scale=0.99),
+    "scale x(1 + 1e-15)": lambda d: _povm(d, scale=1 + 1e-15),
+    "scale x(1 - 1e-15)": lambda d: _povm(d, scale=1 - 1e-15),
+    "scale x(1 - 5e-11)": lambda d: _povm(d, scale=1 - 5e-11),
+    "tilted scales 2**-10": lambda d: _tilted(d, 2.0**-10),
+    "tilted scales 2**-40": lambda d: _tilted(d, 2.0**-40),
     "unsigned permutations": lambda d: _povm(d, signed=False),
     "antisymmetrised over the wrong qudit": lambda d: _povm(
         d, vectors=lambda d, n, k: _vector(d, n, k, anti=_other(d, n))
@@ -94,26 +118,33 @@ MUTANTS = {
 
 SUCCESS = "success_matches_closed_form"
 MISID = "no_misidentification"
-PSD = "inconclusive_psd"
-SPECTRUM = "conclusive_spectrum"
 GRAM = "gram_structure"
+SCALE = "scale_is_optimal"
 
 # (mutant, d) -> the checks that flag it.
 FLAGGED = {
-    ("scale x1.01", 2): {SUCCESS, PSD, SPECTRUM},
-    ("scale x1.01", 3): {SUCCESS, PSD, SPECTRUM},
-    ("scale x0.99", 2): {SUCCESS, SPECTRUM},
-    ("scale x0.99", 3): {SUCCESS, SPECTRUM},
+    ("scale x1.01", 2): {SUCCESS, SCALE},
+    ("scale x1.01", 3): {SUCCESS, SCALE},
+    ("scale x0.99", 2): {SUCCESS, SCALE},
+    ("scale x0.99", 3): {SUCCESS, SCALE},
+    ("scale x(1 + 1e-15)", 4): {SUCCESS, SCALE},
+    ("scale x(1 + 1e-15)", 5): {SUCCESS, SCALE},
+    ("scale x(1 - 1e-15)", 4): {SUCCESS, SCALE},
+    ("scale x(1 - 1e-15)", 5): {SUCCESS, SCALE},
+    ("scale x(1 - 5e-11)", 4): {SUCCESS, SCALE},
+    ("scale x(1 - 5e-11)", 5): {SUCCESS, SCALE},
+    ("tilted scales 2**-10", 3): {SCALE},
+    ("tilted scales 2**-40", 3): {SCALE},
     ("unsigned permutations", 2): {MISID},
-    ("unsigned permutations", 3): {MISID, PSD, SPECTRUM, GRAM},
+    ("unsigned permutations", 3): {MISID, GRAM},
     ("antisymmetrised over the wrong qudit", 2): {SUCCESS, MISID},
-    ("antisymmetrised over the wrong qudit", 3): {SUCCESS, MISID, SPECTRUM, GRAM},
+    ("antisymmetrised over the wrong qudit", 3): {SUCCESS, MISID, GRAM},
     ("branch shift on the wrong qudit", 2): {MISID},
-    ("branch shift on the wrong qudit", 3): {MISID, SPECTRUM, GRAM},
+    ("branch shift on the wrong qudit", 3): {MISID, GRAM},
     ("dropped (-1)**n phase", 2): {GRAM},
     ("dropped (-1)**n phase", 3): {GRAM},
-    ("one vector from another element", 2): {SUCCESS, MISID, PSD, SPECTRUM, GRAM},
-    ("one vector from another element", 3): {SUCCESS, MISID, PSD, SPECTRUM, GRAM},
+    ("one vector from another element", 2): {SUCCESS, MISID, GRAM},
+    ("one vector from another element", 3): {SUCCESS, MISID, GRAM},
     ("reversed slot order (equivalent)", 2): set(),
     ("reversed slot order (equivalent)", 3): set(),
 }
@@ -128,16 +159,33 @@ def test_unbroken_builder_reproduces_build_povm(d):
         np.testing.assert_array_equal(mine.matrix, theirs.matrix)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("mutant, d", list(FLAGGED))
 def test_mutant_flagged_by_exactly(mutant, d):
     report = verify_report(d, povm=MUTANTS[mutant](d))
     assert set(report["failed_checks"]) == FLAGGED[mutant, d]
     assert report["ok"] == (not FLAGGED[mutant, d])
 
 
+@pytest.mark.parametrize("mutant, d", [key for key in FLAGGED if key[1] <= 3])
+def test_exact_checks_decide_the_dense_spectrum(mutant, d):
+    """Dense oracle for the claim that replaces a positivity check: a
+    measurement that passes gram_structure and scale_is_optimal has the
+    closed-form remainder spectrum 1 - conclusive_sum_spectrum(d), and a
+    measurement whose dense remainder I - sum Pi_m is indefinite fails
+    one of the two."""
+    povm = MUTANTS[mutant](d)
+    failed = set(verify_report(d, povm=povm)["failed_checks"])
+    dense = dense_conclusive_sum(povm.elements)
+    remainder = np.linalg.eigvalsh(np.eye(total_dim(d)) - dense)
+    if not failed & {GRAM, SCALE}:
+        want = np.sort(1.0 - conclusive_sum_spectrum(d))
+        assert np.max(np.abs(remainder - want)) <= 1e-10
+    if remainder[0] < -1e-10:
+        assert failed & {GRAM, SCALE}
+
+
 def test_every_check_flags_a_mutant():
     checks = set(verify_report(2)["checks"])
-    assert checks == {SUCCESS, MISID, PSD, SPECTRUM, GRAM}
+    assert checks == {SUCCESS, MISID, GRAM, SCALE}
     for check in checks:
         assert any(check in flagged for flagged in FLAGGED.values()), check
