@@ -23,7 +23,6 @@ from .detection import (
     build_povm,
     build_povm_vector,
     overlap_with_product,
-    povm_from_dict,
     povm_to_dict,
 )
 from .montecarlo import (
@@ -50,7 +49,6 @@ from .tensor_core import (
     haar_state,
     inner_product,
     product_state,
-    state_from_dict,
     state_to_dict,
     total_dim,
 )
@@ -81,11 +79,9 @@ __all__ = [
     "optimal_weight_eigen",
     "optimal_weight_grid",
     "overlap_with_product",
-    "povm_from_dict",
     "povm_to_dict",
     "product_state",
     "run_experiment",
-    "state_from_dict",
     "state_to_dict",
     "success_probability",
     "total_dim",

@@ -84,7 +84,7 @@ def _traces(povm, d):
         for elem in povm.elements:
             cols = elem.signs.T
             swapped = int(np.sum(cols * rho.swap(cols), dtype=np.int64))
-            rank = len(elem.vectors)
+            rank = len(elem.signs)
             row.append(_exact_scale(elem.scale, d) * (rank * fact + swapped) / denominator)
         traces.append(row)
     return traces
@@ -128,8 +128,8 @@ def conclusive_sum_spectrum(d):
 def verify_report(d, povm=None):
     """Run the algebraic checks and bundle the results.
 
-    Every check is an exact equality on the sign matrix S of the stacked
-    element vectors, v = S / sqrt(d!), and each flags at least one
+    Every check is an exact equality on the elements' sign matrices S,
+    stacked (v = S / sqrt(d!)), and each flags at least one
     broken measurement (tests/test_mutations.py):
 
     - gram_structure: S S^T is d! times the optimal Gram matrix

@@ -18,11 +18,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, _check_index, check_dim, state_from_dict, state_to_dict
+from .tensor_core import StateVector, _check_index, check_dim, state_to_dict
 
-# Largest d whose measurement is built: the d*d element vectors are dense,
-# and at d=6 they alone take 36 * 6**7 * 16 B, about 161 MB.
+# Largest d whose measurement is built: `build` writes every vector densely,
+# and at d=6 the d*d vectors alone would take 36 * 6**7 * 16 B, about 161 MB.
 DENSE_MAX_D = 5
+
+
+def _check_built_dim(d):
+    """check_dim, refusing d above DENSE_MAX_D before anything is allocated."""
+    d = check_dim(d)
+    if d > DENSE_MAX_D:
+        raise ValueError(f"the measurement is built densely for d <= {DENSE_MAX_D}, not d={d}")
+    return d
+
+
+def _sign_form(d, n):
+    """Flat indices and int8 signs of the d! nonzero amplitudes of the
+    branch-0 vector for outcome n (d and n already validated); branch k
+    adds k * d**(d - n) to every index.
+
+    The digit values 0..d-1 go to the d slots other than qudit n
+    (ascending label order) in all d! ways, each signed by its
+    permutation parity and an overall (-1)**n.  One pass over the (d!, d)
+    permutation table: a broadcast inversion count gives the signs, and
+    one product with the slots' place values d**(d - slot) the indices.
+    """
+    perms = np.array(list(itertools.permutations(range(d))))
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    slots = np.array([j for j in range(d + 1) if j != n])
+    signs = np.where((n + inversions) % 2, -1, 1).astype(np.int8)
+    return perms @ d ** (d - slots), signs
 
 
 def build_detection_core(d, n):
@@ -35,33 +61,18 @@ def build_povm_vector(d, n, k):
     """Basis vector of the conclusive element for outcome n, branch k.
 
     Puts qudit n in basis state |k> and the remaining d qudits in the
-    antisymmetric detection state: the digit values 0..d-1 go to those
-    d slots (ascending label order) in all d! ways, each assignment
-    weighted by its permutation sign and an overall (-1)**n phase.  The
-    d! amplitudes are placed in one pass over the (d!, d) permutation
-    table: one broadcast inversion count gives the signs, and one
-    product with the slots' place values d**(d - slot), plus
-    k * d**(d - n), gives the flat indices.  Every nonzero amplitude
-    sits in the total-excitation sector k + d(d-1)/2, which makes
-    different-k vectors orthogonal regardless of the outcome indices.
-
-    The vector is dense, so d above DENSE_MAX_D is refused before
-    anything is allocated.
+    antisymmetric detection state: the signs of _sign_form over sqrt(d!).
+    Every nonzero amplitude sits in the total-excitation sector
+    k + d(d-1)/2, which makes different-k vectors orthogonal regardless
+    of the outcome indices.  The vector is dense, so d above DENSE_MAX_D
+    is refused before anything is allocated.
     """
-    d = check_dim(d)
-    if d > DENSE_MAX_D:
-        raise ValueError(
-            f"the measurement is built densely for d <= {DENSE_MAX_D}; "
-            f"d={d} would not fit"
-        )
+    d = _check_built_dim(d)
     n = _check_index("outcome index", n, 1, d)
     k = _check_index("branch index", k, 0, d - 1)
-    perms = np.array(list(itertools.permutations(range(d))))
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
-    slots = np.array([j for j in range(d + 1) if j != n])
-    flat = perms @ d ** (d - slots) + k * d ** (d - n)
+    flat, signs = _sign_form(d, n)
     amps = np.zeros(d ** (d + 1), dtype=np.complex128)
-    amps[flat] = np.where((n + inversions) % 2, -1.0, 1.0) / math.sqrt(math.factorial(d))
+    amps[flat + k * d ** (d - n)] = signs / math.sqrt(math.factorial(d))
     return StateVector(d, amps)
 
 
@@ -69,46 +80,42 @@ def build_povm_vector(d, n, k):
 class LowRankPovmElement:
     """Conclusive measurement operator scale * sum_k |v_k><v_k|.
 
-    Stored as its scale and its orthonormal vectors, never as a full
-    matrix.  The vectors must be in sign form, v = S / sqrt(d!): every
-    amplitude is exactly 0 or +-1/sqrt(d!), the double build_povm_vector
-    writes, with imaginary part 0.  `signs` keeps the integer matrix S as
-    read-only int8, `matrix` the stacked vectors as a read-only (rank, D)
-    array, and orthonormality is the exact equality S S^T = d! I.
+    Stored as its scale and the integer sign matrix S of its orthonormal
+    vectors, v_k = S_k / sqrt(d!): a read-only int8 (rank, d**(d+1))
+    array with entries in {-1, 0, 1}.  Orthonormality is the exact
+    equality S S^T = d! I.  No float form is kept; `vectors` computes the
+    dense StateVectors when asked.
     """
 
+    d: int
     label: int
     scale: float
-    vectors: tuple
+    signs: np.ndarray
 
     def __post_init__(self):
-        vectors = tuple(self.vectors)
-        if not vectors:
-            raise ValueError("element needs at least one vector")
-        d = vectors[0].d
-        if any(v.d != d for v in vectors):
-            raise ValueError("mixed dimensions in element vectors")
+        d = check_dim(self.d)
         label = _check_index("outcome label", self.label, 1, d)
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale {self.scale} outside (0, 1]")
-        fact = math.factorial(d)
-        mat = np.stack([v.amps for v in vectors])
-        signs = (mat.real > 0).astype(np.int8) - (mat.real < 0)
-        if np.any(mat.imag != 0) or np.any(mat.real != signs / math.sqrt(fact)):
-            raise ValueError("element vectors must have every amplitude 0 or +-1/sqrt(d!)")
+        signs = np.array(self.signs)
+        if signs.ndim != 2 or not len(signs) or signs.shape[1] != d ** (d + 1):
+            raise ValueError(f"expected a (rank, {d ** (d + 1)}) sign matrix, got {signs.shape}")
+        if signs.dtype.kind not in "iu" or np.any((signs < -1) | (signs > 1)):
+            raise ValueError("sign matrix entries must be integers in {-1, 0, 1}")
         wide = signs.astype(np.int64)
-        if not np.array_equal(wide @ wide.T, fact * np.eye(len(vectors), dtype=np.int64)):
-            raise ValueError("element vectors are not orthonormal")
-        mat.setflags(write=False)
+        if np.any(wide @ wide.T != math.factorial(d) * np.eye(len(wide), dtype=np.int64)):
+            raise ValueError("element vectors are not orthonormal: S S^T != d! I")
+        signs = wide.astype(np.int8)
         signs.setflags(write=False)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "signs", signs)
 
     @property
-    def d(self):
-        return self.vectors[0].d
+    def vectors(self):
+        """The vectors S_k / sqrt(d!) as dense StateVectors."""
+        root = math.sqrt(math.factorial(self.d))
+        return tuple(StateVector(self.d, row / root) for row in self.signs)
 
 
 @dataclass(frozen=True)
@@ -144,18 +151,20 @@ def build_povm(d):
     """Optimal unambiguous-identification measurement for dimension d.
 
     Each conclusive element carries scale d/(d+1) — the largest value
-    for which the inconclusive remainder stays positive semidefinite.
-    Only the low-rank conclusive elements are built; no D x D operator
-    is ever formed.  d above DENSE_MAX_D is refused (build_povm_vector).
+    for which the inconclusive remainder stays positive semidefinite —
+    and its sign matrix, filled from _sign_form: row k holds the branch-0
+    signs at the indices shifted by k * d**(d - n).  No float vector and
+    no D x D operator is formed.  d above DENSE_MAX_D is refused.
     """
-    d = check_dim(d)
+    d = _check_built_dim(d)
     scale = d / (d + 1)
-    elements = tuple(
-        LowRankPovmElement(
-            n, scale, tuple(build_povm_vector(d, n, k) for k in range(d))
-        )
-        for n in range(1, d + 1)
-    )
+    branches = np.arange(d)[:, None]
+    elements = []
+    for n in range(1, d + 1):
+        flat, signs = _sign_form(d, n)
+        matrix = np.zeros((d, d ** (d + 1)), dtype=np.int8)
+        matrix[branches, flat + branches * d ** (d - n)] = signs
+        elements.append(LowRankPovmElement(d, n, scale, matrix))
     return Povm(d, elements)
 
 
@@ -203,13 +212,3 @@ def povm_to_dict(povm):
             for elem in povm.elements
         ],
     }
-
-
-def povm_from_dict(obj):
-    d = check_dim(obj["d"])
-    scale = float(obj["scale"])
-    elements = []
-    for entry in obj["elements"]:
-        vectors = tuple(state_from_dict(v) for v in entry["vectors"])
-        elements.append(LowRankPovmElement(entry["n"], scale, vectors))
-    return Povm(d, sorted(elements, key=lambda e: e.label))

@@ -9,7 +9,8 @@ brute-force grid search as a second opinion.
 
 This module deliberately never imports the measurement construction;
 agreement of the two routes is asserted in the test suite, not wired in
-here.
+here.  It shares only tensor_core.check_dim, whose upper bound on d
+keeps the (d, d, d) projector stack small for every accepted input.
 """
 
 import math
@@ -17,19 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_core import check_dim
+
 GRAM_TOL = 1e-12
 # Feasibility margin on the largest eigenvalue; boundary points count.
 FEASIBILITY_TOL = 1e-10
 
 _GRID_CHUNK = 8192
-
-
-def _check_dim(d):
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise TypeError(f"d must be an integer, got {type(d).__name__}")
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    return int(d)
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class SymmetricFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
-        d = _check_dim(self.d)
+        d = check_dim(self.d)
         vectors = np.array(self.vectors, dtype=np.complex128)
         if vectors.shape != (d, d):
             raise ValueError(f"expected shape {(d, d)}, got {vectors.shape}")
@@ -64,7 +59,7 @@ def build_symmetric_family(d):
     a discrete Fourier pattern, so the family is covariant under the
     diagonal unitary with phases exp(2*pi*i*l/d).
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     ls = np.arange(d)
     vectors = np.empty((d, d), dtype=np.complex128)
     for n in range(1, d + 1):

@@ -47,16 +47,15 @@ def encode_index(digits, d):
     """Flat index of the basis vector with the given per-qudit digits.
 
     `digits` has length d+1; position 0 is the probe qudit and is the most
-    significant digit.
+    significant digit.  Each digit must be an integer in 0..d-1: a float
+    or a bool is refused, not truncated.
     """
     d = check_dim(d)
     if len(digits) != d + 1:
         raise ValueError(f"expected {d + 1} digits, got {len(digits)}")
     flat = 0
     for x in digits:
-        if not 0 <= x < d:
-            raise ValueError(f"digit {x} out of range for dimension {d}")
-        flat = flat * d + int(x)
+        flat = flat * d + _check_index("digit", x, 0, d - 1)
     return flat
 
 
@@ -92,7 +91,7 @@ class StateVector:
         D = d ** (d + 1)
         if amps.shape != (D,):
             raise ValueError(f"expected {D} amplitudes for d={d}, got {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError("state vector is not normalized")
         amps.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -110,7 +109,7 @@ def product_state(factors):
     for j, f in enumerate(factors):
         if f.shape != (d,):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
-        if abs(np.linalg.norm(f) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"factor {j} is not normalized")
     amps = factors[0]
     for f in factors[1:]:
@@ -135,15 +134,3 @@ def state_to_dict(state):
         "d": state.d,
         "amps": np.stack([state.amps.real, state.amps.imag], axis=1),
     }
-
-
-def state_from_dict(obj):
-    """Rebuild a StateVector from its JSON form (validates normalization).
-
-    `amps` may be the (D, 2) array of state_to_dict or the parsed nested
-    list; each row is one (re, im) pair, signed zeros included.
-    """
-    pairs = np.array(obj["amps"], dtype=np.float64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"amps must be (re, im) pairs, got shape {pairs.shape}")
-    return StateVector(obj["d"], pairs.view(np.complex128))

@@ -52,16 +52,25 @@ def outcome_probabilities(povm, probe, refs):
     return p, max(1.0 - float(p.sum()), 0.0)
 
 
+def stacked_vectors(elem):
+    """The element's vectors, S / sqrt(d!), as rows of a dense (rank, D) array."""
+    return np.stack([v.amps for v in elem.vectors])
+
+
 def dense_conclusive_sum(elements):
     """Dense oracle for a sum of conclusive elements: scale * M^T conj(M)
     per element, M being the element's stacked vectors."""
-    return sum(elem.scale * (elem.matrix.T @ elem.matrix.conj()) for elem in elements)
+    total = 0
+    for elem in elements:
+        m = stacked_vectors(elem)
+        total += elem.scale * (m.T @ m.conj())
+    return total
 
 
 def element_expectation(elem, psi):
-    """<psi| element |psi> from the element's stored vectors:
+    """<psi| element |psi> from the element's vectors:
     scale * ||conj(M) psi||^2, M being the stacked vectors."""
-    return elem.scale * float(np.linalg.norm(elem.matrix.conj() @ psi) ** 2)
+    return elem.scale * float(np.linalg.norm(stacked_vectors(elem).conj() @ psi) ** 2)
 
 
 def dense_pair_projector(d, n, sign):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import dense_conclusive_sum
@@ -10,7 +12,7 @@ from quditid.analytics import (
     success_probability,
     verify_report,
 )
-from quditid.detection import LowRankPovmElement, Povm, build_povm
+from quditid.detection import Povm, build_povm
 from quditid.state_ops import HermitianOperator
 from quditid.tensor_core import encode_index, total_dim
 
@@ -23,10 +25,7 @@ def test_closed_form_values():
 
 
 def _rescaled(povm, scale):
-    return Povm(
-        povm.d,
-        [LowRankPovmElement(e.label, scale, e.vectors) for e in povm.elements],
-    )
+    return Povm(povm.d, [replace(e, scale=scale) for e in povm.elements])
 
 
 def _assert_success_matches(povm, d):

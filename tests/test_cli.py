@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quditid import cli, jsonio
-from quditid.detection import build_povm, povm_from_dict, povm_to_dict
+from quditid.detection import build_povm
 
 # SHA-256 of `build --d N --out FILE`, pinned so that faster rendering
 # cannot change a single output byte.
@@ -42,6 +42,11 @@ CSV_SHA256 = {
     (2, 4099, 11): "7df72bd46a2058452a72b99d9a3d8cf03df6e4f1dbacaffdec972a402f65b30e",
     (3, 2049, 0): "56917059274b13381f3c4ded3c561bfda49f37ea880997fa1a98ade6375dae6d",
 }
+
+
+def _complex(pairs):
+    """The (re, im) pairs of a JSON vector as one complex array."""
+    return np.array(pairs, dtype=np.float64).view(np.complex128).ravel()
 
 
 def run_cli(capsys, *argv):
@@ -105,8 +110,10 @@ def test_build_round_trips(capsys):
     assert obj["scale"] == pytest.approx(2.0 / 3.0, abs=1e-16)
     assert [e["n"] for e in obj["elements"]] == [1, 2]
     assert all(len(e["vectors"]) == 2 for e in obj["elements"])
-    povm = povm_from_dict(obj)
-    assert povm.d == 2
+    for entry, elem in zip(obj["elements"], build_povm(2).elements, strict=True):
+        for got, want in zip(entry["vectors"], elem.vectors, strict=True):
+            assert got["d"] == 2
+            np.testing.assert_array_equal(_complex(got["amps"]), want.amps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -117,17 +124,17 @@ def test_build_bytes_are_pinned(capsys, tmp_path, d):
     assert out == ""
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == BUILD_SHA256[d]
+    obj = json.loads(data)
     want = build_povm(d)
-    for back in (povm_from_dict(json.loads(data)), povm_from_dict(povm_to_dict(want))):
-        assert back.d == d
-        assert back.scale == want.scale
-        for got_elem, want_elem in zip(back.elements, want.elements, strict=True):
-            assert got_elem.label == want_elem.label
-            for got, ref in zip(got_elem.vectors, want_elem.vectors, strict=True):
-                # Bit patterns, so signed zeros must survive too.
-                np.testing.assert_array_equal(
-                    got.amps.view(np.uint64), ref.amps.view(np.uint64)
-                )
+    assert obj["d"] == d
+    assert obj["scale"] == want.scale
+    for entry, elem in zip(obj["elements"], want.elements, strict=True):
+        assert entry["n"] == elem.label
+        for got, ref in zip(entry["vectors"], elem.vectors, strict=True):
+            # Bit patterns, so signed zeros must survive too.
+            np.testing.assert_array_equal(
+                _complex(got["amps"]).view(np.uint64), ref.amps.view(np.uint64)
+            )
 
 
 def test_simulate_json_summary(capsys):

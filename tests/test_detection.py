@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import basis_ket, decode_index, dense_conclusive_sum
+from conftest import basis_ket, decode_index, dense_conclusive_sum, stacked_vectors
 
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
@@ -15,12 +17,10 @@ from quditid.detection import (
     build_povm,
     build_povm_vector,
     overlap_with_product,
-    povm_from_dict,
     povm_to_dict,
 )
 from quditid.state_ops import build_rho
 from quditid.tensor_core import (
-    StateVector,
     encode_index,
     haar_state,
     inner_product,
@@ -249,19 +249,25 @@ def test_overlap_validation():
 
 
 def test_low_rank_element_validation():
-    v0 = build_povm_vector(2, 1, 0)
-    v1 = build_povm_vector(2, 1, 1)
+    s = build_povm(2).elements[0].signs  # rows v_{1,0}, v_{1,1} in sign form
+    with pytest.raises(ValueError, match="orthonormal"):
+        LowRankPovmElement(2, 1, 2.0 / 3.0, s[[0, 0]])  # repeated row
+    two = s.copy()
+    two[0, np.flatnonzero(two[0])[0]] = 2
+    with pytest.raises(ValueError, match="integers in"):
+        LowRankPovmElement(2, 1, 2.0 / 3.0, two)  # entry outside {-1, 0, 1}
+    for bad in (s[:, :-1], s[0], np.zeros((0, 8), dtype=np.int8), ()):
+        with pytest.raises(ValueError, match="sign matrix"):
+            LowRankPovmElement(2, 1, 2.0 / 3.0, bad)  # wrong width, not 2-D, empty
     with pytest.raises(ValueError):
-        LowRankPovmElement(1, 2.0 / 3.0, (v0, v0))  # not orthonormal
-    with pytest.raises(ValueError):
-        LowRankPovmElement(0, 2.0 / 3.0, (v0, v1))  # bad label
+        LowRankPovmElement(2, 0, 2.0 / 3.0, s)  # bad label
     for label in (1.0, 1.5, True):
-        with pytest.raises(ValueError):
-            LowRankPovmElement(label, 2.0 / 3.0, (v0, v1))  # not an integer
+        with pytest.raises(ValueError, match="must be an integer"):
+            LowRankPovmElement(2, label, 2.0 / 3.0, s)  # not an integer
     with pytest.raises(ValueError):
-        LowRankPovmElement(1, 0.0, (v0, v1))  # scale outside (0, 1]
+        LowRankPovmElement(2, 1, 0.0, s)  # scale outside (0, 1]
     with pytest.raises(ValueError):
-        LowRankPovmElement(1, 2.0 / 3.0, ())
+        LowRankPovmElement(3, 1, 2.0 / 3.0, s)  # width of d=2, not d=3
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -269,26 +275,37 @@ def test_low_rank_element_keeps_integer_signs(d):
     elem = build_povm(d).elements[0]
     assert elem.signs.dtype == np.int8
     assert not elem.signs.flags.writeable
-    np.testing.assert_array_equal(
-        elem.signs / math.sqrt(math.factorial(d)), elem.matrix.real
-    )
+    m = stacked_vectors(elem)
+    np.testing.assert_array_equal(elem.signs / math.sqrt(math.factorial(d)), m.real)
+    np.testing.assert_array_equal(m.imag, 0.0)
     assert set(np.unique(elem.signs).tolist()) == {-1, 0, 1}
 
 
 def test_low_rank_element_requires_sign_form():
-    """Only amplitudes exactly 0 or +-1/sqrt(d!) with imaginary part 0
-    are accepted, so S S^T = d! I is an exact orthonormality check."""
-    v0 = build_povm_vector(2, 1, 0)
-    v1 = build_povm_vector(2, 1, 1)
-    nudged = v0.amps.copy()
-    i = np.flatnonzero(nudged)[0]
-    nudged[i] = np.nextafter(nudged[i].real, 0.0)
-    nudged /= np.linalg.norm(nudged)  # unit norm, amplitudes off by an ulp
-    rotated = (v0.amps + v1.amps) / math.sqrt(2.0)  # orthonormal, amplitudes 1/2
-    phased = 1j * v0.amps
-    for amps in (nudged, rotated, phased):
-        with pytest.raises(ValueError, match="sqrt"):
-            LowRankPovmElement(1, 2.0 / 3.0, (StateVector(2, amps), v1))
+    """S is taken as integers only: neither its float image S / sqrt(d!)
+    nor S itself written as floats is accepted."""
+    s = build_povm(2).elements[0].signs
+    for bad in (s / math.sqrt(2.0), s.astype(np.float64), s.astype(bool)):
+        with pytest.raises(ValueError, match="integers in"):
+            LowRankPovmElement(2, 1, 2.0 / 3.0, bad)
+    # any integer dtype is read as S and kept as read-only int8
+    elem = LowRankPovmElement(2, 1, 2.0 / 3.0, s.astype(np.int64).tolist())
+    assert elem.signs.dtype == np.int8
+    np.testing.assert_array_equal(elem.signs, s)
+
+
+def test_build_povm_keeps_only_sign_form():
+    """The stored measurement is its int8 sign matrices: d*d rows of
+    d**(d+1) bytes, 0.39 MB at d=5, where the dense complex vectors
+    it once kept beside them took 12.3 MiB."""
+    tracemalloc.start()
+    try:
+        povm = build_povm(5)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert povm.scale == 5.0 / 6.0
+    assert retained < 2**20
 
 
 def test_povm_wrapper_validation(povm2):
@@ -306,15 +323,20 @@ def test_large_dimension_stays_low_rank():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_povm_serialization_round_trip(d, povm2, povm3):
+    """The JSON text carries each element's vectors bit for bit, signed
+    zeros included, as (re, im) pairs."""
     povm = {2: povm2, 3: povm3}[d]
     wire = json.loads(jsonio.dumps(povm_to_dict(povm)))
-    back = povm_from_dict(wire)
-    assert back.d == d
-    assert back.scale == povm.scale
-    for a, b in zip(back.elements, povm.elements):
-        assert a.label == b.label
-        for va, vb in zip(a.vectors, b.vectors):
-            np.testing.assert_array_equal(va.amps, vb.amps)
+    assert wire["d"] == d
+    assert wire["scale"] == povm.scale
+    assert [e["n"] for e in wire["elements"]] == [e.label for e in povm.elements]
+    for entry, elem in zip(wire["elements"], povm.elements, strict=True):
+        for got, want in zip(entry["vectors"], elem.vectors, strict=True):
+            assert got["d"] == d
+            pairs = np.array(got["amps"], dtype=np.float64)
+            np.testing.assert_array_equal(
+                pairs.view(np.complex128).ravel().view(np.uint64), want.amps.view(np.uint64)
+            )
 
 
 def test_povm_to_dict_refuses_differing_scales(povm2):
@@ -323,7 +345,7 @@ def test_povm_to_dict_refuses_differing_scales(povm2):
     mixed = Povm(
         2,
         [
-            LowRankPovmElement(e.label, scale, e.vectors)
+            replace(e, scale=scale)
             for e, scale in zip(povm2.elements, (0.6, 2.0 / 3.0))
         ],
     )
@@ -333,17 +355,14 @@ def test_povm_to_dict_refuses_differing_scales(povm2):
 
 @pytest.mark.parametrize(
     "field, bad",
-    [("d", 2.9), ("n", 1.7), ("vector d", 2.5), ("d", True), ("n", True), ("vector d", True)],
+    [("d", 2.9), ("label", 1.7), ("element d", 2.5), ("d", True), ("label", True), ("element d", True)],
 )
-def test_povm_from_dict_refuses_non_integers(povm2, field, bad):
-    """d, each element's n and each vector's d must be integers: a float
-    or a bool is refused, not truncated."""
-    wire = json.loads(jsonio.dumps(povm_to_dict(povm2)))
-    if field == "d":
-        wire["d"] = bad
-    elif field == "n":
-        wire["elements"][0]["n"] = bad
-    else:
-        wire["elements"][0]["vectors"][0]["d"] = bad
-    with pytest.raises(ValueError, match="integer"):
-        povm_from_dict(wire)
+def test_measurement_refuses_non_integers(povm2, field, bad):
+    """The measurement's d, each element's label and each element's d
+    must be integers: a float or a bool is refused, not truncated."""
+    elem = povm2.elements[0]
+    with pytest.raises(ValueError, match="must be an integer"):
+        if field == "d":
+            Povm(bad, povm2.elements)
+        else:
+            replace(elem, **{"label" if field == "label" else "d": bad})

@@ -1,12 +1,12 @@
 """Mutation suite for `verify_report`: every check it keeps must flag at
 least one deliberately broken measurement.
 
-Each mutant rebuilds the element vectors from digits with one named
+Each mutant rebuilds the elements' sign rows from digits with one named
 break and passes the result to `verify_report`; the table below pins
 exactly which checks flag it, at d=2 and d=3 and, for the scale
 mutants closest to the optimum, at d=4 and d=5.  The unbroken builder
-reproduces `build_povm` bit for bit, so each mutant differs from the
-real measurement only by its break.
+reproduces `build_povm`'s sign matrices entry for entry, so each mutant
+differs from the real measurement only by its break.
 
 Some rows need a word.  Dropping the (-1)**n phase multiplies every
 vector of element n by the same sign, so every element operator, and
@@ -23,7 +23,6 @@ should.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -31,14 +30,14 @@ from conftest import dense_conclusive_sum
 
 from quditid.analytics import conclusive_sum_spectrum, verify_report
 from quditid.detection import LowRankPovmElement, Povm, build_povm
-from quditid.tensor_core import StateVector, encode_index, total_dim
+from quditid.tensor_core import encode_index, total_dim
 
 
 def _parity(perm):
     inversions = sum(
         perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm))
     )
-    return -1.0 if inversions % 2 else 1.0
+    return -1 if inversions % 2 else 1
 
 
 def _other(d, n):
@@ -47,28 +46,30 @@ def _other(d, n):
 
 
 def _vector(d, n, k, *, signed=True, phase=True, reverse=False, anti=None, shift=None):
-    """v_{n,k}: the d qudits other than `anti` (default n) antisymmetrised
-    over the digit values 0..d-1, then the digit of qudit `shift`
-    (default n) raised by k mod d, with the overall phase (-1)**n."""
+    """Sign row of v_{n,k} (v = S / sqrt(d!)): the d qudits other than
+    `anti` (default n) antisymmetrised over the digit values 0..d-1, then
+    the digit of qudit `shift` (default n) raised by k mod d, with the
+    overall phase (-1)**n."""
     anti = n if anti is None else anti
     shift = n if shift is None else shift
     slots = [j for j in range(d + 1) if j != anti]
     if reverse:
         slots.reverse()
-    weight = (-1.0 if n % 2 and phase else 1.0) / math.sqrt(math.factorial(d))
-    amps = np.zeros(total_dim(d), dtype=np.complex128)
+    weight = -1 if n % 2 and phase else 1
+    row = np.zeros(total_dim(d), dtype=np.int8)
     for perm in itertools.permutations(range(d)):
         digits = [0] * (d + 1)
         for slot, value in zip(slots, perm):
             digits[slot] = value
         digits[shift] = (digits[shift] + k) % d
-        amps[encode_index(digits, d)] = weight * (_parity(perm) if signed else 1.0)
-    return StateVector(d, amps)
+        row[encode_index(digits, d)] = weight * (_parity(perm) if signed else 1)
+    return row
 
 
 def _povm(d, scale=1.0, vectors=None, scales=None, **breaks):
-    """Measurement from `_vector(..., **breaks)` at `scale` times the
-    optimum; `vectors(d, n, k)` overrides the vector choice, and
+    """Measurement whose element n has the sign matrix S with rows
+    `_vector(d, n, k, **breaks)`, k = 0..d-1, at `scale` times the
+    optimum; `vectors(d, n, k)` overrides the row choice, and
     `scales[n]` overrides the scale of element n."""
     vectors = vectors or (lambda d, n, k: _vector(d, n, k, **breaks))
     scales = scales or {}
@@ -76,6 +77,7 @@ def _povm(d, scale=1.0, vectors=None, scales=None, **breaks):
         d,
         [
             LowRankPovmElement(
+                d,
                 n,
                 scales.get(n, scale * d / (d + 1)),
                 [vectors(d, n, k) for k in range(d)],
@@ -156,7 +158,8 @@ def test_unbroken_builder_reproduces_build_povm(d):
     rebuilt = _povm(d)
     assert rebuilt.scale == built.scale
     for mine, theirs in zip(rebuilt.elements, built.elements):
-        np.testing.assert_array_equal(mine.matrix, theirs.matrix)
+        assert mine.label == theirs.label
+        np.testing.assert_array_equal(mine.signs, theirs.signs)
 
 
 @pytest.mark.parametrize("mutant, d", list(FLAGGED))

@@ -92,10 +92,14 @@ def test_family_validation():
         SymmetricFamily(2, np.eye(2))  # orthonormal, wrong overlaps
     with pytest.raises(ValueError):
         SymmetricFamily(3, np.zeros((2, 3)))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         build_symmetric_family(2.0)
     with pytest.raises(ValueError):
         build_symmetric_family(1)
+    with pytest.raises(ValueError):
+        build_symmetric_family(500)  # tensor_core.check_dim's bound
+    with pytest.raises(ValueError):
+        SymmetricFamily(True, np.eye(1))
 
 
 def test_single_weight_above_one_is_infeasible():

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_ket, decode_index
+from quditid import jsonio
 from quditid.tensor_core import (
     StateVector,
     check_dim,
@@ -13,7 +15,6 @@ from quditid.tensor_core import (
     haar_state,
     inner_product,
     product_state,
-    state_from_dict,
     state_to_dict,
     total_dim,
 )
@@ -53,7 +54,14 @@ def test_encode_rejects_bad_input():
     with pytest.raises(ValueError):
         encode_index([0, 2, 0], 2)  # digit out of range
     with pytest.raises(ValueError):
+        encode_index([0, -1, 0], 2)
+    with pytest.raises(ValueError):
         encode_index([0, 0], 2)  # wrong length
+    # a float or a bool digit is refused, not truncated to 2, 4 or 5
+    for digits in ([0.5, 1, 0], [1.9, 0, 0], [True, 0, 1], [1, 0, np.float64(1.0)]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            encode_index(digits, 2)
+    assert encode_index([np.int64(1), np.int8(0), 1], 2) == 5
     with pytest.raises(ValueError):
         decode_index(8, 2)
     with pytest.raises(ValueError):
@@ -122,6 +130,8 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(8))  # not normalized
     with pytest.raises(ValueError):
         StateVector(2, np.ones(7))  # wrong length
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(2, np.full(8, np.nan))
 
 
 def test_product_state_basis_factors():
@@ -144,6 +154,8 @@ def test_product_state_rejects_bad_factors():
         product_state([basis_ket(2, 0), basis_ket(2, 0), np.array([1.0, 1.0])])
     with pytest.raises(ValueError, match=r"factor 0 has shape \(3,\), expected \(2,\)"):
         product_state([np.array([1.0, 0.0, 0.0])] * 3)  # shape (3,) but d = 2
+    with pytest.raises(ValueError, match="factor 0 is not normalized"):
+        product_state([np.array([np.nan, 0.0])] * 3)
 
 
 def test_inner_product_conjugate_symmetry():
@@ -165,11 +177,13 @@ def test_inner_product_dimension_mismatch():
 
 
 def test_state_serialization_round_trip():
+    """state_to_dict through the JSON text gives back every amplitude."""
     rng = np.random.default_rng(3)
     sv = product_state([haar_state(2, rng) for _ in range(3)])
-    back = state_from_dict(state_to_dict(sv))
-    assert back.d == 2
-    np.testing.assert_array_equal(back.amps, sv.amps)
+    wire = json.loads(jsonio.dumps(state_to_dict(sv)))
+    assert wire["d"] == 2
+    back = np.array(wire["amps"], dtype=np.float64).view(np.complex128).ravel()
+    np.testing.assert_array_equal(back, sv.amps)
 
 
 def test_state_dict_amps_are_pairs_with_signed_zeros():
@@ -180,17 +194,9 @@ def test_state_dict_amps_are_pairs_with_signed_zeros():
     obj = state_to_dict(sv)
     assert obj["amps"].shape == (8, 2)
     assert obj["amps"].dtype == np.float64
-    for pairs in (obj["amps"], obj["amps"].tolist()):
-        back = state_from_dict({"d": 2, "amps": pairs})
-        np.testing.assert_array_equal(back.amps.view(np.uint64), sv.amps.view(np.uint64))
-
-
-def test_state_from_dict_rejects_non_pairs():
-    with pytest.raises(ValueError):
-        state_from_dict({"d": 2, "amps": [[1.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 7})
-
-
-def test_state_from_dict_checks_norm():
-    obj = {"d": 2, "amps": [[0.5, 0.0]] * 8}
-    with pytest.raises(ValueError):
-        state_from_dict(obj)
+    np.testing.assert_array_equal(
+        obj["amps"].view(np.uint64), np.stack([amps.real, amps.imag], axis=1).view(np.uint64)
+    )
+    wire = json.loads(jsonio.dumps(obj))["amps"]
+    assert wire[0] == [-0.0, 0.6] and str(wire[0][0]) == "-0.0"
+    assert wire[5] == [0.8, -0.0] and str(wire[5][1]) == "-0.0"
