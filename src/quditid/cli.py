@@ -29,6 +29,9 @@ from .analytics import verify_report
 from .detection import DENSE_MAX_D, build_povm, povm_to_dict
 from .montecarlo import SEED_LIMIT, run_experiment, trial_batches
 from .sym_optimizer import (
+    GRID_DIMS,
+    MAX_RESOLUTION,
+    MIN_RESOLUTION,
     build_symmetric_family,
     frame_operator,
     optimal_weight_eigen,
@@ -111,10 +114,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_optimize(args, parser):
-    if args.mode == "grid" and args.d not in (2, 3):
-        parser.error("--mode grid supports --d 2 or 3 only")
-    if not 0.0 < args.resolution <= 0.1:
-        parser.error("--resolution must lie in (0, 0.1]")
+    if args.mode == "grid" and args.d not in GRID_DIMS:
+        parser.error(f"--mode grid supports --d in {GRID_DIMS} only")
+    if not MIN_RESOLUTION <= args.resolution <= MAX_RESOLUTION:
+        parser.error(f"--resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     fam = build_symmetric_family(args.d)
     spectrum = np.linalg.eigvalsh(frame_operator(fam))
     payload = {"d": args.d, "mode": args.mode, "spectrum": list(spectrum)}

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .montecarlo import _check_u64, _draw_trials
 from .tensor_core import _check_index, check_dim, total_dim
 
 # Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).
@@ -76,37 +77,30 @@ def build_rho(d, n):
     return HermitianOperator(d, n, c / 2, c / 2)
 
 
-def _product_batch(factor_arrays):
-    """Row-wise tensor product: [(B, d), ...] -> (B, d**len) amplitudes."""
-    out = factor_arrays[0]
-    for f in factor_arrays[1:]:
-        out = np.einsum("bi,bj->bij", out, f).reshape(out.shape[0], -1)
-    return out
-
-
 def haar_average_check(d, n, samples, seed):
     """Monte Carlo check of the averaged density operator.
 
-    Draws `samples` sets of d Haar-random reference states, averages the
-    projector onto the matching-probe product state, and returns the max
-    entrywise deviation from build_rho(d, n).  Decays as O(1/sqrt(samples)).
+    Averages the projector onto the matching-probe product state over
+    the references simulate draws for trials 0 .. samples - 1 under
+    `seed` (an integer in [0, 2**64)), and returns the max entrywise
+    deviation from build_rho(d, n).  Decays as O(1/sqrt(samples)).
     """
     d = check_dim(d)
     n = _check_index("reference index", n, 1, d)
+    seed = _check_u64("seed", seed)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     D = total_dim(d)
     if D > DENSE_DIM_LIMIT:
         raise ValueError(f"dense average not supported for d={d}")
-    rng = np.random.default_rng(seed)
     acc = np.zeros((D, D), dtype=np.complex128)
     done = 0
     while done < samples:
         batch = min(2048, samples - done)
-        raw = rng.standard_normal((batch, d, d)) + 1j * rng.standard_normal((batch, d, d))
-        refs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        factors = [refs[:, n - 1, :]] + [refs[:, j, :] for j in range(d)]
-        vecs = _product_batch(factors)
+        refs = _draw_trials(d, seed, done, batch)[0]
+        vecs = refs[:, n - 1]
+        for j in range(d):
+            vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(batch, -1)
         acc += np.einsum("bi,bj->ij", vecs, vecs.conjugate())
         done += batch
     avg = acc / samples

@@ -14,17 +14,17 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
+# Largest d with d**(d+1) < 2**62, so every flat index fits an int64.
+MAX_DIM = 14
+
 
 def check_dim(d):
     """Validate the single-qudit dimension (= number of reference states)."""
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValueError(f"dimension must be an integer, got {d!r}")
     d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    # d**(d+1) >= 2**(d+1), so d >= 61 fails without taking the power.
-    if d >= 61 or d ** (d + 1) >= 2**62:
-        raise ValueError(f"total dimension d**(d+1) overflows the index range for d={d}")
+    if not 2 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must lie in 2..{MAX_DIM}, got {d}")
     return d
 
 

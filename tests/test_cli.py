@@ -284,6 +284,8 @@ def test_optimize_grid(capsys):
         ["simulate", "--d", "2", "--seed", str(2**64)],
         ["optimize", "--d", "4", "--mode", "grid"],
         ["optimize", "--d", "2", "--resolution", "0.5"],
+        ["optimize", "--d", "2", "--mode", "grid", "--resolution", "1e-300"],
+        ["optimize", "--d", "2", "--mode", "grid", "--resolution", "0.0009"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

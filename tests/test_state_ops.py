@@ -145,6 +145,10 @@ def test_haar_average_validation():
         haar_average_check(2, 3, 10, seed=0)
     with pytest.raises(ValueError):
         haar_average_check(5, 1, 10, seed=0)
+    with pytest.raises(ValueError):
+        haar_average_check(2, 1, 10, seed=-1)
+    with pytest.raises(TypeError):
+        haar_average_check(2, 1, 10, seed=None)
 
 
 def test_hermitian_operator_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,8 +149,9 @@ def test_grid_search_validation():
     fam = build_symmetric_family(2)
     with pytest.raises(ValueError):
         optimal_weight_grid(fam, 0.2)
-    with pytest.raises(ValueError):
-        optimal_weight_grid(fam, 0.0)
+    for resolution in (0.0, 1e-300, 0.0009):
+        with pytest.raises(ValueError):
+            optimal_weight_grid(fam, resolution)
 
 
 def _exhaustive_grid(fam, resolution, chunk=8192):
@@ -172,7 +174,7 @@ def _exhaustive_grid(fam, resolution, chunk=8192):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("resolution", [0.1, 0.07, 0.05, 0.03])
+@pytest.mark.parametrize("resolution", [0.1, 0.09, 0.07, 0.05, 0.04, 1 / 30, 0.03, 0.02])
 def test_grid_search_matches_exhaustive_scan(d, resolution):
     fam = build_symmetric_family(d)
     weights, total = optimal_weight_grid(fam, resolution)
@@ -190,7 +192,7 @@ def test_grid_search_tie_breaks_on_float_total():
     assert total == 2.1700000000000004
 
 
-def test_grid_search_stops_at_first_feasible_total(monkeypatch):
+def test_grid_search_bisects_a_fraction_of_the_grid(monkeypatch):
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -203,3 +205,16 @@ def test_grid_search_stops_at_first_feasible_total(monkeypatch):
     assert weights.tolist() == [0.75, 0.75, 0.75]
     assert total == 2.25
     assert 0 < sum(solved) <= 100_000 < 101**3
+
+
+def test_grid_search_memory_stays_below_the_grid():
+    # The d = 3 grid at 0.005 has 201**3 = 8.1M points; the bisection
+    # holds only its 201**2 prefixes.
+    fam = build_symmetric_family(3)
+    tracemalloc.start()
+    try:
+        optimal_weight_grid(fam, 0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

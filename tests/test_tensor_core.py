@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import basis_ket, decode_index
 from quditid import jsonio
 from quditid.tensor_core import (
+    MAX_DIM,
     StateVector,
     check_dim,
     encode_index,
@@ -38,9 +39,17 @@ def test_check_dim_bounds_d_before_the_power():
     d is refused at once rather than after computing d**(d+1)."""
     assert check_dim(14) == 14
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="overflows the index range"):
+    with pytest.raises(ValueError, match=r"dimension must lie in 2\.\.14, got 1000000000"):
         check_dim(10**9)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_max_dim_is_the_index_range_bound():
+    """MAX_DIM is the largest d whose register size d**(d+1) stays below 2**62."""
+    assert MAX_DIM == 14
+    assert 14**15 < 2**62 <= 15**16
+    with pytest.raises(ValueError, match=r"^dimension must lie in 2\.\.14, got 15$"):
+        check_dim(15)
 
 
 def test_encode_examples():
