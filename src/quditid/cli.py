@@ -116,7 +116,7 @@ def _cmd_simulate(args):
 def _cmd_optimize(args, parser):
     if args.mode == "grid" and args.d not in GRID_DIMS:
         parser.error(f"--mode grid supports --d in {GRID_DIMS} only")
-    if not MIN_RESOLUTION <= args.resolution <= MAX_RESOLUTION:
+    if args.mode == "grid" and not MIN_RESOLUTION <= args.resolution <= MAX_RESOLUTION:
         parser.error(f"--resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     fam = build_symmetric_family(args.d)
     spectrum = np.linalg.eigvalsh(frame_operator(fam))

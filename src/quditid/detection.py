@@ -33,22 +33,25 @@ def _check_built_dim(d):
     return d
 
 
-def _sign_form(d, n):
-    """Flat indices and int8 signs of the d! nonzero amplitudes of the
-    branch-0 vector for outcome n (d and n already validated); branch k
-    adds k * d**(d - n) to every index.
+def _sign_matrix(d, n):
+    """Element n's (d, d**(d+1)) int8 sign matrix (d and n already
+    validated): row k holds the d! nonzero signs of the branch-k vector.
 
     The digit values 0..d-1 go to the d slots other than qudit n
     (ascending label order) in all d! ways, each signed by its
     permutation parity and an overall (-1)**n.  One pass over the (d!, d)
     permutation table: a broadcast inversion count gives the signs, and
-    one product with the slots' place values d**(d - slot) the indices.
+    one product with the slots' place values d**(d - slot) the branch-0
+    indices; branch k adds k * d**(d - n) to every index.
     """
     perms = np.array(list(itertools.permutations(range(d))))
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     slots = np.array([j for j in range(d + 1) if j != n])
-    signs = np.where((n + inversions) % 2, -1, 1).astype(np.int8)
-    return perms @ d ** (d - slots), signs
+    branches = np.arange(d)[:, None]
+    matrix = np.zeros((d, d ** (d + 1)), dtype=np.int8)
+    flat = perms @ d ** (d - slots) + branches * d ** (d - n)
+    matrix[branches, flat] = np.where((n + inversions) % 2, -1, 1)
+    return matrix
 
 
 def build_detection_core(d, n):
@@ -61,7 +64,7 @@ def build_povm_vector(d, n, k):
     """Basis vector of the conclusive element for outcome n, branch k.
 
     Puts qudit n in basis state |k> and the remaining d qudits in the
-    antisymmetric detection state: the signs of _sign_form over sqrt(d!).
+    antisymmetric detection state: row k of _sign_matrix over sqrt(d!).
     Every nonzero amplitude sits in the total-excitation sector
     k + d(d-1)/2, which makes different-k vectors orthogonal regardless
     of the outcome indices.  The vector is dense, so d above DENSE_MAX_D
@@ -70,10 +73,7 @@ def build_povm_vector(d, n, k):
     d = _check_built_dim(d)
     n = _check_index("outcome index", n, 1, d)
     k = _check_index("branch index", k, 0, d - 1)
-    flat, signs = _sign_form(d, n)
-    amps = np.zeros(d ** (d + 1), dtype=np.complex128)
-    amps[flat + k * d ** (d - n)] = signs / math.sqrt(math.factorial(d))
-    return StateVector(d, amps)
+    return StateVector(d, _sign_matrix(d, n)[k] / math.sqrt(math.factorial(d)))
 
 
 @dataclass(frozen=True)
@@ -152,20 +152,12 @@ def build_povm(d):
 
     Each conclusive element carries scale d/(d+1) — the largest value
     for which the inconclusive remainder stays positive semidefinite —
-    and its sign matrix, filled from _sign_form: row k holds the branch-0
-    signs at the indices shifted by k * d**(d - n).  No float vector and
-    no D x D operator is formed.  d above DENSE_MAX_D is refused.
+    and its _sign_matrix.  No float vector and no D x D operator is
+    formed.  d above DENSE_MAX_D is refused.
     """
     d = _check_built_dim(d)
     scale = d / (d + 1)
-    branches = np.arange(d)[:, None]
-    elements = []
-    for n in range(1, d + 1):
-        flat, signs = _sign_form(d, n)
-        matrix = np.zeros((d, d ** (d + 1)), dtype=np.int8)
-        matrix[branches, flat + branches * d ** (d - n)] = signs
-        elements.append(LowRankPovmElement(d, n, scale, matrix))
-    return Povm(d, elements)
+    return Povm(d, [LowRankPovmElement(d, n, scale, _sign_matrix(d, n)) for n in range(1, d + 1)])
 
 
 def overlap_with_product(d, n, factors):

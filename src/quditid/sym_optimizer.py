@@ -24,7 +24,7 @@ GRAM_TOL = 1e-12
 # Feasibility margin on the largest eigenvalue; boundary points count.
 FEASIBILITY_TOL = 1e-10
 
-# Inputs the grid oracle accepts; d = 3 at the finest takes ~10M eigensolves.
+# Inputs the grid oracle accepts; d = 3 at the finest takes ~1.8M eigensolves.
 GRID_DIMS = (2, 3)
 MIN_RESOLUTION = 0.001
 MAX_RESOLUTION = 0.1
@@ -108,10 +108,15 @@ def optimal_weight_grid(fam, resolution):
     feasible point (top eigenvalue of the weighted frame operator at most
     1 + FEASIBILITY_TOL) with the largest float total, ties going to the
     lexicographically smallest weights.  Raising a weight adds a positive
-    semidefinite term, so the feasible set is down-closed: per prefix of
-    the first d-1 indices the feasible last indices form an initial
-    segment, whose end is bisected.  Raising a weight strictly raises the
-    float total, so the answer is one of those ends.
+    semidefinite term, so the feasible set is down-closed, and strictly
+    raises the float total: the answer is some prefix's frontier point,
+    the largest feasible last index after the first d-1.  As the
+    second-to-last index rises with the first d-2 fixed (one row), the
+    frontier can only fall.  So each row is walked once from (0, top) in
+    its last two indices: a feasible point is its prefix's frontier and
+    the walk moves to the next prefix, an infeasible one lowers the last
+    index.  Rows and prefixes come in lexicographic order, and the first
+    largest total wins.
     """
     if fam.d not in GRID_DIMS:
         raise ValueError(f"grid search supports d in {GRID_DIMS}, got {fam.d}")
@@ -119,10 +124,9 @@ def optimal_weight_grid(fam, resolution):
         raise ValueError(f"resolution {resolution} outside [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
-    prefixes = np.indices((steps,) * (fam.d - 1)).reshape(fam.d - 1, -1).T
-    # Per prefix: the largest last index known feasible (-1: none), smallest not.
-    lo = np.full(len(prefixes), -1)
-    hi = np.full(len(prefixes), steps)
+    at = np.indices((steps,) * (fam.d - 2) + (1, 1)).reshape(fam.d, -1).T
+    at[:, -1] = steps - 1
+    best, best_at = np.full(len(at), -np.inf), at.copy()
 
     # perfbench/child.py counts grid candidates from the eigvalsh calls
     # made in a function of this name.
@@ -131,12 +135,13 @@ def optimal_weight_grid(fam, resolution):
         top = np.linalg.eigvalsh(frame_operator(fam, values[points]))[:, -1]
         return top <= 1.0 + FEASIBILITY_TOL
 
-    while (open_ := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[open_] + hi[open_]) // 2
-        ok = consider(np.column_stack([prefixes[open_], mid]))
-        lo[open_[ok]] = mid[ok]
-        hi[open_[~ok]] = mid[~ok]
-    frontier = values[np.column_stack([prefixes, lo])[lo >= 0]]
-    totals = frontier.sum(axis=1)
-    best = int(np.argmax(totals))
-    return frontier[best], float(totals[best])
+    while (live := np.flatnonzero((at[:, -2] < steps) & (at[:, -1] >= 0))).size:
+        ok = consider(at[live])
+        found = live[ok]
+        totals = values[at[found]].sum(axis=1)
+        gain = totals > best[found]
+        best[found[gain]], best_at[found[gain]] = totals[gain], at[found[gain]]
+        at[found, -2] += 1
+        at[live[~ok], -1] -= 1
+    row = int(np.argmax(best))
+    return values[best_at[row]], float(best[row])

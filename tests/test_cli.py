@@ -34,6 +34,14 @@ VERIFY_CHECKS = [
     "scale_is_optimal",
 ]
 
+# SHA-256 of `optimize --mode grid --out FILE` for (d, resolution),
+# pinned so that a faster grid search returns the same weights and total.
+OPTIMIZE_SHA256 = {
+    (2, "0.01"): "7caa0865fcece996cc694047462e03c74bbd7434eeb774d71a119c029f0effd2",
+    (3, "0.01"): "0e665ff758d0209620cc87745cad428c67495a1852992f25581afc5a2e2d51ed",
+    (3, "0.005"): "2fcca8dba818710ff11a3c3e1e1ccf00b5fac05b48802b000a96228a0bd95918",
+}
+
 # SHA-256 of `simulate --format csv --out FILE` for (d, trials, seed),
 # pinned so that batch rendering keeps every byte of the format_float
 # form.  The trial counts cross 2048-trial batch boundaries.
@@ -271,6 +279,26 @@ def test_optimize_grid(capsys):
     assert 9.0 / 4.0 - 0.15 <= payload["S_opt"] <= 9.0 / 4.0 + 1e-9
 
 
+@pytest.mark.parametrize("d, resolution", sorted(OPTIMIZE_SHA256))
+def test_optimize_grid_bytes_are_pinned(capsys, tmp_path, d, resolution):
+    path = tmp_path / "optimize.json"
+    rc, out = run_cli(
+        capsys, "optimize", "--d", str(d), "--mode", "grid",
+        "--resolution", resolution, "--out", str(path),
+    )
+    assert rc == 0
+    assert out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OPTIMIZE_SHA256[d, resolution]
+
+
+def test_optimize_eigen_ignores_resolution(capsys):
+    # Eigen mode never reads --resolution, so a value the grid refuses
+    # changes nothing.
+    rc, out = run_cli(capsys, "optimize", "--d", "4", "--resolution", "0.0005")
+    assert rc == 0
+    assert out == run_cli(capsys, "optimize", "--d", "4")[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -283,7 +311,7 @@ def test_optimize_grid(capsys):
         ["simulate", "--d", "2", "--seed", "-1"],
         ["simulate", "--d", "2", "--seed", str(2**64)],
         ["optimize", "--d", "4", "--mode", "grid"],
-        ["optimize", "--d", "2", "--resolution", "0.5"],
+        ["optimize", "--d", "2", "--mode", "grid", "--resolution", "0.5"],
         ["optimize", "--d", "2", "--mode", "grid", "--resolution", "1e-300"],
         ["optimize", "--d", "2", "--mode", "grid", "--resolution", "0.0009"],
     ],

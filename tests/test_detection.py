@@ -308,6 +308,17 @@ def test_build_povm_keeps_only_sign_form():
     assert retained < 2**20
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_povm_vector_is_a_row_of_the_element(d):
+    """build_povm_vector and build_povm read the same sign matrix, so each
+    vector is bit for bit the element's row over sqrt(d!)."""
+    povm = build_povm(d)
+    for n in range(1, d + 1):
+        for k in range(d):
+            want = povm.elements[n - 1].vectors[k].amps
+            assert build_povm_vector(d, n, k).amps.tobytes() == want.tobytes()
+
+
 def test_povm_wrapper_validation(povm2):
     with pytest.raises(ValueError):
         Povm(2, povm2.elements[:1])

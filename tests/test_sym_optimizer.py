@@ -173,8 +173,12 @@ def _exhaustive_grid(fam, resolution, chunk=8192):
     return best, float(best_total)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("resolution", [0.1, 0.09, 0.07, 0.05, 0.04, 1 / 30, 0.03, 0.02])
+# d = 2 is a single walk; at 0.005 and 0.002 it runs 201 and 501 steps.
+@pytest.mark.parametrize(
+    "resolution, d",
+    [(r, d) for r in [0.1, 0.09, 0.07, 0.05, 0.04, 1 / 30, 0.03, 0.02] for d in (2, 3)]
+    + [(0.005, 2), (0.002, 2)],
+)
 def test_grid_search_matches_exhaustive_scan(d, resolution):
     fam = build_symmetric_family(d)
     weights, total = optimal_weight_grid(fam, resolution)
@@ -192,7 +196,9 @@ def test_grid_search_tie_breaks_on_float_total():
     assert total == 2.1700000000000004
 
 
-def test_grid_search_bisects_a_fraction_of_the_grid(monkeypatch):
+def test_grid_search_walks_each_row_once(monkeypatch):
+    # Each of the 101 rows takes at most one step per grid index in its
+    # last two coordinates: at most 2 * 101 rounds and 2 * 101**2 solves.
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -204,17 +210,28 @@ def test_grid_search_bisects_a_fraction_of_the_grid(monkeypatch):
     weights, total = optimal_weight_grid(build_symmetric_family(3), 0.01)
     assert weights.tolist() == [0.75, 0.75, 0.75]
     assert total == 2.25
-    assert 0 < sum(solved) <= 100_000 < 101**3
+    assert 0 < len(solved) <= 2 * 101
+    assert 0 < sum(solved) <= 2 * 101**2 < 101**3
+
+
+def _traced_peak(d, resolution):
+    """tracemalloc's peak, in bytes, over one optimal_weight_grid call."""
+    fam = build_symmetric_family(d)
+    tracemalloc.start()
+    try:
+        optimal_weight_grid(fam, resolution)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_grid_search_memory_stays_below_the_grid():
-    # The d = 3 grid at 0.005 has 201**3 = 8.1M points; the bisection
-    # holds only its 201**2 prefixes.
-    fam = build_symmetric_family(3)
-    tracemalloc.start()
-    try:
-        optimal_weight_grid(fam, 0.005)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # The d = 3 grid at 0.005 has 201**3 = 8.1M points; the walk holds
+    # one point per row, 201 rows.
+    assert _traced_peak(3, 0.005) < 32 * 2**20
+
+
+def test_grid_search_memory_does_not_grow_with_the_prefixes():
+    # 501**2 = 251k prefixes at d = 3, 0.002; the walk's 501 rows take
+    # about 0.16 MiB, where a batch over every prefix took 69 MiB.
+    assert _traced_peak(3, 0.002) < 4 * 2**20
