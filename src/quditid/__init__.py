@@ -3,8 +3,8 @@
 The register holds one probe qudit and d reference qudits, each of
 dimension d.  This package constructs the measurement that identifies
 which reference the probe matches without ever misidentifying it,
-verifies its algebra exactly (Gram structure, zero cross-talk, optimal
-scale, closed-form success probability), re-derives the optimal element
+verifies exactly that it is a valid measurement with zero cross-talk
+and the closed-form success probability, re-derives the optimal element
 scale in an independent abstract representation, and simulates the
 experiment with reproducible per-trial random streams.
 """

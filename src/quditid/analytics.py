@@ -125,47 +125,50 @@ def conclusive_sum_spectrum(d):
     )
 
 
+def _is_psd(rows):
+    """Whether symmetric `rows` with a Fraction diagonal is PSD, by exact
+    LDL^T in place: a negative pivot, or a zero one over a nonzero entry, refutes it."""
+    for k, pivot_row in enumerate(rows):
+        below = [row for row in rows[k + 1 :] if row[k]]
+        if pivot_row[k] < 0 or (pivot_row[k] == 0 and below):
+            return False
+        for row in below:
+            ratio = row[k] / pivot_row[k]
+            row[k:] = [x - ratio * y for x, y in zip(row[k:], pivot_row[k:])]
+    return True
+
+
 def verify_report(d, povm=None):
     """Run the algebraic checks and bundle the results.
 
-    Every check is an exact equality on the elements' sign matrices S,
-    stacked (v = S / sqrt(d!)), and each flags at least one
-    broken measurement (tests/test_mutations.py):
+    Each check is exact, blind to the sign of any one vector (it reads
+    only the operators Pi_m), and flags at least one broken measurement
+    (tests/test_mutations.py):
 
-    - gram_structure: S S^T is d! times the optimal Gram matrix
-      (identity within an element, -1/d between same-branch vectors of
-      different elements, which fixes the sign convention, 0 across
-      branches);
     - success_matches_closed_form: success == 1/((d+1) d**(d-1));
     - no_misidentification: every Tr(rho_n Pi_m), m != n, is 0;
-    - scale_is_optimal: every scale is the double nearest d/(d+1), which
-      stands for d/(d+1); any other double enters as its exact value,
-      so a scale one ulp off fails.
+    - primal_feasible: I - sum Pi_m >= 0.  sum Pi_m shares its nonzero
+      eigenvalues with D_s^(1/2) G D_s^(1/2), for G = S S^T / d! (S the
+      stacked sign rows) and D_s each row's scale as _exact_scale reads
+      it, so this is d! D_s^-1 - S S^T >= 0 (Eldar 2003), by _is_psd.
 
-    Positivity of I - sum Pi_m needs no check of its own: with these
-    Gram entries and scales the conclusive sum shares its nonzero
-    eigenvalues with d/(d+1) times the Gram matrix, so its spectrum is
-    conclusive_sum_spectrum(d), within [0, 1].  The report's floats are
-    each rounded once from their exact values; "ok" is true when
-    "failed_checks" is empty.  build_povm refuses d > DENSE_MAX_D.
+    The report's floats are each rounded once from their exact values;
+    "ok" is true when "failed_checks" is empty.  build_povm refuses
+    d > DENSE_MAX_D.
     """
     d = check_dim(d)
     povm = build_povm(d) if povm is None else povm
     traces = _traces(povm, d)
     p_succ = _success(traces)
     max_offdiag = max(abs(t) for n, row in enumerate(traces) for m, t in enumerate(row) if m != n)
-    fact = math.factorial(d)
     signs = np.vstack([elem.signs for elem in povm.elements]).astype(np.int64)
-    same = np.eye(d, dtype=np.int64)
-    target = np.kron(fact * same - fact // d * (1 - same), same)
-    gram_dev = int(np.max(np.abs(signs @ signs.T - target)))
-    optimal = _exact_scale(d / (d + 1), d)
-    scale_dev = max(abs(_exact_scale(e.scale, d) - optimal) for e in povm.elements)
+    form = [[-g for g in row] for row in (signs @ signs.T).tolist()]
+    for i, scale in enumerate(e.scale for e in povm.elements for _ in e.signs):
+        form[i][i] += math.factorial(d) / _exact_scale(scale, d)
     checks = {
         "success_matches_closed_form": p_succ * (d + 1) * d ** (d - 1) == 1,
         "no_misidentification": max_offdiag == 0,
-        "gram_structure": gram_dev == 0,
-        "scale_is_optimal": scale_dev == 0,
+        "primal_feasible": _is_psd(form),
     }
     failed = sorted(name for name, ok in checks.items() if not ok)
     return {
@@ -173,8 +176,6 @@ def verify_report(d, povm=None):
         "p_succ": float(p_succ),
         "p_succ_closed_form": closed_form_success(d),
         "max_offdiag": float(max_offdiag),
-        "gram_max_dev": gram_dev / fact,
-        "scale_max_dev": float(scale_dev),
         "checks": checks,
         "failed_checks": failed,
         "ok": not failed,

@@ -124,7 +124,7 @@ class Povm:
 
     The inconclusive element is not stored: it is defined as the
     identity minus the conclusive sum, so completeness holds by
-    construction, and verify_report's exact checks imply its positivity.
+    construction, and verify_report's primal_feasible decides its positivity.
     """
 
     d: int

@@ -4,8 +4,8 @@ Each trial draws d Haar-random reference states, loads the probe with a
 uniformly chosen one of them, and samples a measurement outcome.  With
 the probe equal to reference t, every conclusive outcome other than t
 has probability zero (its detection states are antisymmetric over two
-equal factors), and outcome t has probability scale/d! |det R|², R the
-d x d matrix of the references: one determinant per trial, never a
+equal factors), and outcome t has probability (d/(d+1))/d! |det R|², R
+the d x d matrix of the references: one determinant per trial, never a
 dense operator.  The inconclusive probability is the complement.
 
 Reproducibility: trial i's random words are a pure function of
@@ -17,7 +17,7 @@ in [0, 2**64).  trial_batches(d, trials, seed) yields the trials one
 batch at a time, so nothing holds every trial at once; its values, and
 the counts run_experiment adds up from them, are bit-identical for a
 given (d, trials, seed) however trials are batched.
-_simulate_range(d, d/(d+1), seed, i, 1) reproduces trial i on its own.
+_simulate_range(d, seed, i, 1) reproduces trial i on its own.
 """
 
 import math
@@ -130,22 +130,22 @@ def _draw_trials(d, seed, start, count):
     return refs, truths, u[2 * n + 1]
 
 
-def _probs_batch(d, scale, refs):
+def _probs_batch(d, refs):
     """Success probability of each trial in a batch whose probe equals
-    its true reference: scale/d! |det R|² for refs (B, d, d), R[b] the
-    matrix of trial b's references.  By Hadamard's inequality it is at
-    most scale/d! for unit-norm references.  Returns shape (B,).
+    its true reference: c |det R|² for refs (B, d, d), R[b] the matrix of
+    trial b's references and c = (d/(d+1))/d!, which by Hadamard's
+    inequality bounds it for unit-norm references.  Returns shape (B,).
     """
     dets = np.linalg.det(refs)
-    return (scale / math.factorial(d)) * (dets.real**2 + dets.imag**2)
+    return (d / (d + 1) / math.factorial(d)) * (dets.real**2 + dets.imag**2)
 
 
-def _simulate_range(d, scale, seed, start, count):
+def _simulate_range(d, seed, start, count):
     """Truths, outcomes and success probabilities of the trials
     [start, start + count).  The outcome is the truth when the outcome
     uniform lies below the success probability, else inconclusive."""
     refs, truths, us = _draw_trials(d, seed, start, count)
-    p = _probs_batch(d, scale, refs)
+    p = _probs_batch(d, refs)
     return truths, np.where(us < p, truths, INCONCLUSIVE), p
 
 
@@ -169,10 +169,9 @@ def trial_batches(d, trials, seed):
 # A generator's body runs only at its first next(), so trial_batches checks
 # its arguments and then hands the checked values to this one.
 def _batches(d, trials, seed):
-    scale = d / (d + 1)
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
-        yield (start, *_simulate_range(d, scale, seed, start, count))
+        yield (start, *_simulate_range(d, seed, start, count))
 
 
 @dataclass(frozen=True, eq=False)

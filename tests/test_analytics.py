@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from conftest import dense_conclusive_sum
 
 from quditid.analytics import (
     ConfusionMatrix,
+    _is_psd,
     closed_form_success,
     conclusive_sum_spectrum,
     confusion,
@@ -123,13 +125,10 @@ def test_verify_report_passes(d):
     assert report["d"] == d
     assert report["p_succ"] == report["p_succ_closed_form"] == closed_form_success(d)
     assert report["max_offdiag"] == 0.0
-    assert report["gram_max_dev"] == 0.0
-    assert report["scale_max_dev"] == 0.0
     assert set(report["checks"]) == {
         "success_matches_closed_form",
         "no_misidentification",
-        "gram_structure",
-        "scale_is_optimal",
+        "primal_feasible",
     }
 
 
@@ -151,18 +150,18 @@ def test_verify_report_flags_oversized_scale(d, excess, povm2, povm3):
     scale = {"tiny": d / (d + 1) + 1e-6, "unit": 1.0}[excess]
     report = verify_report(d, povm=_rescaled(povm, scale))
     assert report["ok"] is False
-    assert report["failed_checks"] == ["scale_is_optimal", "success_matches_closed_form"]
-    assert report["scale_max_dev"] == pytest.approx(scale - d / (d + 1), rel=1e-9)
+    assert report["failed_checks"] == ["primal_feasible", "success_matches_closed_form"]
 
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_verify_report_success_tolerance_is_relative(d, povm4):
     """A scale off by 5e-11 (relative) moves the success probability by
     5e-11 of itself: below 1e-12 in absolute terms at d >= 4, where the
-    optimum is at most 1/320.  The exact checks flag it all the same."""
+    optimum is at most 1/320.  The exact success check flags it all the
+    same; a scale below the optimum keeps the remainder positive."""
     povm = povm4 if d == 4 else build_povm(5)
     report = verify_report(d, povm=_rescaled(povm, povm.scale * (1 - 5e-11)))
-    assert report["failed_checks"] == ["scale_is_optimal", "success_matches_closed_form"]
+    assert report["failed_checks"] == ["success_matches_closed_form"]
     p = closed_form_success(d)
     assert report["p_succ"] == pytest.approx(p * (1 - 5e-11), rel=1e-13)
 
@@ -170,20 +169,57 @@ def test_verify_report_success_tolerance_is_relative(d, povm4):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("optimal", [True, False])
 def test_gram_spectrum_matches_dense_oracle(d, optimal, povm2, povm3):
-    """The spectrum the exact Gram check implies, scale times the Gram
-    eigenvalues {1/d, (d+1)/d} padded with zeros, equals the eigenvalues
-    of the dense conclusive sum: conclusive_sum_spectrum(d) at the
-    optimal scale, (d+1)/d times it at scale 1, whose remainder is
-    indefinite."""
+    """The dense conclusive sum has the eigenvalues scale times the Gram
+    eigenvalues {1/d, (d+1)/d}, padded with zeros: conclusive_sum_spectrum(d)
+    at the optimal scale, (d+1)/d times it at scale 1, whose remainder is
+    indefinite.  primal_feasible agrees with the dense remainder one
+    implication at a time: passing it means no eigenvalue below -1e-12,
+    and an eigenvalue below -1e-10 means failing it."""
     povm = {2: povm2, 3: povm3}[d]
     if not optimal:
         povm = _rescaled(povm, 1.0)
     report = verify_report(d, povm=povm)
-    assert report["checks"]["gram_structure"] is True
-    assert report["checks"]["scale_is_optimal"] is optimal
+    assert report["checks"]["primal_feasible"] is optimal
     D = total_dim(d)
     dense = dense_conclusive_sum(povm.elements)
     want = conclusive_sum_spectrum(d) * povm.scale * (d + 1) / d
     assert np.max(np.abs(np.linalg.eigvalsh(dense) - want)) <= 1e-12
-    min_remainder = np.linalg.eigvalsh(np.eye(D) - dense)[0]
-    assert bool(min_remainder >= -1e-12) is optimal
+    remainder = np.linalg.eigvalsh(np.eye(D) - dense)
+    if report["checks"]["primal_feasible"]:
+        assert remainder[0] >= -1e-12
+    if remainder[0] < -1e-10:
+        assert not report["checks"]["primal_feasible"]
+    if report["ok"]:
+        assert np.max(np.abs(remainder - np.sort(1.0 - want))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows, psd",
+    [
+        ([[0, 0], [0, 0]], True),
+        ([[1, 1], [1, 1]], True),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+        ([[1, 0], [0, -1]], False),
+        ([[1, 2], [2, 1]], False),
+        ([[0, 1], [1, 0]], False),
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], False),
+    ],
+    ids=["zero", "rank-one", "tridiagonal", "negative-pivot", "indefinite",
+         "zero-pivot", "zero-schur-pivot"],
+)
+def test_is_psd_small_cases(rows, psd):
+    assert _is_psd([[Fraction(x) for x in row] for row in rows]) is psd
+
+
+def test_is_psd_is_exact_on_integer_grams():
+    """Integer Gram matrices B^T B of rank 3 in size 6 are PSD, with zero
+    pivots; shifting the diagonal by -1/1000, small beside their entries,
+    makes them indefinite.  _is_psd mutates its argument, hence the copy."""
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        b = rng.integers(-2, 3, size=(3, 6))
+        gram = [[Fraction(g) for g in row] for row in (b.T @ b).tolist()]
+        assert _is_psd([list(row) for row in gram]) is True
+        shifted = [[g - Fraction(i == j, 1000) for j, g in enumerate(row)]
+                   for i, row in enumerate(gram)]
+        assert _is_psd(shifted) is False

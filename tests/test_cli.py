@@ -19,20 +19,16 @@ BUILD_SHA256 = {
 # SHA-256 of `verify --d N --out FILE`, pinned so that every key and
 # every exactly computed value of the report stays as it is.
 VERIFY_SHA256 = {
-    2: "886eba87264fd2038f403ebdf7a979a6732f26a1644166d49c069c7c031ccdd8",
-    3: "05d2adf6fd4044a0cc0e3a9f69108364e37335337804d44b262379fb3e880174",
-    4: "84c9a7630f28a62689fc32ea3df85ce6681b6a98f46b0db4078c9713b399412c",
-    5: "c528b69370aaaf1b03fde077c2dacc3f24c8f64862381610521da51800d21836",
+    2: "72b3aa6209acbb0a5050571aa9cef2e2691f7298d878f277f37ffaee54d0bf53",
+    3: "7e3623cd0ea55db590c4a0a4af97dc1e88098c4b8739e9a19a5ffecdfba77c5c",
+    4: "2be79b18ec1018b75652e1bbe156941656a92bc8f0508b4691d9ae487c0246d9",
+    5: "1ebcc48741539c1657fdd40427646cd8b97a91ed4b9b0e62da86a84574488518",
 }
 
 VERIFY_KEYS = [
-    "d", "p_succ", "p_succ_closed_form", "max_offdiag", "gram_max_dev",
-    "scale_max_dev", "checks", "failed_checks", "ok",
+    "d", "p_succ", "p_succ_closed_form", "max_offdiag", "checks", "failed_checks", "ok",
 ]
-VERIFY_CHECKS = [
-    "success_matches_closed_form", "no_misidentification", "gram_structure",
-    "scale_is_optimal",
-]
+VERIFY_CHECKS = ["success_matches_closed_form", "no_misidentification", "primal_feasible"]
 
 # SHA-256 of `optimize --mode grid --out FILE` for (d, resolution),
 # pinned so that a faster grid search returns the same weights and total.
@@ -103,11 +99,11 @@ def test_verify_writes_file(capsys, tmp_path):
 
 
 def test_verify_exit_code_2_on_failure(capsys, monkeypatch):
-    fake = {"ok": False, "failed_checks": ["scale_is_optimal"], "d": 2}
+    fake = {"ok": False, "failed_checks": ["primal_feasible"], "d": 2}
     monkeypatch.setattr(cli, "verify_report", lambda d: fake)
     rc, out = run_cli(capsys, "verify", "--d", "2")
     assert rc == 2
-    assert json.loads(out)["failed_checks"] == ["scale_is_optimal"]
+    assert json.loads(out)["failed_checks"] == ["primal_feasible"]
 
 
 def test_build_round_trips(capsys):

@@ -131,14 +131,14 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
 def _one_trial(d, seed, index):
     """Trial `index` under `seed`, simulated on its own: (truth, outcome,
     success probability)."""
-    truths, outcomes, p = _simulate_range(d, d / (d + 1), seed, index, 1)
+    truths, outcomes, p = _simulate_range(d, seed, index, 1)
     return int(truths[0]), int(outcomes[0]), float(p[0])
 
 
 def test_run_trial_record_shape():
     """One trial on its own: a truth in 1..d, an outcome that is the truth
     or inconclusive, and a success probability in [0, scale/d!]."""
-    truths, outcomes, p = _simulate_range(3, 0.75, 5, 0, 1)
+    truths, outcomes, p = _simulate_range(3, 5, 0, 1)
     assert truths.shape == outcomes.shape == p.shape == (1,)
     assert 1 <= truths[0] <= 3
     assert outcomes[0] in (truths[0], INCONCLUSIVE)

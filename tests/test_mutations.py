@@ -1,5 +1,6 @@
 """Mutation suite for `verify_report`: every check it keeps must flag at
-least one deliberately broken measurement.
+least one deliberately broken measurement, and no check may flag a
+mutant that leaves every element operator as it is.
 
 Each mutant rebuilds the elements' sign rows from digits with one named
 break and passes the result to `verify_report`; the table below pins
@@ -8,18 +9,20 @@ mutants closest to the optimum, at d=4 and d=5.  The unbroken builder
 reproduces `build_povm`'s sign matrices entry for entry, so each mutant
 differs from the real measurement only by its break.
 
-Some rows need a word.  Dropping the (-1)**n phase multiplies every
-vector of element n by the same sign, so every element operator, and
-with it every trace and spectrum, is unchanged; only `gram_structure`,
-whose -1/d cross term encodes the sign convention, catches it.
+Some rows need a word.  Three mutants are equivalent: they change no
+element operator s_m sum_k |v_k><v_k|, so every check must pass on them.
+Dropping the (-1)**n phase multiplies every vector of element n by the
+same sign, reversing the slot order multiplies every vector by
+(-1)**(d(d-1)/2), and negating one vector leaves its projector as it is.
+A scale below the optimum leaves I - sum Pi_m positive, so only the
+success check catches it; one above also fails `primal_feasible`.
 Tilting the scales of elements 1 and 2 by +-eps keeps their mean, so
-the success probability stays exactly optimal and only
-`scale_is_optimal` catches it; at eps = 2**-40 the dense remainder's
-smallest eigenvalue is only about -7e-13, which a float positivity
-check with an absolute 1e-10 tolerance passes.  Reversing the slot
-order is an equivalent mutant, not a gap: it multiplies every vector
-by the same sign (-1)**(d(d-1)/2), and every check passes on it, as it
-should.
+at d=3, where d/(d+1) is a double, the success probability stays
+exactly optimal and only `primal_feasible` catches it; at eps = 2**-40
+the dense remainder's smallest eigenvalue is only about -7e-13, which a
+float positivity check with an absolute 1e-10 tolerance passes.  At
+d=4 the two tilted doubles no longer average to exactly 4/5, so the
+success check flags that row too.
 """
 
 import itertools
@@ -93,6 +96,11 @@ def _tilted(d, eps):
     return _povm(d, scales={1: d / (d + 1) + eps, 2: d / (d + 1) - eps})
 
 
+def _negated(d, n, k):
+    """Element 1's branch-0 vector with its sign flipped."""
+    return -_vector(d, n, k) if (n, k) == (1, 0) else _vector(d, n, k)
+
+
 def _borrowed(d, n, k):
     """Element 1's branch-0 vector taken from element 2."""
     return _vector(d, 2 if (n, k) == (1, 0) else n, k)
@@ -116,39 +124,49 @@ MUTANTS = {
     "dropped (-1)**n phase": lambda d: _povm(d, phase=False),
     "one vector from another element": lambda d: _povm(d, vectors=_borrowed),
     "reversed slot order (equivalent)": lambda d: _povm(d, reverse=True),
+    "one vector negated (equivalent)": lambda d: _povm(d, vectors=_negated),
 }
+
+# Mutants that change no element operator: every check passes on them.
+EQUIVALENT = (
+    "dropped (-1)**n phase",
+    "reversed slot order (equivalent)",
+    "one vector negated (equivalent)",
+)
 
 SUCCESS = "success_matches_closed_form"
 MISID = "no_misidentification"
-GRAM = "gram_structure"
-SCALE = "scale_is_optimal"
+PRIMAL = "primal_feasible"
 
 # (mutant, d) -> the checks that flag it.
 FLAGGED = {
-    ("scale x1.01", 2): {SUCCESS, SCALE},
-    ("scale x1.01", 3): {SUCCESS, SCALE},
-    ("scale x0.99", 2): {SUCCESS, SCALE},
-    ("scale x0.99", 3): {SUCCESS, SCALE},
-    ("scale x(1 + 1e-15)", 4): {SUCCESS, SCALE},
-    ("scale x(1 + 1e-15)", 5): {SUCCESS, SCALE},
-    ("scale x(1 - 1e-15)", 4): {SUCCESS, SCALE},
-    ("scale x(1 - 1e-15)", 5): {SUCCESS, SCALE},
-    ("scale x(1 - 5e-11)", 4): {SUCCESS, SCALE},
-    ("scale x(1 - 5e-11)", 5): {SUCCESS, SCALE},
-    ("tilted scales 2**-10", 3): {SCALE},
-    ("tilted scales 2**-40", 3): {SCALE},
+    ("scale x1.01", 2): {SUCCESS, PRIMAL},
+    ("scale x1.01", 3): {SUCCESS, PRIMAL},
+    ("scale x0.99", 2): {SUCCESS},
+    ("scale x0.99", 3): {SUCCESS},
+    ("scale x(1 + 1e-15)", 4): {SUCCESS, PRIMAL},
+    ("scale x(1 + 1e-15)", 5): {SUCCESS, PRIMAL},
+    ("scale x(1 - 1e-15)", 4): {SUCCESS},
+    ("scale x(1 - 1e-15)", 5): {SUCCESS},
+    ("scale x(1 - 5e-11)", 4): {SUCCESS},
+    ("scale x(1 - 5e-11)", 5): {SUCCESS},
+    ("tilted scales 2**-10", 3): {PRIMAL},
+    ("tilted scales 2**-40", 3): {PRIMAL},
+    ("tilted scales 2**-40", 4): {SUCCESS, PRIMAL},
     ("unsigned permutations", 2): {MISID},
-    ("unsigned permutations", 3): {MISID, GRAM},
+    ("unsigned permutations", 3): {MISID, PRIMAL},
     ("antisymmetrised over the wrong qudit", 2): {SUCCESS, MISID},
-    ("antisymmetrised over the wrong qudit", 3): {SUCCESS, MISID, GRAM},
+    ("antisymmetrised over the wrong qudit", 3): {SUCCESS, MISID},
     ("branch shift on the wrong qudit", 2): {MISID},
-    ("branch shift on the wrong qudit", 3): {MISID, GRAM},
-    ("dropped (-1)**n phase", 2): {GRAM},
-    ("dropped (-1)**n phase", 3): {GRAM},
-    ("one vector from another element", 2): {SUCCESS, MISID, GRAM},
-    ("one vector from another element", 3): {SUCCESS, MISID, GRAM},
+    ("branch shift on the wrong qudit", 3): {MISID},
+    ("dropped (-1)**n phase", 2): set(),
+    ("dropped (-1)**n phase", 3): set(),
+    ("one vector from another element", 2): {SUCCESS, MISID, PRIMAL},
+    ("one vector from another element", 3): {SUCCESS, MISID, PRIMAL},
     ("reversed slot order (equivalent)", 2): set(),
     ("reversed slot order (equivalent)", 3): set(),
+    ("one vector negated (equivalent)", 2): set(),
+    ("one vector negated (equivalent)", 3): set(),
 }
 
 
@@ -171,24 +189,32 @@ def test_mutant_flagged_by_exactly(mutant, d):
 
 @pytest.mark.parametrize("mutant, d", [key for key in FLAGGED if key[1] <= 3])
 def test_exact_checks_decide_the_dense_spectrum(mutant, d):
-    """Dense oracle for the claim that replaces a positivity check: a
-    measurement that passes gram_structure and scale_is_optimal has the
-    closed-form remainder spectrum 1 - conclusive_sum_spectrum(d), and a
-    measurement whose dense remainder I - sum Pi_m is indefinite fails
-    one of the two."""
+    """Dense oracle for primal_feasible, one implication at a time: a
+    measurement that passes it has no remainder eigenvalue below -1e-12,
+    one with a remainder eigenvalue below -1e-10 fails it, and one that
+    passes every check has the closed-form remainder spectrum
+    1 - conclusive_sum_spectrum(d).  The first two are not an iff:
+    "tilted scales 2**-40" fails primal_feasible, exactly, while its
+    least dense eigenvalue is only about -7e-13."""
     povm = MUTANTS[mutant](d)
-    failed = set(verify_report(d, povm=povm)["failed_checks"])
+    report = verify_report(d, povm=povm)
     dense = dense_conclusive_sum(povm.elements)
     remainder = np.linalg.eigvalsh(np.eye(total_dim(d)) - dense)
-    if not failed & {GRAM, SCALE}:
+    if report["checks"][PRIMAL]:
+        assert remainder[0] >= -1e-12
+    if remainder[0] < -1e-10:
+        assert not report["checks"][PRIMAL]
+    if report["ok"]:
         want = np.sort(1.0 - conclusive_sum_spectrum(d))
         assert np.max(np.abs(remainder - want)) <= 1e-10
-    if remainder[0] < -1e-10:
-        assert failed & {GRAM, SCALE}
 
 
 def test_every_check_flags_a_mutant():
     checks = set(verify_report(2)["checks"])
-    assert checks == {SUCCESS, MISID, GRAM, SCALE}
+    assert checks == {SUCCESS, MISID, PRIMAL}
     for check in checks:
         assert any(check in flagged for flagged in FLAGGED.values()), check
+    for (mutant, d), flagged in FLAGGED.items():
+        assert bool(flagged) is (mutant not in EQUIVALENT), (mutant, d)
+        if mutant in EQUIVALENT:
+            assert verify_report(d, povm=MUTANTS[mutant](d))["ok"] is True
