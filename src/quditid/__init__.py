@@ -28,14 +28,11 @@ from .detection import (
 from .montecarlo import (
     INCONCLUSIVE,
     ExperimentReport,
+    haar_average_check,
     run_experiment,
     trial_batches,
 )
-from .state_ops import (
-    HermitianOperator,
-    build_rho,
-    haar_average_check,
-)
+from .state_ops import HermitianOperator, build_rho
 from .sym_optimizer import (
     SymmetricFamily,
     build_symmetric_family,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .detection import build_povm
 from .state_ops import build_rho
-from .tensor_core import check_dim, total_dim
+from .tensor_core import check_dense_dim, check_dim, total_dim
 
 
 def closed_form_success(d):
@@ -113,9 +113,9 @@ def conclusive_sum_spectrum(d):
     -1/d overlap family as their Gram matrix, whose eigenvalues are 1/d
     (on the sum of the vectors) and (d+1)/d (d-1 times); scaling by
     d/(d+1) gives 1/(d+1) once and 1 repeated d-1 times per sector, and
-    zero on everything outside the sectors.
+    zero on everything outside the sectors.  d above DENSE_MAX_D is refused.
     """
-    d = check_dim(d)
+    d = check_dense_dim(d)
     return np.concatenate(
         [
             np.zeros(total_dim(d) - d * d),
@@ -161,8 +161,9 @@ def verify_report(d, povm=None):
     traces = _traces(povm, d)
     p_succ = _success(traces)
     max_offdiag = max(abs(t) for n, row in enumerate(traces) for m, t in enumerate(row) if m != n)
-    signs = np.vstack([elem.signs for elem in povm.elements]).astype(np.int64)
-    form = [[-g for g in row] for row in (signs @ signs.T).tolist()]
+    # S S^T in float64 is exact, as in LowRankPovmElement's check.
+    signs = np.vstack([elem.signs for elem in povm.elements]).astype(np.float64)
+    form = (-signs @ signs.T).astype(np.int64).tolist()
     for i, scale in enumerate(e.scale for e in povm.elements for _ in e.signs):
         form[i][i] += math.factorial(d) / _exact_scale(scale, d)
     checks = {

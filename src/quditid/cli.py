@@ -26,7 +26,7 @@ import numpy as np
 
 from . import jsonio
 from .analytics import verify_report
-from .detection import DENSE_MAX_D, build_povm, povm_to_dict
+from .detection import build_povm, povm_to_dict
 from .montecarlo import SEED_LIMIT, run_experiment, trial_batches
 from .sym_optimizer import (
     GRID_DIMS,
@@ -37,6 +37,7 @@ from .sym_optimizer import (
     optimal_weight_eigen,
     optimal_weight_grid,
 )
+from .tensor_core import DENSE_MAX_D
 
 
 class _Parser(argparse.ArgumentParser):

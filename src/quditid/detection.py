@@ -18,19 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, _check_index, check_dim, state_to_dict
-
-# Largest d whose measurement is built: `build` writes every vector densely,
-# and at d=6 the d*d vectors alone would take 36 * 6**7 * 16 B, about 161 MB.
-DENSE_MAX_D = 5
-
-
-def _check_built_dim(d):
-    """check_dim, refusing d above DENSE_MAX_D before anything is allocated."""
-    d = check_dim(d)
-    if d > DENSE_MAX_D:
-        raise ValueError(f"the measurement is built densely for d <= {DENSE_MAX_D}, not d={d}")
-    return d
+from .tensor_core import StateVector, _check_index, check_dense_dim, check_dim, state_to_dict
 
 
 def _sign_matrix(d, n):
@@ -70,7 +58,7 @@ def build_povm_vector(d, n, k):
     of the outcome indices.  The vector is dense, so d above DENSE_MAX_D
     is refused before anything is allocated.
     """
-    d = _check_built_dim(d)
+    d = check_dense_dim(d)
     n = _check_index("outcome index", n, 1, d)
     k = _check_index("branch index", k, 0, d - 1)
     return StateVector(d, _sign_matrix(d, n)[k] / math.sqrt(math.factorial(d)))
@@ -102,10 +90,12 @@ class LowRankPovmElement:
             raise ValueError(f"expected a (rank, {d ** (d + 1)}) sign matrix, got {signs.shape}")
         if signs.dtype.kind not in "iu" or np.any((signs < -1) | (signs > 1)):
             raise ValueError("sign matrix entries must be integers in {-1, 0, 1}")
-        wide = signs.astype(np.int64)
-        if np.any(wide @ wide.T != math.factorial(d) * np.eye(len(wide), dtype=np.int64)):
+        # S S^T is exact in float64 (and uses BLAS): each entry is an integer
+        # of magnitude at most D, and any S that fits in memory has D < 2**53.
+        wide = signs.astype(np.float64)
+        if np.any(wide @ wide.T != math.factorial(d) * np.eye(len(wide))):
             raise ValueError("element vectors are not orthonormal: S S^T != d! I")
-        signs = wide.astype(np.int8)
+        signs = signs.astype(np.int8)
         signs.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label", label)
@@ -155,7 +145,7 @@ def build_povm(d):
     and its _sign_matrix.  No float vector and no D x D operator is
     formed.  d above DENSE_MAX_D is refused.
     """
-    d = _check_built_dim(d)
+    d = check_dense_dim(d)
     scale = d / (d + 1)
     return Povm(d, [LowRankPovmElement(d, n, scale, _sign_matrix(d, n)) for n in range(1, d + 1)])
 

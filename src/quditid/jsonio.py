@@ -34,10 +34,10 @@ def format_float(x):
     return s
 
 
-def _render_floats(arr, indent, level):
+def _render_floats(arr, level):
     """Text of a non-empty 2-D float array, as _render(arr.tolist())."""
-    pad = " " * (indent * (level + 1))
-    inner_pad = " " * (indent * (level + 2))
+    pad = "  " * (level + 1)
+    inner_pad = "  " * (level + 2)
     bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
     # One void item per row, so np.unique compares rows bit for bit.
     row_items = bits.view(np.dtype((np.void, 8 * bits.shape[1]))).reshape(-1)
@@ -50,13 +50,13 @@ def _render_floats(arr, indent, level):
         for row in codes.reshape(len(rows), -1).tolist()
     ]
     lines = np.array(row_texts, dtype=object)[row_codes.reshape(-1)]
-    return "[\n" + ",\n".join(lines.tolist()) + "\n" + " " * (indent * level) + "]"
+    return "[\n" + ",\n".join(lines.tolist()) + "\n" + "  " * level + "]"
 
 
-def _render(obj, indent, level, out):
-    """Append the text of `obj` to the list `out`, piece by piece."""
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(obj, level, out):
+    """Append the text of `obj`, two spaces per level, to the list `out`."""
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -73,25 +73,25 @@ def _render(obj, indent, level, out):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{sep}\n{pad}{json.dumps(key)}: ")
-            _render(value, indent, level + 1, out)
+            _render(value, level + 1, out)
             sep = ","
         out.append(f"\n{close_pad}}}" if obj else "{}")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and obj.size:
-        out.append(_render_floats(obj, indent, level))
+        out.append(_render_floats(obj, level))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         sep = "["
         for item in obj:
             out.append(f"{sep}\n{pad}")
-            _render(item, indent, level + 1, out)
+            _render(item, level + 1, out)
             sep = ","
         out.append(f"\n{close_pad}]" if len(obj) else "[]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps(obj, indent=2):
+def dumps(obj):
     """Serialize to pretty-printed JSON with deterministic numerics.  The
     pieces go into one list, joined once, so no text is copied twice."""
     out = []
-    _render(obj, indent, 0, out)
+    _render(obj, 0, out)
     return "".join(out)

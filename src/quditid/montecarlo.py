@@ -18,6 +18,8 @@ batch at a time, so nothing holds every trial at once; its values, and
 the counts run_experiment adds up from them, are bit-identical for a
 given (d, trials, seed) however trials are batched.
 _simulate_range(d, seed, i, 1) reproduces trial i on its own.
+
+haar_average_check checks state_ops.build_rho against the same draws.
 """
 
 import math
@@ -25,6 +27,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from .state_ops import build_rho
 
 # perfbench/child.py binds montecarlo.haar_state and .trial_stream by name,
 # so both stay module attributes though no library path calls them.
@@ -54,6 +58,15 @@ def _check_u64(name, value):
     if not 0 <= value < SEED_LIMIT:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return value
+
+
+def _check_count(name, value):
+    """A number of trials or samples: an integer >= 1, bools refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def trial_stream(seed, index):
@@ -159,11 +172,7 @@ def trial_batches(d, trials, seed):
     whose complements are the inconclusive probabilities.
     """
     d = check_dim(d)
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise TypeError("trials must be an integer")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return _batches(d, int(trials), _check_u64("seed", seed))
+    return _batches(d, _check_count("trials", trials), _check_u64("seed", seed))
 
 
 # A generator's body runs only at its first next(), so trial_batches checks
@@ -172,6 +181,28 @@ def _batches(d, trials, seed):
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
         yield (start, *_simulate_range(d, seed, start, count))
+
+
+def haar_average_check(d, n, samples, seed):
+    """Max entrywise deviation of build_rho(d, n) from the average of the
+    matching-probe projector over the references simulate draws for
+    trials 0 .. samples - 1 under `seed` (an integer in [0, 2**64)).
+    Decays as O(1/sqrt(samples)).  rho.to_dense() refuses d above 4
+    before the D x D accumulator is allocated.
+    """
+    rho = build_rho(d, n)
+    seed = _check_u64("seed", seed)
+    samples = _check_count("samples", samples)
+    dense_rho = rho.to_dense()
+    acc = np.zeros_like(dense_rho)
+    for start in range(0, samples, _CHUNK):
+        batch = min(_CHUNK, samples - start)
+        refs = _draw_trials(rho.d, seed, start, batch)[0]
+        vecs = refs[:, rho.n - 1]
+        for j in range(rho.d):
+            vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(batch, -1)
+        acc += np.einsum("bi,bj->ij", vecs, vecs.conjugate())
+    return float(np.max(np.abs(acc / samples - dense_rho)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,8 @@ exchanges the probe qudit with reference qudit n and leaves the
 spectators alone.  On a flat amplitude vector that swap is a
 permutation of basis indices: reshape to one axis per qudit, swap axes
 0 and n, flatten.  So no D x D matrix is stored, and applying an
-operator costs one copy of the vector.
+operator costs one copy of the vector.  Only HermitianOperator.to_dense
+forms one, and only for D <= DENSE_DIM_LIMIT (d <= 4).
 
     P_sym(0,n)  = (I + SWAP_{0n}) / 2
     P_asym(0,n) = (I - SWAP_{0n}) / 2
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import _check_u64, _draw_trials
 from .tensor_core import _check_index, check_dim, total_dim
 
 # Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).
@@ -75,34 +75,3 @@ def build_rho(d, n):
     """
     c = rho_prefactor(d)
     return HermitianOperator(d, n, c / 2, c / 2)
-
-
-def haar_average_check(d, n, samples, seed):
-    """Monte Carlo check of the averaged density operator.
-
-    Averages the projector onto the matching-probe product state over
-    the references simulate draws for trials 0 .. samples - 1 under
-    `seed` (an integer in [0, 2**64)), and returns the max entrywise
-    deviation from build_rho(d, n).  Decays as O(1/sqrt(samples)).
-    """
-    d = check_dim(d)
-    n = _check_index("reference index", n, 1, d)
-    seed = _check_u64("seed", seed)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    D = total_dim(d)
-    if D > DENSE_DIM_LIMIT:
-        raise ValueError(f"dense average not supported for d={d}")
-    acc = np.zeros((D, D), dtype=np.complex128)
-    done = 0
-    while done < samples:
-        batch = min(2048, samples - done)
-        refs = _draw_trials(d, seed, done, batch)[0]
-        vecs = refs[:, n - 1]
-        for j in range(d):
-            vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(batch, -1)
-        acc += np.einsum("bi,bj->ij", vecs, vecs.conjugate())
-        done += batch
-    avg = acc / samples
-    dense_rho = build_rho(d, n).to_dense()
-    return float(np.max(np.abs(avg - dense_rho)))

@@ -8,6 +8,7 @@ probe digit most significant:
     flat = sum_j digits[j] * d**(d - j)
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ NORM_TOL = 1e-12
 # Largest d with d**(d+1) < 2**62, so every flat index fits an int64.
 MAX_DIM = 14
 
+# Largest d whose d**(d+1)-entry vectors are formed.  At d=6 the d*d
+# measurement vectors alone would take 36 * 6**7 * 16 B, about 161 MB.
+DENSE_MAX_D = 5
+
 
 def check_dim(d):
     """Validate the single-qudit dimension (= number of reference states)."""
@@ -25,6 +30,14 @@ def check_dim(d):
     d = int(d)
     if not 2 <= d <= MAX_DIM:
         raise ValueError(f"dimension must lie in 2..{MAX_DIM}, got {d}")
+    return d
+
+
+def check_dense_dim(d):
+    """check_dim, refusing d above DENSE_MAX_D before anything is allocated."""
+    d = check_dim(d)
+    if d > DENSE_MAX_D:
+        raise ValueError(f"d**(d+1) vectors are formed densely for d <= {DENSE_MAX_D}, not d={d}")
     return d
 
 
@@ -102,19 +115,16 @@ def product_state(factors):
     """Tensor product of d+1 single-qudit states, probe factor first.
 
     Each factor must be a unit-norm amplitude vector of length d, where
-    d+1 is the number of factors.
+    d+1 is the number of factors, and d at most DENSE_MAX_D.
     """
     factors = [np.asarray(f, dtype=np.complex128) for f in factors]
-    d = check_dim(len(factors) - 1)
+    d = check_dense_dim(len(factors) - 1)
     for j, f in enumerate(factors):
         if f.shape != (d,):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
         if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"factor {j} is not normalized")
-    amps = factors[0]
-    for f in factors[1:]:
-        amps = np.kron(amps, f)
-    return StateVector(d, amps)
+    return StateVector(d, functools.reduce(np.kron, factors))
 
 
 def inner_product(a, b):

@@ -10,7 +10,6 @@ from conftest import basis_ket, decode_index, dense_conclusive_sum, stacked_vect
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
 from quditid.detection import (
-    DENSE_MAX_D,
     LowRankPovmElement,
     Povm,
     build_detection_core,
@@ -21,6 +20,7 @@ from quditid.detection import (
 )
 from quditid.state_ops import build_rho
 from quditid.tensor_core import (
+    DENSE_MAX_D,
     encode_index,
     haar_state,
     inner_product,
@@ -109,6 +109,10 @@ def test_builders_refuse_d_above_dense_limit():
         build_detection_core(d, 1)
     with pytest.raises(ValueError, match="densely"):
         build_povm(d)
+    with pytest.raises(ValueError, match="densely"):
+        product_state([np.eye(d)[0]] * (d + 1))
+    with pytest.raises(ValueError, match="densely"):
+        conclusive_sum_spectrum(d)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -80,13 +80,21 @@ def _float_arrays():
 
 
 @pytest.mark.parametrize("name", sorted(_float_arrays()))
-@pytest.mark.parametrize("indent", [0, 2, 3])
-def test_float_array_renders_like_its_list(name, indent):
+@pytest.mark.parametrize("depth", [0, 2, 3])
+def test_float_array_renders_like_its_list(name, depth):
+    """Same text as the nested lists, with the array `depth` levels down
+    (alternately inside a dict and a list), and beside other values."""
     arr = _float_arrays()[name]
-    assert jsonio.dumps(arr, indent) == jsonio.dumps(arr.tolist(), indent)
+    as_list = arr.tolist()
+    for level in range(depth):
+        if level % 2:
+            arr, as_list = [arr, 1], [as_list, 1]
+        else:
+            arr, as_list = {"k": arr}, {"k": as_list}
+    assert jsonio.dumps(arr) == jsonio.dumps(as_list)
     nested = {"outer": [arr, {"inner": arr}], "x": 1.5}
-    as_lists = {"outer": [arr.tolist(), {"inner": arr.tolist()}], "x": 1.5}
-    assert jsonio.dumps(nested, indent) == jsonio.dumps(as_lists, indent)
+    as_lists = {"outer": [as_list, {"inner": as_list}], "x": 1.5}
+    assert jsonio.dumps(nested) == jsonio.dumps(as_lists)
 
 
 def test_float_array_keeps_signed_zero():

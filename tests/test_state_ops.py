@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import dense_pair_projector, haar_unitary
+from quditid.montecarlo import haar_average_check
 from quditid.state_ops import (
     DENSE_DIM_LIMIT,
     HermitianOperator,
     build_rho,
-    haar_average_check,
     rho_prefactor,
 )
 from quditid.tensor_core import total_dim
@@ -149,6 +149,9 @@ def test_haar_average_validation():
         haar_average_check(2, 1, 10, seed=-1)
     with pytest.raises(TypeError):
         haar_average_check(2, 1, 10, seed=None)
+    for samples in (True, 2.5):
+        with pytest.raises(TypeError):
+            haar_average_check(2, 1, samples, seed=0)
 
 
 def test_hermitian_operator_validation():
