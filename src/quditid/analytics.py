@@ -51,9 +51,6 @@ class ConfusionMatrix:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", entries)
 
-    def diagonal(self):
-        return np.diagonal(self.entries[:, : self.d]).copy()
-
     def max_offdiagonal(self):
         conclusive = self.entries[:, : self.d]
         off = conclusive[~np.eye(self.d, dtype=bool)]

@@ -27,12 +27,10 @@ import numpy as np
 from . import jsonio
 from .analytics import verify_report
 from .detection import build_povm, povm_to_dict
-from .montecarlo import SEED_LIMIT, run_experiment, trial_batches
+from .montecarlo import run_experiment, trial_batches
 from .sym_optimizer import (
-    GRID_DIMS,
-    MAX_RESOLUTION,
-    MIN_RESOLUTION,
     build_symmetric_family,
+    check_grid,
     frame_operator,
     optimal_weight_eigen,
     optimal_weight_grid,
@@ -104,9 +102,15 @@ def _csv_blocks(batches):
         yield "".join(rows)
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, parser):
+    # trial_batches checks its arguments at the call and simulates nothing
+    # until iterated, so a usage error exits before --out is opened.
+    try:
+        batches = trial_batches(args.d, args.trials, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.format == "csv":
-        pieces = _csv_blocks(trial_batches(args.d, args.trials, args.seed))
+        pieces = _csv_blocks(batches)
     else:
         report = run_experiment(args.d, args.trials, args.seed)
         pieces = [jsonio.dumps(asdict(report))]
@@ -115,10 +119,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_optimize(args, parser):
-    if args.mode == "grid" and args.d not in GRID_DIMS:
-        parser.error(f"--mode grid supports --d in {GRID_DIMS} only")
-    if args.mode == "grid" and not MIN_RESOLUTION <= args.resolution <= MAX_RESOLUTION:
-        parser.error(f"--resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
+    if args.mode == "grid":
+        try:
+            check_grid(args.d, args.resolution)
+        except ValueError as exc:
+            parser.error(str(exc))
     fam = build_symmetric_family(args.d)
     spectrum = np.linalg.eigvalsh(frame_operator(fam))
     payload = {"d": args.d, "mode": args.mode, "spectrum": list(spectrum)}
@@ -149,8 +154,8 @@ def _build_parser():
 
     simulate = sub.add_parser("simulate", help="Monte Carlo experiment")
     simulate.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
-    simulate.add_argument("--trials", type=_positive_int, default=100000)
-    simulate.add_argument("--seed", type=_seed, default=0)
+    simulate.add_argument("--trials", type=int, default=100000)
+    simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--format", choices=["json", "csv"], default="json")
     simulate.add_argument("--out", default=None)
 
@@ -163,20 +168,6 @@ def _build_parser():
     return parser
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _seed(text):
-    value = int(text)
-    if not 0 <= value < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text}")
-    return value
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -186,7 +177,7 @@ def main(argv=None):
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "simulate":
-            return _cmd_simulate(args)
+            return _cmd_simulate(args, parser)
         return _cmd_optimize(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

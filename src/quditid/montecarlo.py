@@ -12,11 +12,12 @@ Reproducibility: trial i's random words are a pure function of
 (seed, i).  They come from the counter-based generator Philox-4x32-10
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 keyed by the seed and counted by the trial index, and are computed for
-a whole batch of trials at once.  Seeds and trial indices are integers
-in [0, 2**64).  trial_batches(d, trials, seed) yields the trials one
-batch at a time, so nothing holds every trial at once; its values, and
-the counts run_experiment adds up from them, are bit-identical for a
-given (d, trials, seed) however trials are batched.
+a whole batch of trials at once.  Seeds, trial indices and counts of
+trials or samples are integers in [0, 2**64), counts at least 1.
+trial_batches(d, trials, seed) yields the trials one batch at a time,
+so nothing holds every trial at once; its values, and the counts
+run_experiment adds up from them, are bit-identical for a given
+(d, trials, seed) however trials are batched.
 _simulate_range(d, seed, i, 1) reproduces trial i on its own.
 
 haar_average_check checks state_ops.build_rho against the same draws.
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state_ops import build_rho
+from .tensor_core import _check_index, check_dim
 
 # perfbench/child.py binds montecarlo.haar_state and .trial_stream by name,
 # so both stay module attributes though no library path calls them.
-from .tensor_core import check_dim, haar_state  # noqa: F401
+from .tensor_core import haar_state  # noqa: F401
 
 # Outcome code for "no identification made"; conclusive outcomes are 1..d.
 INCONCLUSIVE = 0
@@ -51,27 +53,17 @@ _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 
 
-def _check_u64(name, value):
+def _check_int(name, value, low):
+    """A seed, trial index or count: an integer in low .. 2**64 - 1.
+    TypeError for a bool or a non-integer, ValueError out of range."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer")
-    value = int(value)
-    if not 0 <= value < SEED_LIMIT:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
-    return value
-
-
-def _check_count(name, value):
-    """A number of trials or samples: an integer >= 1, bools refused."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return _check_index(name, value, low, SEED_LIMIT - 1)
 
 
 def trial_stream(seed, index):
     """Handle of trial `index` under `seed`: the validated (seed, index)."""
-    return _check_u64("seed", seed), _check_u64("trial index", index)
+    return _check_int("seed", seed, 0), _check_int("trial index", index, 0)
 
 
 def _philox4x32(ctr, key):
@@ -172,7 +164,7 @@ def trial_batches(d, trials, seed):
     whose complements are the inconclusive probabilities.
     """
     d = check_dim(d)
-    return _batches(d, _check_count("trials", trials), _check_u64("seed", seed))
+    return _batches(d, _check_int("trials", trials, 1), _check_int("seed", seed, 0))
 
 
 # A generator's body runs only at its first next(), so trial_batches checks
@@ -191,8 +183,8 @@ def haar_average_check(d, n, samples, seed):
     before the D x D accumulator is allocated.
     """
     rho = build_rho(d, n)
-    seed = _check_u64("seed", seed)
-    samples = _check_count("samples", samples)
+    seed = _check_int("seed", seed, 0)
+    samples = _check_int("samples", samples, 1)
     dense_rho = rho.to_dense()
     acc = np.zeros_like(dense_rho)
     for start in range(0, samples, _CHUNK):

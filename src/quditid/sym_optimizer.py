@@ -11,6 +11,8 @@ This module deliberately never imports the measurement construction;
 agreement of the two routes is asserted in the test suite, not wired in
 here.  It shares only tensor_core.check_dim, whose upper bound on d
 keeps the (d, d, d) projector stack small for every accepted input.
+check_grid states the grid oracle's bounds; the CLI calls it to refuse
+a grid search before it writes anything.
 """
 
 import math
@@ -99,12 +101,21 @@ def optimal_weight_eigen(fam):
     return 1.0 / float(eigs[-1])
 
 
+def check_grid(d, resolution):
+    """Refuse, with ValueError, a grid search outside the oracle's bounds:
+    d not in GRID_DIMS, or resolution outside [MIN_RESOLUTION,
+    MAX_RESOLUTION] (NaN included).  Nothing is computed."""
+    if d not in GRID_DIMS:
+        raise ValueError(f"grid search supports d in {GRID_DIMS}, got {d}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution {resolution} outside [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
+
+
 def optimal_weight_grid(fam, resolution):
     """Brute-force search over per-outcome weights on a regular grid.
 
-    Weights run over {0, resolution, ..., <=1} per outcome; only d in
-    GRID_DIMS and resolution in [MIN_RESOLUTION, MAX_RESOLUTION] are
-    accepted, as the grid is an oracle.  Returns (weights, total) of the
+    Weights run over {0, resolution, ..., <=1} per outcome, for the
+    (d, resolution) check_grid accepts.  Returns (weights, total) of the
     feasible point (top eigenvalue of the weighted frame operator at most
     1 + FEASIBILITY_TOL) with the largest float total, ties going to the
     lexicographically smallest weights.  Raising a weight adds a positive
@@ -118,10 +129,7 @@ def optimal_weight_grid(fam, resolution):
     index.  Rows and prefixes come in lexicographic order, and the first
     largest total wins.
     """
-    if fam.d not in GRID_DIMS:
-        raise ValueError(f"grid search supports d in {GRID_DIMS}, got {fam.d}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution {resolution} outside [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
+    check_grid(fam.d, resolution)
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
     at = np.indices((steps,) * (fam.d - 2) + (1, 1)).reshape(fam.d, -1).T

@@ -25,12 +25,7 @@ DENSE_MAX_D = 5
 
 def check_dim(d):
     """Validate the single-qudit dimension (= number of reference states)."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    d = int(d)
-    if not 2 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must lie in 2..{MAX_DIM}, got {d}")
-    return d
+    return _check_index("dimension", d, 2, MAX_DIM)
 
 
 def check_dense_dim(d):
@@ -42,11 +37,11 @@ def check_dense_dim(d):
 
 
 def _check_index(name, value, low, high):
-    """Validate an integer index in low..high (bools refused); returns it."""
+    """Validate an integer in low..high (bools refused); returns it as an int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
-        raise ValueError(f"{name} {value} out of range {low}..{high}")
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
     return int(value)
 
 

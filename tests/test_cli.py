@@ -317,6 +317,22 @@ def test_usage_errors_exit_1(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--d", "2", "--seed", "-1"], "seed must lie in 0..18446744073709551615, got -1"),
+        (["simulate", "--d", "2", "--trials", "0", "--format", "csv"], "trials must lie in 1.."),
+        (["optimize", "--d", "4", "--mode", "grid"], "grid search supports d in (2, 3), got 4"),
+    ],
+)
+def test_usage_error_is_the_library_message_and_writes_no_file(capsys, tmp_path, argv, message):
+    """The library's bounds are checked before --out is opened."""
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from dataclasses import asdict
 
@@ -347,6 +348,43 @@ def test_seed_and_index_range():
         trial_stream(0, -1)
     with pytest.raises(TypeError):
         trial_stream(0, 1.0)
+
+
+def test_counts_share_the_64_bit_bound():
+    """A count of trials or samples is bounded like a trial index: the
+    largest is 2**64 - 1, checked at the call without simulating."""
+    trial_batches(2, 2**64 - 1, 0)
+    with pytest.raises(ValueError, match=r"^trials must lie in 1\.\.18446744073709551615"):
+        trial_batches(2, 2**64, 0)
+    with pytest.raises(ValueError, match=r"^samples must lie in 1\.\."):
+        montecarlo.haar_average_check(2, 1, 2**64, 0)
+
+
+# SHA-256 of the (truths, outcomes, p_correct) bytes of trial_batches(d,
+# 2100, 7), joined over its two batches.  The simulation runs at any d up
+# to 14, but the CSV digests pin only d <= 5.  Every outcome here is
+# inconclusive, so only the p_correct bytes catch a change in how the
+# references are normalised; at d = 8 a reordered sum changes most of them.
+SIM_SHA256 = {
+    8: (
+        "23b5db6eb16da8f661d8ecc8862329694b1a38a274b58927950586dc884b7e3b",
+        "efda51d6a2cb7308d88483cbdd30d47fc2d522b943017c725eb4c0cdaa1f58fe",
+        "26c9ef26c4c2096344bfda6dd337e5413cdcebce78635de06e8ef09d9b543705",
+    ),
+    10: (
+        "3fe5d213822740a6ce769351eb373d986c1ea07f58f7ecd772f3ca17ddbba11b",
+        "efda51d6a2cb7308d88483cbdd30d47fc2d522b943017c725eb4c0cdaa1f58fe",
+        "d4fd7316140b5a8a3689fdb76594dc08087a2e2a7ac560d186e4a0909f8db70d",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(SIM_SHA256))
+def test_simulation_bytes_are_pinned_past_d5(d):
+    columns = _trial_arrays(d, 2100, 7)
+    assert [col.dtype.str for col in columns] == ["<i8", "<i8", "<f8"]
+    digests = tuple(hashlib.sha256(col.tobytes()).hexdigest() for col in columns)
+    assert digests == SIM_SHA256[d]
 
 
 def test_summary_dict_is_scalar_only():

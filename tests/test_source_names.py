@@ -1,0 +1,86 @@
+"""Dead-name guard for the package source, in place of a linter.
+
+Parses src/quditid/*.py with ast and fails on a module-level private
+name that nothing in the package reads, or on an import its module never
+reads.  An import kept on purpose (a re-export, or a name a benchmark
+patches) carries "# noqa: F401" on one of its lines.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quditid"
+
+
+def _modules():
+    """{file name: (source text, ast)} of every package module."""
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    return {name: (text, ast.parse(text)) for name, text in texts.items()}
+
+
+def _exported(tree):
+    """The strings listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _reads(tree):
+    """Every name a module reads: loaded names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_module_name_is_read():
+    modules = _modules()
+    read = set().union(*(_reads(tree) for _, tree in modules.values()))
+    dead = [
+        f"{name}: {private}"
+        for name, (_, tree) in modules.items()
+        for private in _private_definitions(tree)
+        if private not in read
+    ]
+    assert dead == []
+
+
+def test_every_import_is_read():
+    unused = []
+    for name, (text, tree) in _modules().items():
+        lines = text.splitlines()
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        } | _exported(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{name}:{node.lineno}: {bound}")
+    assert unused == []
