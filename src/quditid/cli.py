@@ -102,13 +102,13 @@ def _csv_blocks(batches):
         yield "".join(rows)
 
 
-def _cmd_simulate(args, parser):
+def _cmd_simulate(args):
     # trial_batches checks its arguments at the call and simulates nothing
     # until iterated, so a usage error exits before --out is opened.
     try:
         batches = trial_batches(args.d, args.trials, args.seed)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     if args.format == "csv":
         pieces = _csv_blocks(batches)
     else:
@@ -118,12 +118,12 @@ def _cmd_simulate(args, parser):
     return 0
 
 
-def _cmd_optimize(args, parser):
+def _cmd_optimize(args):
     if args.mode == "grid":
         try:
             check_grid(args.d, args.resolution)
         except ValueError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     fam = build_symmetric_family(args.d)
     spectrum = np.linalg.eigvalsh(frame_operator(fam))
     payload = {"d": args.d, "mode": args.mode, "spectrum": list(spectrum)}
@@ -147,10 +147,12 @@ def _build_parser():
     build = sub.add_parser("build", help="construct the measurement")
     build.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
     build.add_argument("--out", default=None)
+    build.set_defaults(run=_cmd_build)
 
     verify = sub.add_parser("verify", help="run the algebraic checks")
     verify.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
     verify.add_argument("--out", default=None)
+    verify.set_defaults(run=_cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo experiment")
     simulate.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
@@ -158,12 +160,14 @@ def _build_parser():
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--format", choices=["json", "csv"], default="json")
     simulate.add_argument("--out", default=None)
+    simulate.set_defaults(run=_cmd_simulate, parser=simulate)
 
     optimize = sub.add_parser("optimize", help="re-derive the optimal scale")
     optimize.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
     optimize.add_argument("--mode", choices=["eigen", "grid"], default="eigen")
     optimize.add_argument("--resolution", type=float, default=0.01)
     optimize.add_argument("--out", default=None)
+    optimize.set_defaults(run=_cmd_optimize, parser=optimize)
 
     return parser
 
@@ -172,13 +176,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        return _cmd_optimize(args, parser)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -11,9 +11,12 @@ dense operator.  The inconclusive probability is the complement.
 Reproducibility: trial i's random words are a pure function of
 (seed, i).  They come from the counter-based generator Philox-4x32-10
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
-keyed by the seed and counted by the trial index, and are computed for
-a whole batch of trials at once.  Seeds, trial indices and counts of
-trials or samples are integers in [0, 2**64), counts at least 1.
+keyed by the seed and counted by the trial index and block, and are
+computed for a whole batch of trials at once: trial i takes d*d + 1
+blocks, one per reference amplitude and a last one for its true index
+and outcome uniform.  Seeds, trial indices and counts of trials or
+samples are integers in [0, 2**64), counts at least 1; anything else is
+a ValueError, by the rule check_dim follows.
 trial_batches(d, trials, seed) yields the trials one batch at a time,
 so nothing holds every trial at once; its values, and the counts
 run_experiment adds up from them, are bit-identical for a given
@@ -53,27 +56,19 @@ _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 
 
-def _check_int(name, value, low):
-    """A seed, trial index or count: an integer in low .. 2**64 - 1.
-    TypeError for a bool or a non-integer, ValueError out of range."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer")
-    return _check_index(name, value, low, SEED_LIMIT - 1)
-
-
 def trial_stream(seed, index):
     """Handle of trial `index` under `seed`: the validated (seed, index)."""
-    return _check_int("seed", seed, 0), _check_int("trial index", index, 0)
+    top = SEED_LIMIT - 1
+    return _check_index("seed", seed, 0, top), _check_index("trial index", index, 0, top)
 
 
-def _philox4x32(ctr, key):
-    """Philox-4x32-10 of the (4, n) uint32 counters `ctr` under key (k0, k1).
+def _philox4x32(c, key):
+    """Philox-4x32-10 of the (4, n) uint64 counters `c` under key (k0, k1).
 
-    Returns the (4, n) uint32 output words.  Each product is taken in
-    uint64, whose high and low halves are Philox's mulhi and mullo; the
-    rounds update the four uint64 rows in place.
+    The ten rounds overwrite `c` with the output words, and `c` is
+    returned.  Every word stays below 2**32: each product is taken in
+    uint64, whose high and low halves are Philox's mulhi and mullo.
     """
-    c = np.array(ctr, dtype=np.uint64)
     c0, c1, c2, c3 = c
     p0 = np.empty_like(c0)
     p1 = np.empty_like(c0)
@@ -91,7 +86,7 @@ def _philox4x32(ctr, key):
         np.bitwise_and(p0, _MASK32, out=c3)
         k0 = (k0 + _PHILOX_W[0]) & _MASK32
         k1 = (k1 + _PHILOX_W[1]) & _MASK32
-    return c.astype(np.uint32)
+    return c
 
 
 def _uniforms(a, b):
@@ -106,33 +101,30 @@ def _draw_trials(d, seed, start, count):
     """Reference states, true indices and outcome uniforms of the trials
     start .. start + count - 1 under `seed`.
 
-    Block j of trial i is Philox-4x32-10 of counter (i & 0xffffffff,
-    i >> 32, j, 0) under key (seed & 0xffffffff, seed >> 32), for
-    j = 0..d*d.  Its words 0, 1 give uniform u[2j] and its words 2, 3 give
-    u[2j+1].  With k = j*d + l, amplitude l of reference j is
-    sqrt(-ln u[2k]) * exp(2 pi i u[2k+1]), and each reference is then
-    normalised; since every u < 1, every radius is > 0.  The true index
-    is 1 + floor(d u[2d²]) and the outcome uniform is u[2d²+1].
-    Returns refs (count, d, d), truths (count,) and uniforms (count,).
+    Block k of trial i is Philox-4x32-10 of counter (i & 0xffffffff,
+    i >> 32, k, 0) under key (seed & 0xffffffff, seed >> 32), for
+    k = 0..d*d, and each word pair gives one uniform (see _uniforms).
+    Block k < d² is amplitude k % d of reference k // d: with u from its
+    words 0, 1 and v from its words 2, 3, the amplitude is
+    sqrt(-ln u) * exp(2 pi i v), and each reference is then normalised;
+    since every u < 1, every radius is > 0.  Block d² gives the true
+    index 1 + floor(d u) from its words 0, 1 and the outcome uniform from
+    its words 2, 3.  Returns refs (count, d, d), truths (count,) and
+    uniforms (count,).
     """
-    blocks = d * d + 1
-    trial = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    ctr = np.empty((4, blocks, count), dtype=np.uint32)
-    ctr[0] = trial & _MASK32
-    ctr[1] = trial >> 32
-    ctr[2] = np.arange(blocks, dtype=np.uint32)[:, None]
-    ctr[3] = 0
-    words = _philox4x32(ctr.reshape(4, -1), (seed & _MASK32, seed >> 32))
-    words = words.reshape(4, blocks, count)
-    u = np.stack([_uniforms(words[0], words[1]), _uniforms(words[2], words[3])], axis=1)
-    u = u.reshape(2 * blocks, count)
     n = d * d
-    energy = -np.log(u[0:2 * n:2].T.reshape(count, d, d))
+    trial = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    c = np.zeros((4, n + 1, count), dtype=np.uint64)
+    c[0] = trial & _MASK32
+    c[1] = trial >> 32
+    c[2] = np.arange(n + 1, dtype=np.uint64)[:, None]
+    _philox4x32(c.reshape(4, -1), (seed & _MASK32, seed >> 32))
+    energy = -np.log(_uniforms(c[0, :n], c[1, :n]).T.reshape(count, d, d))
     energy /= energy.sum(axis=-1, keepdims=True)
-    refs = np.exp((2j * np.pi) * u[1:2 * n:2].T.reshape(count, d, d))
+    refs = np.exp((2j * np.pi) * _uniforms(c[2, :n], c[3, :n]).T.reshape(count, d, d))
     refs *= np.sqrt(energy)
-    truths = 1 + (d * u[2 * n]).astype(np.int64)  # floor, as u > 0
-    return refs, truths, u[2 * n + 1]
+    truths = 1 + (d * _uniforms(c[0, n], c[1, n])).astype(np.int64)  # floor, as u > 0
+    return refs, truths, _uniforms(c[2, n], c[3, n])
 
 
 def _probs_batch(d, refs):
@@ -164,7 +156,8 @@ def trial_batches(d, trials, seed):
     whose complements are the inconclusive probabilities.
     """
     d = check_dim(d)
-    return _batches(d, _check_int("trials", trials, 1), _check_int("seed", seed, 0))
+    trials = _check_index("trials", trials, 1, SEED_LIMIT - 1)
+    return _batches(d, trials, _check_index("seed", seed, 0, SEED_LIMIT - 1))
 
 
 # A generator's body runs only at its first next(), so trial_batches checks
@@ -183,8 +176,8 @@ def haar_average_check(d, n, samples, seed):
     before the D x D accumulator is allocated.
     """
     rho = build_rho(d, n)
-    seed = _check_int("seed", seed, 0)
-    samples = _check_int("samples", samples, 1)
+    seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
+    samples = _check_index("samples", samples, 1, SEED_LIMIT - 1)
     dense_rho = rho.to_dense()
     acc = np.zeros_like(dense_rho)
     for start in range(0, samples, _CHUNK):

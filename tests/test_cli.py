@@ -329,7 +329,7 @@ def test_usage_error_is_the_library_message_and_writes_no_file(capsys, tmp_path,
     """The library's bounds are checked before --out is opened."""
     path = tmp_path / "out"
     assert cli.main([*argv, "--out", str(path)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"quditid {argv[0]}: error: {message}" in capsys.readouterr().err
     assert not path.exists()
 
 

@@ -205,8 +205,8 @@ _PHILOX_KAT = [
 @pytest.mark.parametrize("ctr,key,want", _PHILOX_KAT)
 def test_philox4x32_known_answers(ctr, key, want):
     assert _philox_block(ctr, key) == want
-    got = montecarlo._philox4x32(np.array(ctr, dtype=np.uint32)[:, None], key)
-    assert got.dtype == np.uint32
+    got = montecarlo._philox4x32(np.array(ctr, dtype=np.uint64)[:, None], key)
+    assert got.dtype == np.uint64
     assert tuple(int(w) for w in got[:, 0]) == want
 
 
@@ -260,6 +260,19 @@ def test_trial_beyond_32_bit_index_matches_oracle(povm2):
         assert (got_truth, got_outcome) == (truth, outcome)
         assert abs(got_p - p_correct) <= 1e-12
         assert abs((1.0 - got_p) - p_inc) <= 1e-12
+
+
+@pytest.mark.parametrize("start,count", [(2**32 - 2, 4), (2**64 - 3, 3)])
+def test_batch_across_counter_carry_matches_oracle(povm2, start, count):
+    """One batch whose trial indices carry from the counter's low word
+    into its high word, or run up to the last index, equals the scalar
+    rebuild trial by trial."""
+    truths, outcomes, p_correct = _simulate_range(2, 5, start, count)
+    for k in range(count):
+        truth, outcome, p_want, p_inc = _rebuild_trial(povm2, 5, start + k)
+        assert (truths[k], outcomes[k]) == (truth, outcome)
+        assert abs(p_correct[k] - p_want) <= 1e-12
+        assert abs((1.0 - p_correct[k]) - p_inc) <= 1e-12
 
 
 def test_chunk_boundary_trials(monkeypatch, capsys):
@@ -321,13 +334,13 @@ def test_run_experiment_validation():
     for run in (run_experiment, trial_batches):
         with pytest.raises(ValueError):
             run(2, 0, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must be an integer"):
             run(2, 10.5, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must be an integer"):
             run(2, True, 0)
         with pytest.raises(ValueError):
             run(2, 10, -1)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must be an integer"):
             run(2, 10, "seed")
         with pytest.raises(ValueError):
             run(1, 10, 0)
@@ -346,7 +359,7 @@ def test_seed_and_index_range():
         trial_stream(0, 2**64)
     with pytest.raises(ValueError):
         trial_stream(0, -1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="must be an integer"):
         trial_stream(0, 1.0)
 
 

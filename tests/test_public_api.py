@@ -122,3 +122,30 @@ print(json.dumps({{"codes": codes, "layers": sorted(tracer.stats),
     # The grid's candidate count is read from eigvalsh calls inside a
     # function named consider; a rename would zero it silently.
     assert result["candidates"] > 0
+
+
+def test_benchmark_tracer_sees_the_simulation():
+    """The traced simulate runs record the run_experiment layer (wrapped
+    on cli) and count every determinant, which the tracer attributes only
+    when np.linalg.det is called from montecarlo._probs_batch; renaming
+    or inlining that function would zero the layer silently."""
+    child = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "child.py")
+    code = f"""
+import contextlib, importlib.util, io, json
+spec = importlib.util.spec_from_file_location("perfbench_child", {child!r})
+child = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(child)
+tracer = child.Tracer()
+child.install(tracer)
+from quditid import cli
+argvs = [["simulate", "--d", "2", "--trials", "3000"],
+         ["simulate", "--d", "3", "--trials", "100", "--format", "csv"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({{"codes": codes, "layers": sorted(tracer.stats),
+                  "matrices": tracer.extra["montecarlo.det"]["matrices"]}}))
+"""
+    result = json.loads(_run_fresh(code))
+    assert result["codes"] == [0, 0]
+    assert "montecarlo.run_experiment" in result["layers"]
+    assert result["matrices"] == 3100

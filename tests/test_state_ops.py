@@ -147,10 +147,10 @@ def test_haar_average_validation():
         haar_average_check(5, 1, 10, seed=0)
     with pytest.raises(ValueError):
         haar_average_check(2, 1, 10, seed=-1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="must be an integer"):
         haar_average_check(2, 1, 10, seed=None)
     for samples in (True, 2.5):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must be an integer"):
             haar_average_check(2, 1, samples, seed=0)
 
 
