@@ -19,7 +19,7 @@ import numpy as np
 
 from .detection import build_povm
 from .state_ops import build_rho
-from .tensor_core import check_dense_dim, check_dim, total_dim
+from .tensor_core import _check_finite, check_dense_dim, check_dim, total_dim
 
 
 def closed_form_success(d):
@@ -44,7 +44,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         d = check_dim(self.d)
-        entries = np.array(self.entries, dtype=np.float64)
+        entries = _check_finite("confusion entries", self.entries)
         if entries.shape != (d, d + 1):
             raise ValueError(f"expected shape {(d, d + 1)}, got {entries.shape}")
         entries.setflags(write=False)

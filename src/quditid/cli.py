@@ -14,11 +14,14 @@ equal jsonio.format_float's 17-digit form, ".0" rule included, at about
 (d=5, 2048-trial batches, one core of a 2-vCPU Xeon).
 
 Exit codes: 0 success, 1 usage error, 2 a verification check failed.
+A command returns its output and exit code; main writes the output only
+after it, and reports a library ValueError as a usage error instead.
 The environment variable QID_THREADS is ignored: `simulate` runs
 serially, and its numbers depend only on (d, trials, seed).
 """
 
 import argparse
+import contextlib
 import sys
 from dataclasses import asdict
 
@@ -30,7 +33,6 @@ from .detection import build_povm, povm_to_dict
 from .montecarlo import run_experiment, trial_batches
 from .sym_optimizer import (
     build_symmetric_family,
-    check_grid,
     frame_operator,
     optimal_weight_eigen,
     optimal_weight_grid,
@@ -49,25 +51,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(pieces, out):
     """Write the text pieces, then a newline, to the file `out` or stdout."""
-    fh = open(out, "w", encoding="utf-8") if out else sys.stdout
-    try:
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(pieces)
         fh.write("\n")
-    finally:
-        if out:
-            fh.close()
 
 
 def _cmd_build(args):
-    povm = build_povm(args.d)
-    _emit([jsonio.dumps(povm_to_dict(povm))], args.out)
-    return 0
+    return [jsonio.dumps(povm_to_dict(build_povm(args.d)))], 0
 
 
 def _cmd_verify(args):
     report = verify_report(args.d)
-    _emit([jsonio.dumps(report)], args.out)
-    return 0 if report["ok"] else 2
+    return [jsonio.dumps(report)], 0 if report["ok"] else 2
 
 
 # One CSV row.  "%.17g" is jsonio.format_float's form except where it
@@ -103,27 +98,13 @@ def _csv_blocks(batches):
 
 
 def _cmd_simulate(args):
-    # trial_batches checks its arguments at the call and simulates nothing
-    # until iterated, so a usage error exits before --out is opened.
-    try:
-        batches = trial_batches(args.d, args.trials, args.seed)
-    except ValueError as exc:
-        args.parser.error(str(exc))
     if args.format == "csv":
-        pieces = _csv_blocks(batches)
-    else:
-        report = run_experiment(args.d, args.trials, args.seed)
-        pieces = [jsonio.dumps(asdict(report))]
-    _emit(pieces, args.out)
-    return 0
+        return _csv_blocks(trial_batches(args.d, args.trials, args.seed)), 0
+    report = run_experiment(args.d, args.trials, args.seed)
+    return [jsonio.dumps(asdict(report))], 0
 
 
 def _cmd_optimize(args):
-    if args.mode == "grid":
-        try:
-            check_grid(args.d, args.resolution)
-        except ValueError as exc:
-            args.parser.error(str(exc))
     fam = build_symmetric_family(args.d)
     spectrum = np.linalg.eigvalsh(frame_operator(fam))
     payload = {"d": args.d, "mode": args.mode, "spectrum": list(spectrum)}
@@ -136,8 +117,7 @@ def _cmd_optimize(args):
         payload["resolution"] = args.resolution
         payload["alpha_opt"] = list(weights)
         payload["S_opt"] = total
-    _emit([jsonio.dumps(payload)], args.out)
-    return 0
+    return [jsonio.dumps(payload)], 0
 
 
 def _build_parser():
@@ -147,12 +127,12 @@ def _build_parser():
     build = sub.add_parser("build", help="construct the measurement")
     build.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
     build.add_argument("--out", default=None)
-    build.set_defaults(run=_cmd_build)
+    build.set_defaults(run=_cmd_build, parser=build)
 
     verify = sub.add_parser("verify", help="run the algebraic checks")
     verify.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
     verify.add_argument("--out", default=None)
-    verify.set_defaults(run=_cmd_verify)
+    verify.set_defaults(run=_cmd_verify, parser=verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo experiment")
     simulate.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
@@ -176,7 +156,12 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        try:
+            pieces, code = args.run(args)
+        except ValueError as exc:
+            args.parser.error(str(exc))
+        _emit(pieces, args.out)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, _check_index, check_dense_dim, check_dim, state_to_dict
+from .tensor_core import StateVector, _check_finite, _check_index, _check_real
+from .tensor_core import check_dense_dim, check_dim, state_to_dict
 
 
 def _sign_matrix(d, n):
@@ -83,8 +84,7 @@ class LowRankPovmElement:
     def __post_init__(self):
         d = check_dim(self.d)
         label = _check_index("outcome label", self.label, 1, d)
-        if not 0.0 < self.scale <= 1.0:
-            raise ValueError(f"scale {self.scale} outside (0, 1]")
+        scale = _check_real("scale", self.scale, math.ulp(0.0), 1.0)  # (0, 1]
         signs = np.array(self.signs)
         if signs.ndim != 2 or not len(signs) or signs.shape[1] != d ** (d + 1):
             raise ValueError(f"expected a (rank, {d ** (d + 1)}) sign matrix, got {signs.shape}")
@@ -99,6 +99,7 @@ class LowRankPovmElement:
         signs.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "signs", signs)
 
     @property
@@ -169,7 +170,7 @@ def overlap_with_product(d, n, factors):
     for j in range(d + 1):
         if j == n:
             continue
-        f = np.asarray(factors[j], dtype=np.complex128)
+        f = _check_finite(f"factor {j}", factors[j], np.complex128)
         if f.shape != (d,):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
         cols.append(f)

@@ -90,10 +90,10 @@ def _philox4x32(c, key):
 
 
 def _uniforms(a, b):
-    """Uniforms in (0, 1) from word pairs: 26 bits of each word a, b give
-    ((a >> 6) * 2**26 + (b >> 6) + 0.5) / 2**52, exact in float64, so the
-    extremes are 2**-53 and 1 - 2**-53."""
-    m = ((a >> 6).astype(np.uint64) << 26) | (b >> 6)
+    """Uniforms in (0, 1) from uint64 words below 2**32: 26 bits of each
+    word a, b give ((a >> 6) * 2**26 + (b >> 6) + 0.5) / 2**52, exact in
+    float64, so the extremes are 2**-53 and 1 - 2**-53."""
+    m = ((a >> 6) << 26) | (b >> 6)
     return (m.astype(np.float64) + 0.5) * 2.0**-52
 
 
@@ -157,15 +157,11 @@ def trial_batches(d, trials, seed):
     """
     d = check_dim(d)
     trials = _check_index("trials", trials, 1, SEED_LIMIT - 1)
-    return _batches(d, trials, _check_index("seed", seed, 0, SEED_LIMIT - 1))
-
-
-# A generator's body runs only at its first next(), so trial_batches checks
-# its arguments and then hands the checked values to this one.
-def _batches(d, trials, seed):
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        yield (start, *_simulate_range(d, seed, start, count))
+    seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
+    return (
+        (start, *_simulate_range(d, seed, start, min(_CHUNK, trials - start)))
+        for start in range(0, trials, _CHUNK)
+    )
 
 
 def haar_average_check(d, n, samples, seed):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import _check_index, check_dim, total_dim
+from .tensor_core import _check_index, _check_real, check_dim, total_dim
 
 # Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).
 DENSE_DIM_LIMIT = 4096
@@ -29,7 +29,7 @@ DENSE_DIM_LIMIT = 4096
 class HermitianOperator:
     """The operator a*I + b*SWAP_{0n} on the full (d+1)-qudit space.
 
-    The coefficients are real, so the operator is Hermitian by
+    The coefficients are finite reals, so the operator is Hermitian by
     construction.  Instances are immutable and shared freely.
     """
 
@@ -42,8 +42,8 @@ class HermitianOperator:
         d = check_dim(self.d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", _check_index("reference index", self.n, 1, d))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", _check_real("coefficient a", self.a))
+        object.__setattr__(self, "b", _check_real("coefficient b", self.b))
 
     def swap(self, vec):
         """SWAP_{0n} applied along the first axis of `vec`."""

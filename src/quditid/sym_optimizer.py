@@ -9,10 +9,10 @@ brute-force grid search as a second opinion.
 
 This module deliberately never imports the measurement construction;
 agreement of the two routes is asserted in the test suite, not wired in
-here.  It shares only tensor_core.check_dim, whose upper bound on d
-keeps the (d, d, d) projector stack small for every accepted input.
-check_grid states the grid oracle's bounds; the CLI calls it to refuse
-a grid search before it writes anything.
+here.  It shares only tensor_core's input rules: check_dim, whose upper
+bound on d keeps the (d, d, d) projector stack small for every accepted
+input, and the finite-number checks.  check_grid states the grid
+oracle's bounds.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import check_dim
+from .tensor_core import _check_finite, _check_real, check_dim
 
 GRAM_TOL = 1e-12
 # Feasibility margin on the largest eigenvalue; boundary points count.
@@ -44,12 +44,12 @@ class SymmetricFamily:
 
     def __post_init__(self):
         d = check_dim(self.d)
-        vectors = np.array(self.vectors, dtype=np.complex128)
+        vectors = _check_finite("family vectors", self.vectors, np.complex128)
         if vectors.shape != (d, d):
             raise ValueError(f"expected shape {(d, d)}, got {vectors.shape}")
         gram = vectors.conj() @ vectors.T
         target = np.eye(d) + (-1.0 / d) * (np.ones((d, d)) - np.eye(d))
-        if np.max(np.abs(gram - target)) > GRAM_TOL:
+        if not np.max(np.abs(gram - target)) <= GRAM_TOL:  # NaN fails too
             raise ValueError("vectors do not realize the -1/d overlap family")
         vectors.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -82,9 +82,7 @@ def rank_one_projectors(fam):
 
 def frame_operator(fam, weights=None):
     """Weighted sums of the projectors: weights (..., d), default ones, give (..., d, d)."""
-    if weights is None:
-        weights = np.ones(fam.d)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _check_finite("weights", np.ones(fam.d) if weights is None else weights)
     if weights.shape[-1:] != (fam.d,):
         raise ValueError(f"expected {fam.d} weights, got shape {weights.shape}")
     return np.tensordot(weights, rank_one_projectors(fam), axes=(-1, 0))
@@ -94,21 +92,20 @@ def optimal_weight_eigen(fam):
     """Largest common weight keeping the summed operator below identity.
 
     With equal weights the constraint binds at the top eigenvalue of the
-    unweighted frame operator, whose spectrum is {1, (d+1)/d with
-    multiplicity d-1}; the answer is its reciprocal, d/(d+1).
+    unweighted frame operator, whose spectrum is 1/d once and (d+1)/d
+    with multiplicity d-1; the answer is its reciprocal, d/(d+1).
     """
     eigs = np.linalg.eigvalsh(frame_operator(fam))
     return 1.0 / float(eigs[-1])
 
 
 def check_grid(d, resolution):
-    """Refuse, with ValueError, a grid search outside the oracle's bounds:
-    d not in GRID_DIMS, or resolution outside [MIN_RESOLUTION,
-    MAX_RESOLUTION] (NaN included).  Nothing is computed."""
-    if d not in GRID_DIMS:
+    """The resolution as a float, after refusing with ValueError a grid
+    search outside the oracle's bounds: d not in GRID_DIMS (by check_dim's
+    rule first), or resolution not a real in [MIN_RESOLUTION, MAX_RESOLUTION]."""
+    if check_dim(d) not in GRID_DIMS:
         raise ValueError(f"grid search supports d in {GRID_DIMS}, got {d}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution {resolution} outside [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
+    return _check_real("resolution", resolution, MIN_RESOLUTION, MAX_RESOLUTION)
 
 
 def optimal_weight_grid(fam, resolution):
@@ -129,7 +126,7 @@ def optimal_weight_grid(fam, resolution):
     index.  Rows and prefixes come in lexicographic order, and the first
     largest total wins.
     """
-    check_grid(fam.d, resolution)
+    resolution = check_grid(fam.d, resolution)
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
     at = np.indices((steps,) * (fam.d - 2) + (1, 1)).reshape(fam.d, -1).T

@@ -9,6 +9,7 @@ probe digit most significant:
 """
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,26 @@ def _check_index(name, value, low, high):
     if not low <= value <= high:
         raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
     return int(value)
+
+
+def _check_real(name, value, low=-sys.float_info.max, high=sys.float_info.max):
+    """Validate a real in finite bounds [low, high] (bools, strings, NaN, ±inf
+    refused); returns it as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not low <= value <= high:  # NaN and ±inf fail too
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return float(value)
+
+
+def _check_finite(name, values, dtype=np.float64):
+    """A new `dtype` array of finite numbers of its kind (bools, strings, NaN, ±inf refused)."""
+    values = np.asarray(values)
+    if values.dtype.kind == "b" or not np.can_cast(values.dtype, dtype, "same_kind"):
+        raise ValueError(f"{name} must hold numbers, got dtype {values.dtype}")
+    if not np.isfinite(values := values.astype(dtype)).all():
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 def total_dim(d):

@@ -323,6 +323,11 @@ def test_usage_errors_exit_1(capsys, argv):
         (["simulate", "--d", "2", "--seed", "-1"], "seed must lie in 0..18446744073709551615, got -1"),
         (["simulate", "--d", "2", "--trials", "0", "--format", "csv"], "trials must lie in 1.."),
         (["optimize", "--d", "4", "--mode", "grid"], "grid search supports d in (2, 3), got 4"),
+        (["simulate", "--d", "2", "--trials", "0"], "trials must lie in 1.."),
+        (
+            ["optimize", "--d", "2", "--mode", "grid", "--resolution", "nan"],
+            "resolution must lie in [0.001, 0.1], got nan",
+        ),
     ],
 )
 def test_usage_error_is_the_library_message_and_writes_no_file(capsys, tmp_path, argv, message):

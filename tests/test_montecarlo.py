@@ -301,7 +301,7 @@ def test_extreme_uniforms_stay_inside_unit_interval():
     """The all-zero and all-one word pairs give the extreme uniforms
     2**-53 and 1 - 2**-53: the first gives a finite radius, the second a
     radius > 0 (so no reference can have norm 0) and a truth in 1..d."""
-    words = np.array([0, _MASK32], dtype=np.uint32)
+    words = np.array([0, _MASK32], dtype=np.uint64)
     lo, hi = montecarlo._uniforms(words, words)
     assert lo == 2.0**-53 and hi == 1.0 - 2.0**-53
     assert math.isfinite(math.sqrt(-math.log(lo)))
