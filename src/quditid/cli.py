@@ -14,8 +14,10 @@ equal jsonio.format_float's 17-digit form, ".0" rule included, at about
 (d=5, 2048-trial batches, one core of a 2-vCPU Xeon).
 
 Exit codes: 0 success, 1 usage error, 2 a verification check failed.
-A command returns its output and exit code; main writes the output only
-after it, and reports a library ValueError as a usage error instead.
+A command returns its output (a JSON payload or CSV text pieces) and
+exit code, and main reports a library ValueError it raises as a usage
+error.  Only then is the output rendered and written, so an output fault,
+such as a non-finite value, raises ValueError instead.
 The environment variable QID_THREADS is ignored: `simulate` runs
 serially, and its numbers depend only on (d, trials, seed).
 """
@@ -49,20 +51,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(pieces, out):
-    """Write the text pieces, then a newline, to the file `out` or stdout."""
+# Longest text handed to one write: the file's encoder copies what it is
+# given, so a 25.8 MB `build` report goes out in slices of this size.
+_SLICE = 1 << 20
+
+
+def _emit(output, out):
+    """Write a command's output, then a newline, to the file `out` or stdout.
+
+    A dict is a JSON report, rendered here, before the file is opened; any
+    other output is an iterable of text pieces.  Each piece is written in
+    slices of at most _SLICE characters, so a piece no longer than that is
+    one write of the same string.
+    """
+    pieces = [jsonio.dumps(output)] if isinstance(output, dict) else output
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(pieces)
+        for piece in pieces:
+            for start in range(0, len(piece), _SLICE):
+                fh.write(piece[start : start + _SLICE])
+            # Free the piece before the next is rendered, as writelines
+            # does: holding each CSV block meanwhile measured 0.5 MiB more
+            # peak RSS (simulate --d 5 --format csv, 20k trials).
+            del piece
         fh.write("\n")
 
 
 def _cmd_build(args):
-    return [jsonio.dumps(povm_to_dict(build_povm(args.d)))], 0
+    return povm_to_dict(build_povm(args.d)), 0
 
 
 def _cmd_verify(args):
     report = verify_report(args.d)
-    return [jsonio.dumps(report)], 0 if report["ok"] else 2
+    return report, 0 if report["ok"] else 2
 
 
 # One CSV row.  "%.17g" is jsonio.format_float's form except where it
@@ -101,7 +121,7 @@ def _cmd_simulate(args):
     if args.format == "csv":
         return _csv_blocks(trial_batches(args.d, args.trials, args.seed)), 0
     report = run_experiment(args.d, args.trials, args.seed)
-    return [jsonio.dumps(asdict(report))], 0
+    return asdict(report), 0
 
 
 def _cmd_optimize(args):
@@ -117,7 +137,7 @@ def _cmd_optimize(args):
         payload["resolution"] = args.resolution
         payload["alpha_opt"] = list(weights)
         payload["S_opt"] = total
-    return [jsonio.dumps(payload)], 0
+    return payload, 0
 
 
 def _build_parser():
@@ -157,10 +177,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         try:
-            pieces, code = args.run(args)
+            output, code = args.run(args)
         except ValueError as exc:
             args.parser.error(str(exc))
-        _emit(pieces, args.out)
+        _emit(output, args.out)
         return code
     except SystemExit as exc:
         return int(exc.code or 0)

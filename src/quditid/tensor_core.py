@@ -56,12 +56,17 @@ def _check_real(name, value, low=-sys.float_info.max, high=sys.float_info.max):
     return float(value)
 
 
-def _check_finite(name, values, dtype=np.float64):
-    """A new `dtype` array of finite numbers of its kind (bools, strings, NaN, ±inf refused)."""
+def _check_numbers(name, values, dtype=np.float64):
+    """A new `dtype` array of numbers of its kind (bools and strings refused)."""
     values = np.asarray(values)
     if values.dtype.kind == "b" or not np.can_cast(values.dtype, dtype, "same_kind"):
         raise ValueError(f"{name} must hold numbers, got dtype {values.dtype}")
-    if not np.isfinite(values := values.astype(dtype)).all():
+    return values.astype(dtype)
+
+
+def _check_finite(name, values, dtype=np.float64):
+    """_check_numbers, refusing NaN and ±inf too."""
+    if not np.isfinite(values := _check_numbers(name, values, dtype)).all():
         raise ValueError(f"{name} must be finite")
     return values
 
@@ -116,7 +121,7 @@ class StateVector:
 
     def __post_init__(self):
         d = check_dim(self.d)
-        amps = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
+        amps = _check_numbers("amplitudes", self.amps, np.complex128).reshape(-1)
         D = d ** (d + 1)
         if amps.shape != (D,):
             raise ValueError(f"expected {D} amplitudes for d={d}, got {amps.shape}")
@@ -133,7 +138,7 @@ def product_state(factors):
     Each factor must be a unit-norm amplitude vector of length d, where
     d+1 is the number of factors, and d at most DENSE_MAX_D.
     """
-    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
+    factors = [_check_numbers(f"factor {j}", f, np.complex128) for j, f in enumerate(factors)]
     d = check_dense_dim(len(factors) - 1)
     for j, f in enumerate(factors):
         if f.shape != (d,):

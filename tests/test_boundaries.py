@@ -71,8 +71,9 @@ def _dim(name, call, low=2, high=14, accept=None):
 
 # "integer": _check_index's rule.  "real": _check_real's rule; low and high
 # are the extreme accepted doubles.  "finite array" and "unit vector": the
-# valid array is `low`; a "finite array" also refuses a bool or string
-# array of the right shape, while a unit vector is held to its norm only.
+# valid array is `low`, and a bool or string array of the right shape is
+# refused too, even where its values would pass (a one-hot bool array, or
+# numeric strings); past its dtype a unit vector is held to its norm only.
 TABLE = [
     _dim("total_dim", quditid.total_dim),
     _dim("closed_form_success", quditid.closed_form_success),
@@ -175,9 +176,8 @@ def _refused(p):
     values = {"bool": True, "string": "1", "nan": _with_entry(valid, NAN, dtype),
               "inf": _with_entry(valid, INF, dtype), "-inf": _with_entry(valid, -INF, dtype),
               "short": valid[..., :-1]}
-    if p.kind == "finite array":
-        values["bool array"] = valid != 0
-        values["string array"] = valid.astype(str)
+    values["bool array"] = valid != 0
+    values["string array"] = valid.astype(str)
     return values
 
 

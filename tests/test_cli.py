@@ -1,5 +1,6 @@
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -104,6 +105,39 @@ def test_verify_exit_code_2_on_failure(capsys, monkeypatch):
     rc, out = run_cli(capsys, "verify", "--d", "2")
     assert rc == 2
     assert json.loads(out)["failed_checks"] == ["primal_feasible"]
+
+
+def test_output_fault_raises_instead_of_a_usage_error(capsys, monkeypatch, tmp_path):
+    """A non-finite value in a report is a fault of the output, not of the
+    input: the JSON is rendered after main's usage-error path, so it
+    raises, and before --out is opened, so no file is left."""
+    fake = {"d": 2, "p_succ": float("nan"), "ok": True}
+    monkeypatch.setattr(cli, "verify_report", lambda d: fake)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="non-finite value nan in output"):
+        cli.main(["verify", "--d", "2", "--out", str(path)])
+    assert not path.exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_emit_writes_long_pieces_in_slices(monkeypatch, tmp_path):
+    # Over 2 MiB of varied text, so a slice lost, repeated or shifted at
+    # either boundary changes the bytes.
+    piece = "".join(f"{i}," for i in range(400_000))
+    small = "short"
+    assert len(piece) > 2 * cli._SLICE
+    path = tmp_path / "out.txt"
+    cli._emit([piece, small], str(path))
+    assert path.read_bytes() == (piece + small + "\n").encode("utf-8")
+
+    writes = []
+    monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=writes.append))
+    cli._emit([piece, small], None)
+    assert "".join(writes) == piece + small + "\n"
+    assert len(writes) == 5
+    assert max(map(len, writes)) == cli._SLICE
+    # A piece of at most one slice is written as it is, not copied.
+    assert writes[-2] is small
 
 
 def test_build_round_trips(capsys):

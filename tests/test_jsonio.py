@@ -124,3 +124,18 @@ def test_float_array_rejects_non_finite(bad, shape):
     arr = np.array([0.25, 1.0, bad, 1.0]).reshape(shape)
     with pytest.raises(ValueError):
         jsonio.dumps({"x": arr})
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_ranked_rows_render_like_their_list(seed):
+    """The sort-based ranking of values and rows, on 1-64 rows by 1-4
+    columns: rows drawn from a few rows of _SPECIALS (signed zeros, a
+    subnormal), and all-distinct normals, each also as a one-row array."""
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(1, 5))
+    for rows in (1, int(rng.integers(2, 65))):
+        pool_rows = rng.choice(_SPECIALS, size=(int(rng.integers(1, 6)), cols))
+        repeated = pool_rows[rng.integers(0, len(pool_rows), rows)]
+        distinct = rng.standard_normal((rows, cols))
+        for arr in (repeated, distinct):
+            assert jsonio.dumps(arr) == jsonio.dumps(arr.tolist())
