@@ -17,16 +17,18 @@ blocks, one per reference amplitude and a last one for its true index
 and outcome uniform.  Seeds, trial indices and counts of trials or
 samples are integers in [0, 2**64), counts at least 1; anything else is
 a ValueError, by the rule check_dim follows.
-trial_batches(d, trials, seed) yields the trials one batch at a time,
-so nothing holds every trial at once; its values, and the counts
-run_experiment adds up from them, are bit-identical for a given
-(d, trials, seed) however trials are batched.
+trial_batches(d, trials, seed) yields the trials in batches of _BLOCKS
+Philox blocks (about 1.4 MiB of temporaries), computed on two threads
+from d = 4 given two batches and CPUs; a trial at d <= 3 is too little
+work for threads.  Its values are the same however batched or threaded.
 _simulate_range(d, seed, i, 1) reproduces trial i on its own.
 
 haar_average_check checks state_ops.build_rho against the same draws.
 """
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -45,8 +47,8 @@ INCONCLUSIVE = 0
 # Two-sided 99% normal quantile, for the confidence half-width.
 Z_99 = 2.5758293035489004
 
-# Trials per batch; it also bounds the Philox uint64 temporaries.
-_CHUNK = 2048
+# Philox blocks per batch, d*d + 1 a trial: 2048 trials at d = 3, 787 at d = 5.
+_BLOCKS = 20480
 
 # Seeds and trial indices fill the 64-bit Philox key and counter halves.
 SEED_LIMIT = 2**64
@@ -146,22 +148,60 @@ def _simulate_range(d, seed, start, count):
     return truths, np.where(us < p, truths, INCONCLUSIVE), p
 
 
+def _in_order(fn, items):
+    """fn(item) for each item of the sequence `items`, in order, from two
+    daemon threads that take turns, each at most two items ahead.  A call's
+    exception is raised here; closing stops and joins the threads."""
+    done = ([], [])  # (value, exception) pairs per thread, in order
+    ready = (threading.Semaphore(0), threading.Semaphore(0))
+    room = (threading.Semaphore(2), threading.Semaphore(2))
+    stop = False
+    def work(k):
+        for item in items[k::2]:
+            room[k].acquire()
+            if stop:
+                return
+            try:
+                done[k].append((fn(item), None))
+            except BaseException as exc:
+                done[k].append((None, exc))
+            ready[k].release()
+    threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i in range(len(items)):
+            ready[i % 2].acquire()
+            value, exc = done[i % 2].pop(0)
+            room[i % 2].release()
+            if exc is not None:
+                raise exc
+            yield value
+    finally:
+        stop = True
+        for k, thread in enumerate(threads):
+            room[k].release()
+            thread.join()
+
+
 def trial_batches(d, trials, seed):
     """Trials 0 .. trials - 1 under `seed`, one batch at a time.
 
     The arguments are validated at the call.  Each item is
-    (start, truths, outcomes, p_correct) for the batch of up to _CHUNK
-    trials that begins at trial `start`: the true indices, the sampled
-    outcomes (the truth or INCONCLUSIVE), and the success probabilities,
-    whose complements are the inconclusive probabilities.
+    (start, truths, outcomes, p_correct) for the batch (see _BLOCKS) that
+    begins at trial `start`: the true indices, the sampled outcomes (the
+    truth or INCONCLUSIVE), and the success probabilities, whose
+    complements are the inconclusive probabilities.
     """
     d = check_dim(d)
     trials = _check_index("trials", trials, 1, SEED_LIMIT - 1)
     seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
-    return (
-        (start, *_simulate_range(d, seed, start, min(_CHUNK, trials - start)))
-        for start in range(0, trials, _CHUNK)
-    )
+    size = max(1, _BLOCKS // (d * d + 1))
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    def batch(start):
+        return (start, *_simulate_range(d, seed, start, min(size, trials - start)))
+    threaded = d >= 4 and trials > size and len(cpus) > 1
+    return (_in_order if threaded else map)(batch, range(0, trials, size))
 
 
 def haar_average_check(d, n, samples, seed):
@@ -176,12 +216,12 @@ def haar_average_check(d, n, samples, seed):
     samples = _check_index("samples", samples, 1, SEED_LIMIT - 1)
     dense_rho = rho.to_dense()
     acc = np.zeros_like(dense_rho)
-    for start in range(0, samples, _CHUNK):
-        batch = min(_CHUNK, samples - start)
-        refs = _draw_trials(rho.d, seed, start, batch)[0]
+    size = max(1, _BLOCKS // (rho.d * rho.d + 1))
+    for start in range(0, samples, size):
+        refs = _draw_trials(rho.d, seed, start, min(size, samples - start))[0]
         vecs = refs[:, rho.n - 1]
         for j in range(rho.d):
-            vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(batch, -1)
+            vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(len(refs), -1)
         acc += np.einsum("bi,bj->ij", vecs, vecs.conjugate())
     return float(np.max(np.abs(acc / samples - dense_rho)))
 

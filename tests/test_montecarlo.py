@@ -1,6 +1,8 @@
 import cmath
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -127,6 +129,11 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
                 assert abs(p_correct[i] - want) <= 1e-12
             else:
                 assert want <= 1e-12
+
+
+def _batch_size(d):
+    """Trials per batch: _BLOCKS Philox blocks, d*d + 1 of them a trial."""
+    return max(1, montecarlo._BLOCKS // (d * d + 1))
 
 
 def _one_trial(d, seed, index):
@@ -279,7 +286,7 @@ def test_chunk_boundary_trials(monkeypatch, capsys):
     """Trials on either side of a batch boundary equal their single-trial
     rebuild, and a run with different batching gives the same arrays,
     the same counts and the same CSV bytes."""
-    chunk = montecarlo._CHUNK
+    chunk = _batch_size(2)
     truths, outcomes, p_correct = _trial_arrays(2, chunk + 2, 11)
     for i in (chunk - 1, chunk, chunk + 1):
         assert _one_trial(2, 11, i) == (truths[i], outcomes[i], p_correct[i])
@@ -287,7 +294,7 @@ def test_chunk_boundary_trials(monkeypatch, capsys):
     report = run_experiment(2, chunk + 2, 11)
     assert cli.main(argv + ["--format", "csv"]) == 0
     csv = capsys.readouterr().out.splitlines(keepends=True)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    monkeypatch.setattr(montecarlo, "_BLOCKS", 7 * (2 * 2 + 1))  # 7-trial batches
     for got, want in zip(_trial_arrays(2, chunk + 2, 11), (truths, outcomes, p_correct)):
         np.testing.assert_array_equal(got, want)
     rebatched = run_experiment(2, chunk + 2, 11)
@@ -295,6 +302,125 @@ def test_chunk_boundary_trials(monkeypatch, capsys):
     assert rebatched.inconclusive_count == report.inconclusive_count
     assert cli.main(argv + ["--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines(keepends=True) == csv
+
+
+@pytest.mark.parametrize("d, size", [(2, 4096), (3, 2048), (5, 787), (10, 202), (14, 103)])
+def test_batches_hold_a_fixed_block_budget(d, size):
+    """Batches are sized in Philox blocks, not trials, so a batch's
+    temporaries stay about the same at every d."""
+    assert _batch_size(d) == size
+    starts = [start for start, *_ in trial_batches(d, size + 1, 0)]
+    assert starts == [0, size]
+
+
+def _record_threads(monkeypatch):
+    """A list that collects every thread montecarlo creates from now on."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            threads.append(self)
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
+    return threads
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_joined(threads):
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_threaded_batches_equal_serial_batches(monkeypatch, d):
+    """From d = 4 on two CPUs the batches are computed on threads, and
+    every column equals the one-CPU serial run's, also when the threads
+    switch as often as the interpreter allows."""
+    trials = 5 * _batch_size(d) + 3
+    threads = _record_threads(monkeypatch)
+    _cpus(monkeypatch, 1)
+    serial = _trial_arrays(d, trials, 3)
+    assert threads == []
+    _cpus(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    try:
+        for switch in (interval, 1e-6):
+            sys.setswitchinterval(switch)
+            for got, want in zip(_trial_arrays(d, trials, 3), serial):
+                np.testing.assert_array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 2 * 2  # two per threaded run, not one per batch
+    _assert_joined(threads)
+
+
+def test_thread_count_falls_back_to_cpu_count(monkeypatch):
+    """Without sched_getaffinity, os.cpu_count() decides; d = 3 and a
+    single batch stay serial on any CPU count."""
+    threads = _record_threads(monkeypatch)
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    list(trial_batches(4, 3000, 0))
+    assert threads == []
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    list(trial_batches(3, 5000, 0))
+    list(trial_batches(4, 1000, 0))
+    assert threads == []
+    list(trial_batches(4, 3000, 0))
+    assert len(threads) == 2
+    _assert_joined(threads)
+
+
+def test_closing_threaded_batches_early_joins_their_threads(monkeypatch):
+    """Closing after one batch stops and joins both threads, which had
+    started at most two batches each beyond the one consumed."""
+    simulate = montecarlo._simulate_range
+    starts = []
+
+    def counted(d, seed, start, count):
+        starts.append(start)
+        return simulate(d, seed, start, count)
+
+    threads = _record_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo, "_simulate_range", counted)
+    before = threading.active_count()
+    batches = trial_batches(5, 10**6, 0)
+    assert next(batches)[0] == 0
+    batches.close()
+    assert threading.active_count() == before
+    assert len(threads) == 2
+    assert 1 <= len(starts) <= 5
+    _assert_joined(threads)
+
+
+def test_batch_error_reaches_the_consumer(monkeypatch):
+    """A batch's exception comes out of the consumer's next, in order,
+    and leaves no thread running."""
+    simulate = montecarlo._simulate_range
+    size = _batch_size(5)
+
+    def failing(d, seed, start, count):
+        if start == size:
+            raise RuntimeError("second batch")
+        return simulate(d, seed, start, count)
+
+    threads = _record_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo, "_simulate_range", failing)
+    before = threading.active_count()
+    batches = trial_batches(5, 10 * size, 0)
+    assert next(batches)[0] == 0
+    with pytest.raises(RuntimeError, match="^second batch$"):
+        next(batches)
+    assert threading.active_count() == before
+    assert next(batches, None) is None
+    _assert_joined(threads)
 
 
 def test_extreme_uniforms_stay_inside_unit_interval():
@@ -374,7 +500,7 @@ def test_counts_share_the_64_bit_bound():
 
 
 # SHA-256 of the (truths, outcomes, p_correct) bytes of trial_batches(d,
-# 2100, 7), joined over its two batches.  The simulation runs at any d up
+# 2100, 7), joined over its batches.  The simulation runs at any d up
 # to 14, but the CSV digests pin only d <= 5.  Every outcome here is
 # inconclusive, so only the p_correct bytes catch a change in how the
 # references are normalised; at d = 8 a reordered sum changes most of them.

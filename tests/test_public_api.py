@@ -82,6 +82,17 @@ def test_import_loads_no_scipy():
     assert json.loads(_run_fresh(code)) == []
 
 
+def test_cli_import_loads_no_futures_or_logging():
+    """The simulation's threads use threading alone: concurrent.futures
+    would import logging, about 6 ms more set-up in every CLI run."""
+    code = (
+        "import json, sys, quditid.cli; "
+        "print(json.dumps([m for m in ('concurrent.futures', 'logging') "
+        "if m in sys.modules]))"
+    )
+    assert json.loads(_run_fresh(code)) == []
+
+
 # Layers the benchmark's traced algebra run (verify, build, optimize) records.
 ALGEBRA_LAYERS = [
     "analytics.verify_report",
