@@ -121,6 +121,10 @@ def _draw_trials(d, seed, start, count):
     c[1] = trial >> 32
     c[2] = np.arange(n + 1, dtype=np.uint64)[:, None]
     _philox4x32(c.reshape(4, -1), (seed & _MASK32, seed >> 32))
+    # energy and refs keep the .T view's trials-innermost layout (ufuncs keep K
+    # order), so each row sum adds its d energies in sequence.  A C-contiguous
+    # copy (summed pairwise from d = 8) or np.sum(..., out=) changes the order and
+    # the bits, as SIM_SHA256 at d = 8 and 10 shows: a new buffer must keep it.
     energy = -np.log(_uniforms(c[0, :n], c[1, :n]).T.reshape(count, d, d))
     energy /= energy.sum(axis=-1, keepdims=True)
     refs = np.exp((2j * np.pi) * _uniforms(c[2, :n], c[3, :n]).T.reshape(count, d, d))

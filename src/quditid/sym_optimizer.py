@@ -5,7 +5,8 @@ with 1 on the diagonal and -1/d off it.  Any family with that Gram can
 be written explicitly in an abstract d-dimensional space, where
 maximizing the total conclusive weight subject to the summed operator
 staying below the identity becomes a d x d eigenvalue problem, plus a
-brute-force grid search as a second opinion.
+brute-force grid search as a second opinion, which takes each spectrum
+from the real Gram form A^dagger A for the frame operator A A^dagger.
 
 This module deliberately never imports the measurement construction;
 agreement of the two routes is asserted in the test suite, not wired in
@@ -113,8 +114,10 @@ def optimal_weight_grid(fam, resolution):
 
     Weights run over {0, resolution, ..., <=1} per outcome, for the
     (d, resolution) check_grid accepts.  Returns (weights, total) of the
-    feasible point (top eigenvalue of the weighted frame operator at most
-    1 + FEASIBILITY_TOL) with the largest float total, ties going to the
+    feasible point (top eigenvalue at most 1 + FEASIBILITY_TOL of the
+    weighted frame operator A A^dagger, A = [sqrt(w_n) v_n], taken as that
+    of the real d x d matrix A^dagger A = diag(sqrt w) G diag(sqrt w), G the
+    Gram matrix) with the largest float total, ties going to the
     lexicographically smallest weights.  Raising a weight adds a positive
     semidefinite term, so the feasible set is down-closed, and strictly
     raises the float total: the answer is some prefix's frontier point,
@@ -129,6 +132,7 @@ def optimal_weight_grid(fam, resolution):
     resolution = check_grid(fam.d, resolution)
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
+    gram, roots = (fam.vectors.conj() @ fam.vectors.T).real, np.sqrt(values)
     at = np.indices((steps,) * (fam.d - 2) + (1, 1)).reshape(fam.d, -1).T
     at[:, -1] = steps - 1
     best, best_at = np.full(len(at), -np.inf), at.copy()
@@ -137,7 +141,8 @@ def optimal_weight_grid(fam, resolution):
     # made in a function of this name.
     def consider(points):
         """Feasibility of each row of grid indices in `points`."""
-        top = np.linalg.eigvalsh(frame_operator(fam, values[points]))[:, -1]
+        r = roots[points]
+        top = np.linalg.eigvalsh(r[:, :, None] * gram * r[:, None, :])[:, -1]
         return top <= 1.0 + FEASIBILITY_TOL
 
     while (live := np.flatnonzero((at[:, -2] < steps) & (at[:, -1] >= 0))).size:

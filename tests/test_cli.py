@@ -35,6 +35,7 @@ VERIFY_CHECKS = ["success_matches_closed_form", "no_misidentification", "primal_
 # pinned so that a faster grid search returns the same weights and total.
 OPTIMIZE_SHA256 = {
     (2, "0.01"): "7caa0865fcece996cc694047462e03c74bbd7434eeb774d71a119c029f0effd2",
+    (2, "0.001"): "927b997585558080fa01f8a9825a6a0e67fee7a13af69801fbe2d595ac516463",
     (3, "0.01"): "0e665ff758d0209620cc87745cad428c67495a1852992f25581afc5a2e2d51ed",
     (3, "0.005"): "2fcca8dba818710ff11a3c3e1e1ccf00b5fac05b48802b000a96228a0bd95918",
 }

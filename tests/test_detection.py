@@ -368,6 +368,19 @@ def test_povm_to_dict_refuses_differing_scales(povm2):
         povm_to_dict(mixed)
 
 
+def test_povm_to_dict_d5_makes_no_norm_call(monkeypatch):
+    """StateVector checks its norm without np.linalg.norm, whose BLAS
+    ddot splits across threads above 10,000 amplitudes: after an idle
+    host a d = 5 vector then took 16 ms instead of 25 us."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    wire = povm_to_dict(build_povm(5))
+    assert sum(len(e["vectors"]) for e in wire["elements"]) == 25
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [("d", 2.9), ("label", 1.7), ("element d", 2.5), ("d", True), ("label", True), ("element d", True)],

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -199,19 +200,69 @@ def test_grid_search_tie_breaks_on_float_total():
 def test_grid_search_walks_each_row_once(monkeypatch):
     # Each of the 101 rows takes at most one step per grid index in its
     # last two coordinates: at most 2 * 101 rounds and 2 * 101**2 solves.
+    # The exact counts pin the walk, and the caller's name pins the rule
+    # by which perfbench/child.py counts grid candidates.
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        solved.append(len(a))
+        solved.append((inspect.currentframe().f_back.f_code.co_name, len(a)))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     weights, total = optimal_weight_grid(build_symmetric_family(3), 0.01)
     assert weights.tolist() == [0.75, 0.75, 0.75]
     assert total == 2.25
-    assert 0 < len(solved) <= 2 * 101
-    assert 0 < sum(solved) <= 2 * 101**2 < 101**3
+    assert {caller for caller, _ in solved} == {"consider"}
+    assert len(solved) == 201 <= 2 * 101
+    assert sum(n for _, n in solved) == 18462 <= 2 * 101**2 < 101**3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gram_form_has_the_frame_operator_spectrum(d):
+    # With A = [sqrt(w_1) v_1, ..., sqrt(w_d) v_d], the frame operator is
+    # A A^dagger and diag(sqrt w) G diag(sqrt w) is A^dagger A: both d x d,
+    # so their spectra agree.
+    fam = build_symmetric_family(d)
+    gram = (fam.vectors.conj() @ fam.vectors.T).real
+    weights = np.random.default_rng(d).uniform(0.0, 1.0, size=(200, d))
+    r = np.sqrt(weights)
+    got = np.linalg.eigvalsh(r[:, :, None] * gram * r[:, None, :])
+    want = np.linalg.eigvalsh(frame_operator(fam, weights))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _frame_top(fam, weights, eigvalsh):
+    """Oracle: the top eigenvalue of each weighted frame operator, which
+    the grid compared with 1 + FEASIBILITY_TOL before the Gram form."""
+    return eigvalsh(frame_operator(fam, weights))[:, -1]
+
+
+# Every candidate of the walk gets the frame operator's decision.  The
+# smallest |top - (1 + FEASIBILITY_TOL)| over these walks is 1.0e-10, at
+# boundary points whose top is 1 (both forms alike); the two forms' tops
+# differ by at most 1.8e-15.
+@pytest.mark.parametrize("d, resolution", [(2, 0.01), (2, 0.001), (3, 0.01), (3, 0.005)])
+def test_grid_feasibility_matches_frame_operator(monkeypatch, d, resolution):
+    fam = build_symmetric_family(d)
+    steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
+    values = np.arange(steps) * resolution
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def checking(a, *args, **kwargs):
+        eigs = eigvalsh(a, *args, **kwargs)
+        caller = inspect.currentframe().f_back
+        assert caller.f_code.co_name == "consider"
+        top = _frame_top(fam, values[caller.f_locals["points"]], eigvalsh)
+        bound = 1.0 + FEASIBILITY_TOL
+        np.testing.assert_array_equal(eigs[:, -1] <= bound, top <= bound)
+        seen.append(np.abs(np.concatenate([top, eigs[:, -1]]) - bound))
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", checking)
+    optimal_weight_grid(fam, resolution)
+    assert np.concatenate(seen).min() > 1e-13
 
 
 def _traced_peak(d, resolution):
