@@ -55,16 +55,21 @@ class _Parser(argparse.ArgumentParser):
 _SLICE = 1 << 20
 
 
-def _emit(output, out):
+def _emit(output, out, error):
     """Write a command's output, then a newline, to the file `out` or stdout.
 
     A dict is a JSON report, rendered here, before the file is opened; any
-    other output is an iterable of text pieces.  Each piece is written in
-    slices of at most _SLICE characters, so a piece no longer than that is
-    one write of the same string.
+    other output is an iterable of text pieces.  An OSError from opening
+    `out` goes to `error`, the parser's usage-error exit.  Each piece is
+    written in slices of at most _SLICE characters, so a piece no longer
+    than that is one write of the same string.
     """
     pieces = [jsonio.dumps(output)] if isinstance(output, dict) else output
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        error(f"cannot open --out: {exc}")
+    with sink as fh:
         for piece in pieces:
             for start in range(0, len(piece), _SLICE):
                 fh.write(piece[start : start + _SLICE])
@@ -179,7 +184,7 @@ def main(argv=None):
             output, code = args.run(args)
         except ValueError as exc:
             args.parser.error(str(exc))
-        _emit(output, args.out)
+        _emit(output, args.out, args.parser.error)
         return code
     except SystemExit as exc:
         return int(exc.code or 0)

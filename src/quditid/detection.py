@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, _check_finite, _check_index, _check_real
+from .tensor_core import StateVector, _check_factors, _check_index, _check_real
 from .tensor_core import check_dense_dim, check_dim, state_to_dict
 
 
@@ -154,9 +154,9 @@ def build_povm(d):
 def overlap_with_product(d, n, factors):
     """Overlap of the detection state for outcome n with a product state.
 
-    `factors` holds the d+1 single-qudit amplitude vectors of the
-    product state in register order; the factor at position n does not
-    enter (the detection state ignores that qudit).  Evaluates the
+    `factors` holds the d+1 unit factors of the product state in register
+    order, held to _check_factors like product_state's; the factor at
+    position n does not enter (the detection state ignores it).  Evaluates the
     Slater determinant of the matrix whose columns are the remaining
     factors in ascending slot order, at O(d**3) cost:
 
@@ -164,17 +164,7 @@ def overlap_with_product(d, n, factors):
     """
     d = check_dim(d)
     n = _check_index("outcome index", n, 1, d)
-    if len(factors) != d + 1:
-        raise ValueError(f"expected {d + 1} factors, got {len(factors)}")
-    cols = []
-    for j in range(d + 1):
-        if j == n:
-            continue
-        f = _check_finite(f"factor {j}", factors[j], np.complex128)
-        if f.shape != (d,):
-            raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
-        cols.append(f)
-    m = np.column_stack(cols)
+    m = np.delete(np.column_stack(_check_factors(d, factors)), n, axis=1)
     sign = -1.0 if n % 2 else 1.0
     return complex(sign * np.linalg.det(m) / math.sqrt(math.factorial(d)))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import _check_index, _check_real, check_dim, total_dim
+from .tensor_core import _check_finite, _check_index, _check_real, check_dim, total_dim
 
 # Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).
 DENSE_DIM_LIMIT = 4096
@@ -51,14 +51,17 @@ class HermitianOperator:
         return grid.swapaxes(0, self.n).reshape(vec.shape)
 
     def apply(self, vec):
-        vec = np.asarray(vec)
+        """The operator applied to `vec`, a real or complex array of finite
+        numbers (tensor_core._check_finite's rule) along its first axis."""
+        vec = _check_finite("vector", vec, np.complex128 if np.iscomplexobj(vec) else np.float64)
         return self.a * vec + self.b * self.swap(vec)
 
     def to_dense(self):
         D = total_dim(self.d)
         if D > DENSE_DIM_LIMIT:
             raise ValueError(f"refusing to densify a {D}x{D} operator")
-        return self.apply(np.eye(D, dtype=np.complex128))
+        eye = np.eye(D, dtype=np.complex128)  # not copied through apply's check
+        return self.a * eye + self.b * self.swap(eye)
 
 
 def rho_prefactor(d):

@@ -6,6 +6,9 @@ has dimension D = d**(d+1).  Flat basis indices are big-endian with the
 probe digit most significant:
 
     flat = sum_j digits[j] * d**(d - j)
+
+Each input rule is written once, in a _check_* function here: _check_factors
+for the factors of a product input, _check_unit for unit norm.
 """
 
 import functools
@@ -71,6 +74,25 @@ def _check_finite(name, values, dtype=np.float64):
     return values
 
 
+def _check_unit(name, values):
+    """The norm of a 1-D complex128 array, refused unless within NORM_TOL of 1."""
+    reim = values.view(np.float64)  # einsum: np.linalg.norm's BLAS ddot wakes idle threads
+    if not abs((norm := np.sqrt(np.einsum("i,i", reim, reim))) - 1.0) <= NORM_TOL:  # NaN fails
+        raise ValueError(f"{name} is not normalized")
+    return norm
+
+
+def _check_factors(d, factors):
+    """The d+1 factors of a product input as (d,) unit vectors, each over its norm."""
+    if len(factors) != d + 1:
+        raise ValueError(f"expected {d + 1} factors, got {len(factors)}")
+    factors = [_check_numbers(f"factor {j}", f, np.complex128) for j, f in enumerate(factors)]
+    for j, f in enumerate(factors):
+        if f.shape != (d,):
+            raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
+    return [f / _check_unit(f"factor {j}", f) for j, f in enumerate(factors)]
+
+
 def total_dim(d):
     """Dimension D = d**(d+1) of the full (d+1)-qudit space."""
     d = check_dim(d)
@@ -125,28 +147,19 @@ class StateVector:
         D = d ** (d + 1)
         if amps.shape != (D,):
             raise ValueError(f"expected {D} amplitudes for d={d}, got {amps.shape}")
-        reim = amps.view(np.float64)  # einsum: np.linalg.norm's BLAS ddot wakes idle threads
-        if not abs(np.sqrt(np.einsum("i,i", reim, reim)) - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError("state vector is not normalized")
+        _check_unit("state vector", amps)
         amps.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "amps", amps)
 
 
 def product_state(factors):
-    """Tensor product of d+1 single-qudit states, probe factor first.
-
-    Each factor must be a unit-norm amplitude vector of length d, where
-    d+1 is the number of factors, and d at most DENSE_MAX_D.
+    """Tensor product of d+1 single-qudit states, probe factor first, for d
+    at most DENSE_MAX_D.  The factors pass _check_factors, the rule
+    overlap_with_product shares, so a product of accepted factors is accepted.
     """
-    factors = [_check_numbers(f"factor {j}", f, np.complex128) for j, f in enumerate(factors)]
-    d = check_dense_dim(len(factors) - 1)
-    for j, f in enumerate(factors):
-        if f.shape != (d,):
-            raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
-        if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"factor {j} is not normalized")
-    return StateVector(d, functools.reduce(np.kron, factors))
+    d = check_dense_dim(len(factors := list(factors)) - 1)
+    return StateVector(d, functools.reduce(np.kron, _check_factors(d, factors)))
 
 
 def inner_product(a, b):

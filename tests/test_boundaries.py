@@ -73,7 +73,8 @@ def _dim(name, call, low=2, high=14, accept=None):
 # are the extreme accepted doubles.  "finite array" and "unit vector": the
 # valid array is `low`, and a bool or string array of the right shape is
 # refused too, even where its values would pass (a one-hot bool array, or
-# numeric strings); past its dtype a unit vector is held to its norm only.
+# numeric strings); past its dtype a unit vector is held to its norm only,
+# which twice the valid vector fails.
 TABLE = [
     _dim("total_dim", quditid.total_dim),
     _dim("closed_form_success", quditid.closed_form_success),
@@ -86,6 +87,8 @@ TABLE = [
           lambda a: quditid.HermitianOperator(2, 1, a, 0.5)),
     Param("HermitianOperator", "b", "real", -BIG, BIG,
           lambda b: quditid.HermitianOperator(2, 1, 0.5, b)),
+    Param("HermitianOperator", "apply(vec)", "finite array", AMPS2, None,
+          lambda v: quditid.build_rho(2, 1).apply(v)),
     _dim("build_rho", lambda d: quditid.build_rho(d, 1)),
     Param("build_rho", "n", "integer", 1, 2, lambda n: quditid.build_rho(2, n)),
     _dim("encode_index", lambda d: quditid.encode_index([0, 0, 0], d), accept=(2,)),
@@ -117,6 +120,8 @@ TABLE = [
           lambda a: quditid.StateVector(2, a)),
     Param("product_state", "factors[0]", "unit vector", KETS2[0], None,
           lambda f: quditid.product_state([f, *KETS2[1:]])),
+    Param("product_state", "factors[2]", "unit vector", KETS2[2], None,
+          lambda f: quditid.product_state([*KETS2[:2], f])),
     _dim("SymmetricFamily", lambda d: quditid.SymmetricFamily(d, FAM2.vectors), accept=(2,)),
     Param("SymmetricFamily", "vectors", "finite array", FAM2.vectors, None,
           lambda v: quditid.SymmetricFamily(2, v)),
@@ -132,8 +137,10 @@ TABLE = [
          accept=(2,)),
     Param("overlap_with_product", "n", "integer", 1, 2,
           lambda n: quditid.overlap_with_product(2, n, KETS2)),
-    Param("overlap_with_product", "factors[0]", "finite array", KETS2[0], None,
-          lambda f: quditid.overlap_with_product(2, 1, [f, *KETS2[1:]])),
+    # n = 1 leaves factor 1 out of the determinant; it is checked all the same.
+    *(Param("overlap_with_product", f"factors[{j}]", "unit vector", KETS2[j], None,
+            lambda f, j=j: quditid.overlap_with_product(2, 1, [*KETS2[:j], f, *KETS2[j + 1:]]))
+      for j in range(3)),
     _dim("haar_average_check", lambda d: quditid.haar_average_check(d, 1, 1, 0), high=4),
     Param("haar_average_check", "n", "integer", 1, 2,
           lambda n: quditid.haar_average_check(2, n, 1, 0)),
@@ -178,6 +185,8 @@ def _refused(p):
               "short": valid[..., :-1]}
     values["bool array"] = valid != 0
     values["string array"] = valid.astype(str)
+    if p.kind == "unit vector":
+        values["2 x valid"] = 2 * valid
     return values
 
 

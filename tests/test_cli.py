@@ -121,6 +121,18 @@ def test_output_fault_raises_instead_of_a_usage_error(capsys, monkeypatch, tmp_p
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize(
+    "argv", [["verify", "--d", "2"], ["simulate", "--d", "2", "--trials", "3", "--format", "csv"]],
+    ids=" ".join,
+)
+def test_out_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, argv, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert f"quditid {argv[0]}: error: cannot open --out: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_emit_writes_long_pieces_in_slices(monkeypatch, tmp_path):
     # Over 2 MiB of varied text, so a slice lost, repeated or shifted at
     # either boundary changes the bytes.
@@ -128,12 +140,12 @@ def test_emit_writes_long_pieces_in_slices(monkeypatch, tmp_path):
     small = "short"
     assert len(piece) > 2 * cli._SLICE
     path = tmp_path / "out.txt"
-    cli._emit([piece, small], str(path))
+    cli._emit([piece, small], str(path), pytest.fail)
     assert path.read_bytes() == (piece + small + "\n").encode("utf-8")
 
     writes = []
     monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=writes.append))
-    cli._emit([piece, small], None)
+    cli._emit([piece, small], None, pytest.fail)
     assert "".join(writes) == piece + small + "\n"
     assert len(writes) == 5
     assert max(map(len, writes)) == cli._SLICE

@@ -250,6 +250,27 @@ def test_overlap_validation():
     bad = factors[:2] + [np.ones(2) / math.sqrt(2.0)] + factors[3:]
     with pytest.raises(ValueError):
         overlap_with_product(3, 1, bad)
+    # Factor n is held to the rule, though outcome n's determinant leaves it out.
+    ket0, ket1 = basis_ket(2, 0), basis_ket(2, 1)
+    for x in ["garbage", None, [np.nan, 1.0], [True, False], np.ones(3) / math.sqrt(3.0)]:
+        with pytest.raises(ValueError, match="factor 1 "):
+            overlap_with_product(2, 1, [ket0, x, ket1])
+    # scale * |overlap|**2 is a probability only for unit factors.
+    with pytest.raises(ValueError, match="factor 0 is not normalized"):
+        overlap_with_product(2, 1, [5 * ket0, ket0, 3 * ket1])
+
+
+@pytest.mark.parametrize("error", [9e-13, -9e-13])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_factors_within_tolerance_give_a_product_state(d, error):
+    """Each factor is divided by its computed norm, so factors the rule accepts
+    give a product it accepts, and the overlaps of exact unit factors."""
+    rng = np.random.default_rng(d)
+    for exact in ([basis_ket(d, 0)] * (d + 1), [haar_state(d, rng) for _ in range(d + 1)]):
+        near = [(1.0 + error) * f for f in exact]
+        assert product_state(near).d == d
+        for n in range(1, d + 1):
+            assert abs(overlap_with_product(d, n, near) - overlap_with_product(d, n, exact)) <= 1e-12
 
 
 def test_low_rank_element_validation():
