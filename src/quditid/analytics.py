@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import build_povm
+from .detection import _sign_gram, build_povm
 from .state_ops import build_rho
 from .tensor_core import _check_finite, check_dense_dim, check_dim, total_dim
 
@@ -80,7 +80,7 @@ def _traces(povm, d):
         row = []
         for elem in povm.elements:
             cols = elem.signs.T
-            swapped = int(np.sum(cols * rho.swap(cols), dtype=np.int64))
+            swapped = int(np.sum(cols * rho._swap(cols), dtype=np.int64))
             rank = len(elem.signs)
             row.append(_exact_scale(elem.scale, d) * (rank * fact + swapped) / denominator)
         traces.append(row)
@@ -146,8 +146,9 @@ def verify_report(d, povm=None):
     - no_misidentification: every Tr(rho_n Pi_m), m != n, is 0;
     - primal_feasible: I - sum Pi_m >= 0.  sum Pi_m shares its nonzero
       eigenvalues with D_s^(1/2) G D_s^(1/2), for G = S S^T / d! (S the
-      stacked sign rows) and D_s each row's scale as _exact_scale reads
-      it, so this is d! D_s^-1 - S S^T >= 0 (Eldar 2003), by _is_psd.
+      stacked sign rows, S S^T from detection._sign_gram) and D_s each
+      row's scale as _exact_scale reads it, so this is
+      d! D_s^-1 - S S^T >= 0 (Eldar 2003), by _is_psd.
 
     The report's floats are each rounded once from their exact values;
     "ok" is true when "failed_checks" is empty.  build_povm refuses
@@ -158,9 +159,7 @@ def verify_report(d, povm=None):
     traces = _traces(povm, d)
     p_succ = _success(traces)
     max_offdiag = max(abs(t) for n, row in enumerate(traces) for m, t in enumerate(row) if m != n)
-    # S S^T in float64 is exact, as in LowRankPovmElement's check.
-    signs = np.vstack([elem.signs for elem in povm.elements]).astype(np.float64)
-    form = (-signs @ signs.T).astype(np.int64).tolist()
+    form = (-_sign_gram(np.vstack([elem.signs for elem in povm.elements]))).tolist()
     for i, scale in enumerate(e.scale for e in povm.elements for _ in e.signs):
         form[i][i] += math.factorial(d) / _exact_scale(scale, d)
     checks = {

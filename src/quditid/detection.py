@@ -43,6 +43,18 @@ def _sign_matrix(d, n):
     return matrix
 
 
+def _sign_gram(signs):
+    """The int64 Gram matrix S S^T of an integer sign matrix S (rows of
+    entries in {-1, 0, 1}, D to a row).
+
+    The product runs in float64, so it uses BLAS, and it is exact: each
+    entry is an integer of magnitude at most D, and any S that fits in
+    memory has D < 2**53.
+    """
+    wide = signs.astype(np.float64)
+    return (wide @ wide.T).astype(np.int64)
+
+
 def build_detection_core(d, n):
     """Totally antisymmetric detection state for outcome n: branch 0 of
     build_povm_vector, with qudit n's digit held at 0.  Unit norm."""
@@ -90,10 +102,7 @@ class LowRankPovmElement:
             raise ValueError(f"expected a (rank, {d ** (d + 1)}) sign matrix, got {signs.shape}")
         if signs.dtype.kind not in "iu" or np.any((signs < -1) | (signs > 1)):
             raise ValueError("sign matrix entries must be integers in {-1, 0, 1}")
-        # S S^T is exact in float64 (and uses BLAS): each entry is an integer
-        # of magnitude at most D, and any S that fits in memory has D < 2**53.
-        wide = signs.astype(np.float64)
-        if np.any(wide @ wide.T != math.factorial(d) * np.eye(len(wide))):
+        if np.any(_sign_gram(signs) != math.factorial(d) * np.eye(len(signs), dtype=np.int64)):
             raise ValueError("element vectors are not orthonormal: S S^T != d! I")
         signs = signs.astype(np.int8)
         signs.setflags(write=False)

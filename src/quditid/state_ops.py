@@ -5,8 +5,12 @@ exchanges the probe qudit with reference qudit n and leaves the
 spectators alone.  On a flat amplitude vector that swap is a
 permutation of basis indices: reshape to one axis per qudit, swap axes
 0 and n, flatten.  So no D x D matrix is stored, and applying an
-operator costs one copy of the vector.  Only HermitianOperator.to_dense
-forms one, and only for D <= DENSE_DIM_LIMIT (d <= 4).
+operator costs one copy of the vector.  HermitianOperator's public
+methods are apply, which holds its vector to _check_finite, and
+to_dense, which takes none and forms the D x D matrix only for
+D <= DENSE_DIM_LIMIT (d <= 4).  The swap itself is the private _swap;
+analytics applies it to the integer sign columns of the measurement,
+so verify's traces stay exact.
 
     P_sym(0,n)  = (I + SWAP_{0n}) / 2
     P_asym(0,n) = (I - SWAP_{0n}) / 2
@@ -45,7 +49,7 @@ class HermitianOperator:
         object.__setattr__(self, "a", _check_real("coefficient a", self.a))
         object.__setattr__(self, "b", _check_real("coefficient b", self.b))
 
-    def swap(self, vec):
+    def _swap(self, vec):
         """SWAP_{0n} applied along the first axis of `vec`."""
         grid = vec.reshape((self.d,) * (self.d + 1) + vec.shape[1:])
         return grid.swapaxes(0, self.n).reshape(vec.shape)
@@ -54,14 +58,14 @@ class HermitianOperator:
         """The operator applied to `vec`, a real or complex array of finite
         numbers (tensor_core._check_finite's rule) along its first axis."""
         vec = _check_finite("vector", vec, np.complex128 if np.iscomplexobj(vec) else np.float64)
-        return self.a * vec + self.b * self.swap(vec)
+        return self.a * vec + self.b * self._swap(vec)
 
     def to_dense(self):
         D = total_dim(self.d)
         if D > DENSE_DIM_LIMIT:
             raise ValueError(f"refusing to densify a {D}x{D} operator")
         eye = np.eye(D, dtype=np.complex128)  # not copied through apply's check
-        return self.a * eye + self.b * self.swap(eye)
+        return self.a * eye + self.b * self._swap(eye)
 
 
 def rho_prefactor(d):

@@ -61,6 +61,18 @@ def test_public_names_are_pinned_and_resolve():
         assert not hasattr(quditid, name)
 
 
+def test_hermitian_operator_public_methods_are_apply_and_to_dense():
+    """apply holds its vector to the finite-number rule and to_dense takes
+    no input; the digit swap behind both stays private, so no unchecked
+    entry is public."""
+    cls = quditid.HermitianOperator
+    public = sorted(
+        name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))
+    )
+    assert public == ["apply", "to_dense"]
+    assert not hasattr(cls, "swap")
+
+
 def _run_fresh(code):
     """stdout of `code` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(quditid.__file__))

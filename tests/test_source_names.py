@@ -1,9 +1,10 @@
 """Dead-name guard for the package source, in place of a linter.
 
-Parses src/quditid/*.py with ast and fails on a module-level private
-name that nothing in the package reads, or on an import its module never
-reads.  An import kept on purpose (a re-export, or a name a benchmark
-patches) carries "# noqa: F401" on one of its lines.
+Parses src/quditid/*.py with ast and fails on a private name, defined at
+module level or as a method in a class body, that nothing in the package
+reads, or on an import its module never reads.  An import kept on purpose
+(a re-export, or a name a benchmark patches) carries "# noqa: F401" on
+one of its lines.
 """
 
 import ast
@@ -42,8 +43,13 @@ def _reads(tree):
 
 
 def _private_definitions(tree):
+    """Private names a module defines: module-level functions, classes and
+    assignments, and the methods of its module-level classes."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
+            names = [node.name]
+            names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
             names = [node.name]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -52,6 +58,17 @@ def _private_definitions(tree):
         else:
             continue
         yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_private_definitions_include_methods():
+    tree = ast.parse(
+        "class _Hidden:\n"
+        "    def __post_init__(self): pass\n"
+        "    def _swap(self, vec): pass\n"
+        "    def apply(self, vec): pass\n"
+        "def _helper(): pass\n"
+    )
+    assert list(_private_definitions(tree)) == ["_Hidden", "_swap", "_helper"]
 
 
 def test_every_private_module_name_is_read():
