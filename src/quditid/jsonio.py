@@ -1,10 +1,13 @@
-"""Deterministic JSON output with full double precision.
+"""Deterministic text output with full double precision: the JSON
+reports and the `simulate` CSV.
 
 The standard json encoder formats floats with repr(), which is already
 round-trip exact, but its output length varies and it cannot be told to
-keep a fixed significant-digit form.  Reports here promise 17
-significant digits for every numeric value, so this module renders
-numbers itself and leaves everything else to the stdlib.
+keep a fixed significant-digit form.  Every written number promises 17
+significant digits, so this module renders numbers itself and leaves
+everything else to the stdlib.  It is the one home of that rule:
+format_float, and the CSV row template of csv_blocks with its
+format_float fallback; the cli only writes the text.
 
 A non-empty 2-D float ndarray renders exactly as its tolist() would,
 but each distinct value (by bit pattern, so -0.0 stays apart from 0.0)
@@ -35,6 +38,35 @@ def format_float(x):
     if not any(c in s for c in ".eE"):
         s += ".0"
     return s
+
+
+# One CSV row.  "%.17g" is format_float's form except where it prints an
+# integer-valued double as a bare integer ("0", "1"), which format_float
+# writes as "0.0", "1.0".
+_CSV_ROW = "\n%d,%d,%d,%.17g,%.17g"
+
+
+def csv_blocks(batches):
+    """The `simulate` CSV header, then one block of rows per batch of trials.
+
+    A batch's rows come from one template mapped over its columns.  The
+    few whose p or 1 - p is integer-valued (p == 0, p == 1, or
+    0 < p <= 2**-54, where 1 - p rounds to 1) or non-finite are rendered
+    again with format_float, which adds the ".0" or raises ValueError.
+    A batch's row strings stay referenced until the next batch's are
+    built: freeing them first measured 8% slower per run (d=5, 20k
+    trials), for 0.8 MiB less peak RSS.
+    """
+    yield "trial,truth,outcome,p_success,p_inconclusive"
+    for start, truths, outcomes, p in batches:
+        q = 1.0 - p
+        cols = (truths.tolist(), outcomes.tolist(), p.tolist(), q.tolist())
+        rows = list(map(_CSV_ROW.__mod__, zip(range(start, start + len(p)), *cols)))
+        redo = ~np.isfinite(p) | (np.trunc(p) == p) | (np.trunc(q) == q)
+        for k in np.flatnonzero(redo).tolist():
+            t, o, pk, qk = (col[k] for col in cols)
+            rows[k] = f"\n{start + k},{t},{o},{format_float(pk)},{format_float(qk)}"
+        yield "".join(rows)
 
 
 def _distinct(values):

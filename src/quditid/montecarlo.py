@@ -188,6 +188,11 @@ def _in_order(fn, items):
             thread.join()
 
 
+def _batch_size(d):
+    """Trials per batch at dimension d: _BLOCKS Philox blocks, d*d + 1 a trial."""
+    return max(1, _BLOCKS // (d * d + 1))
+
+
 def trial_batches(d, trials, seed):
     """Trials 0 .. trials - 1 under `seed`, one batch at a time.
 
@@ -200,7 +205,7 @@ def trial_batches(d, trials, seed):
     d = check_dim(d)
     trials = _check_index("trials", trials, 1, SEED_LIMIT - 1)
     seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
-    size = max(1, _BLOCKS // (d * d + 1))
+    size = _batch_size(d)
     cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
     def batch(start):
         return (start, *_simulate_range(d, seed, start, min(size, trials - start)))
@@ -212,21 +217,24 @@ def haar_average_check(d, n, samples, seed):
     """Max entrywise deviation of build_rho(d, n) from the average of the
     matching-probe projector over the references simulate draws for
     trials 0 .. samples - 1 under `seed` (an integer in [0, 2**64)).
-    Decays as O(1/sqrt(samples)).  rho.to_dense() refuses d above 4
+    Decays as O(1/sqrt(samples)).  The probe copies reference n of the
+    arguments, not the n of the operator build_rho returns, so an operator
+    for the wrong reference deviates.  to_dense() refuses d above 4
     before the D x D accumulator is allocated.
     """
-    rho = build_rho(d, n)
+    d = check_dim(d)
+    n = _check_index("reference index", n, 1, d)
     seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
     samples = _check_index("samples", samples, 1, SEED_LIMIT - 1)
-    dense_rho = rho.to_dense()
+    dense_rho = build_rho(d, n).to_dense()
     acc = np.zeros_like(dense_rho)
-    size = max(1, _BLOCKS // (rho.d * rho.d + 1))
+    size = _batch_size(d)
     for start in range(0, samples, size):
-        refs = _draw_trials(rho.d, seed, start, min(size, samples - start))[0]
-        vecs = refs[:, rho.n - 1]
-        for j in range(rho.d):
+        refs = _draw_trials(d, seed, start, min(size, samples - start))[0]
+        vecs = refs[:, n - 1]
+        for j in range(d):
             vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(len(refs), -1)
-        acc += np.einsum("bi,bj->ij", vecs, vecs.conjugate())
+        acc += vecs.T @ vecs.conj()
     return float(np.max(np.abs(acc / samples - dense_rho)))
 
 

@@ -262,7 +262,7 @@ def test_csv_rows_equal_format_float():
     outcomes = np.where(rng.random(p.size) < 0.5, truths, 0)
     batches = [(0, truths[:100], outcomes[:100], p[:100]),
                (100, truths[100:], outcomes[100:], p[100:])]
-    text = "".join(cli._csv_blocks(batches))
+    text = "".join(jsonio.csv_blocks(batches))
     header = "trial,truth,outcome,p_success,p_inconclusive"
     want = header + "".join(_oracle_rows(*batch) for batch in batches)
     assert text == want
@@ -272,7 +272,7 @@ def test_csv_rows_equal_format_float():
 def test_csv_rows_reject_non_finite(bad):
     p = np.array([0.25, bad, 0.5])
     batch = (0, np.array([1, 2, 3]), np.array([1, 0, 3]), p)
-    blocks = cli._csv_blocks([batch])
+    blocks = jsonio.csv_blocks([batch])
     assert next(blocks) == "trial,truth,outcome,p_success,p_inconclusive"
     with pytest.raises(ValueError, match="non-finite"):
         next(blocks)

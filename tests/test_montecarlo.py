@@ -7,7 +7,6 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from conftest import basis_ket, element_expectation, outcome_probabilities, pair_sym_projector
 from quditid import cli, montecarlo
@@ -21,6 +20,7 @@ from quditid.montecarlo import (
     trial_batches,
     trial_stream,
 )
+from quditid.state_ops import rho_prefactor
 from quditid.tensor_core import haar_state, product_state
 
 
@@ -451,8 +451,12 @@ def test_success_rate_symmetric_across_truths():
         mask = truths == n
         succ = int(np.count_nonzero(outcomes[mask] == n))
         table.append([succ, int(mask.sum()) - succ])
-    result = scipy.stats.chi2_contingency(np.array(table))
-    assert result.pvalue >= 0.01
+    # Yates-corrected chi-square of the 2 x 2 table, one degree of freedom.
+    (a, b), (c, d) = table
+    total = a + b + c + d
+    shift = max(abs(a * d - b * c) - total / 2, 0.0)
+    x = total * shift**2 / ((a + b) * (c + d) * (a + c) * (b + d))
+    assert math.erfc(math.sqrt(x / 2)) >= 0.01
 
 
 def test_run_experiment_validation():
@@ -497,6 +501,36 @@ def test_counts_share_the_64_bit_bound():
         trial_batches(2, 2**64, 0)
     with pytest.raises(ValueError, match=r"^samples must lie in 1\.\."):
         montecarlo.haar_average_check(2, 1, 2**64, 0)
+
+
+@pytest.mark.parametrize("d, samples, seed", [(2, 100000, 2024), (3, 20000, 1)])
+def test_haar_average_check_catches_the_wrong_reference(monkeypatch, d, samples, seed):
+    """The probe copies reference n of the arguments, so an operator built
+    for another reference deviates by a share of its prefactor, while the
+    exact operator's deviation stays well below it."""
+    bound = rho_prefactor(d) / 4
+    assert montecarlo.haar_average_check(d, 1, samples, seed) < bound
+    real = montecarlo.build_rho
+    monkeypatch.setattr(montecarlo, "build_rho", lambda dim, n: real(dim, n % dim + 1))
+    assert montecarlo.haar_average_check(d, 1, samples, seed) > bound
+
+
+def test_haar_average_check_draws_the_trial_batches(monkeypatch):
+    """haar_average_check draws the references of trial_batches' batches:
+    the same (start, count) schedule, here one full batch and one trial."""
+    size = montecarlo._batch_size(2)
+    calls = []
+    real = montecarlo._draw_trials
+    def draw(d, seed, start, count):
+        calls.append((d, seed, start, count))
+        return real(d, seed, start, count)
+    monkeypatch.setattr(montecarlo, "_draw_trials", draw)
+    list(trial_batches(2, size + 1, 5))
+    schedule = calls[:]
+    assert schedule == [(2, 5, 0, size), (2, 5, size, 1)]
+    calls.clear()
+    montecarlo.haar_average_check(2, 1, size + 1, 5)
+    assert calls == schedule
 
 
 # SHA-256 of the (truths, outcomes, p_correct) bytes of trial_batches(d,

@@ -101,3 +101,15 @@ def test_every_import_is_read():
                 if bound not in loaded:
                     unused.append(f"{name}:{node.lineno}: {bound}")
     assert unused == []
+
+
+def test_only_jsonio_spells_the_float_format():
+    """The 17-significant-digit text rule has one home: a string constant
+    holding "17g" (a format spec, a row template) appears only in jsonio."""
+    found = [
+        f"{name}:{node.lineno}: {node.value!r}"
+        for name, (_, tree) in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "17g" in node.value
+    ]
+    assert found and all(entry.startswith("jsonio.py:") for entry in found), found
