@@ -10,15 +10,17 @@ format_float, and the CSV row template of csv_blocks with its
 format_float fallback; the cli only writes the text.
 
 A non-empty 2-D float ndarray renders exactly as its tolist() would,
-but each distinct value (by bit pattern, so -0.0 stays apart from 0.0)
-is formatted once and each distinct row is built once.  Values and rows
-are ranked with a sort, and each row adds to the piece list a reference
-to its distinct row's text, so the one large copy of the text is the
-final join.  A measurement vector's (D, 2) array of d**(d+1) amplitudes
-holds only a handful of distinct doubles, so this keeps `build` output
-cheap.
+but it is walked by runs of consecutive rows that are equal by bit
+pattern (so -0.0 stays apart from 0.0).  Each distinct value is
+formatted once, each distinct run-head row's text is built once, and a
+run adds that many references to the row's text to the piece list, so
+the one large copy of the text is the final join.  A measurement
+vector's (D, 2) array of d**(d+1) amplitudes has only d! nonzero rows,
+so it is a few hundred runs, mostly of [0.0, 0.0], and `build` output
+stays cheap.
 """
 
+import itertools
 import json
 import math
 
@@ -69,44 +71,34 @@ def csv_blocks(batches):
         yield "".join(rows)
 
 
-def _distinct(values):
-    """Sorted distinct entries of a 1-D array, and each entry's index
-    into them, from a sort and a neighbour compare.  On 62,500 uint64,
-    np.unique(..., return_inverse=True) took 0.7 ms and np.sort 0.07 ms
-    (numpy 2.4)."""
-    ordered = np.sort(values)
-    keep = np.empty(len(ordered), dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    uniq = ordered[keep]
-    return uniq, np.searchsorted(uniq, values)
-
-
 def _render_floats(arr, level, out):
     """Append the text of a non-empty 2-D float array, as _render(arr.tolist()),
-    to the list `out`, one piece per row: its distinct row's shared text,
-    with the "," and newline that follow it."""
+    to the list `out`, one piece per row: its row's shared text, with the
+    "," and newline that follow it."""
     pad = "  " * (level + 1)
     inner_pad = "  " * (level + 2)
-    bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-    # Rank by bit pattern, so -0.0 stays apart from 0.0.
-    uniq, codes = _distinct(bits.reshape(-1))
-    codes = codes.reshape(bits.shape)
-    # A row's code ranks its (code so far, next column) pairs.
-    row_codes = codes[:, 0]
-    for column in codes.T[1:]:
-        row_codes = _distinct(row_codes * len(uniq) + column)[1]
-    # Equal codes are equal rows, so any row of a code stands for it.
-    rep = np.empty(row_codes.max() + 1, dtype=np.intp)
-    rep[row_codes] = np.arange(len(row_codes))
-    texts = [format_float(x) for x in uniq.view(np.float64)]
     sep = ",\n" + inner_pad
-    row_texts = [
-        f"{pad}[\n{inner_pad}{sep.join(texts[c] for c in row)}\n{pad}],\n"
-        for row in codes[rep].tolist()
-    ]
+    values = np.ascontiguousarray(arr, dtype=np.float64)
+    # Compare by bit pattern, so -0.0 stays apart from 0.0.
+    bits = values.view(np.uint64)
+    # A run of equal rows starts at row 0 and wherever any column changes.
+    starts = np.zeros(len(bits), dtype=bool)
+    starts[0] = True
+    for column in bits.T:
+        starts[1:] |= column[1:] != column[:-1]
+    heads = np.flatnonzero(starts)
+    counts = np.diff(heads, append=len(bits)).tolist()
+    texts = {}  # value bits -> its text
+    row_texts = {}  # row bits -> its text
     out.append("[\n")
-    out.extend(np.array(row_texts, dtype=object)[row_codes].tolist())
+    for key, row, count in zip(map(tuple, bits[heads].tolist()), values[heads].tolist(), counts):
+        if (text := row_texts.get(key)) is None:
+            for b, x in zip(key, row):
+                if b not in texts:
+                    texts[b] = format_float(x)
+            cells = sep.join(texts[b] for b in key)
+            text = row_texts[key] = f"{pad}[\n{inner_pad}{cells}\n{pad}],\n"
+        out.extend(itertools.repeat(text, count))
     # The last row ends the array instead of a ",\n".
     out[-1] = out[-1][:-2] + "\n" + "  " * level + "]"
 

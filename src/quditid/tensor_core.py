@@ -173,9 +173,7 @@ def state_to_dict(state):
     """JSON-ready form: {"d": int, "amps": (D, 2) float64 array}.
 
     Row i of `amps` holds (re, im) of flat amplitude i; jsonio.dumps
-    renders it as the nested list [[re, im], ...].
+    renders it as the nested list [[re, im], ...].  `amps` is a read-only
+    view of the state's own buffer, not a copy.
     """
-    return {
-        "d": state.d,
-        "amps": np.stack([state.amps.real, state.amps.imag], axis=1),
-    }
+    return {"d": state.d, "amps": state.amps.view(np.float64).reshape(-1, 2)}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quditid import jsonio
+from quditid.detection import build_povm, povm_to_dict
 
 
 def test_format_float_17_digits():
@@ -139,3 +140,31 @@ def test_ranked_rows_render_like_their_list(seed):
         distinct = rng.standard_normal((rows, cols))
         for arr in (repeated, distinct):
             assert jsonio.dumps(arr) == jsonio.dumps(arr.tolist())
+
+
+def _runs(*runs):
+    """A 2-D array of the given (row, count) runs, in order."""
+    return np.concatenate([np.tile(np.array([row], dtype=np.float64), (count, 1)) for row, count in runs])
+
+
+def test_runs_of_rows_render_like_their_list():
+    """Runs of equal rows at the start, middle and end; runs told apart only
+    by a signed zero or a subnormal; one row; one long run; a build vector."""
+    zero, a, b = [0.0, 0.0], [0.5, -0.25], [1.0 / 3.0, 2.0]
+    cases = [
+        _runs((zero, 500), (a, 1), (zero, 300), (b, 400), (a, 2), (zero, 700)),
+        _runs((a, 3), (zero, 2), (a, 1000)),
+        _runs((zero, 3), ([-0.0, 0.0], 2), (zero, 4), ([0.0, -0.0], 1), (zero, 2), ([-0.0, -0.0], 3)),
+        _runs((zero, 5), ([5e-324, 0.0], 1), (zero, 5), ([0.0, -5e-324], 3), (zero, 1)),
+        _runs(([0.25, -0.0], 1)),
+        _runs(([1.0 / 3.0, -0.0], 20_000)),
+        povm_to_dict(build_povm(3))["elements"][1]["vectors"][2]["amps"],
+    ]
+    # Indices, not texts: a failed compare of 20,000 rows would be diffed.
+    wrong = [
+        i
+        for i, arr in enumerate(cases)
+        if jsonio.dumps(arr) != jsonio.dumps(arr.tolist())
+        or jsonio.dumps({"x": [arr]}) != jsonio.dumps({"x": [arr.tolist()]})
+    ]
+    assert wrong == []

@@ -195,6 +195,17 @@ def test_state_serialization_round_trip():
     np.testing.assert_array_equal(back, sv.amps)
 
 
+def test_state_dict_amps_are_a_read_only_view():
+    rng = np.random.default_rng(5)
+    sv = product_state([haar_state(3, rng) for _ in range(4)])
+    amps = state_to_dict(sv)["amps"]
+    assert np.shares_memory(amps, sv.amps)
+    assert not amps.flags.writeable
+    np.testing.assert_array_equal(
+        amps.view(np.uint64), np.stack([sv.amps.real, sv.amps.imag], axis=1).view(np.uint64)
+    )
+
+
 def test_state_dict_amps_are_pairs_with_signed_zeros():
     amps = np.zeros(8, dtype=np.complex128)
     amps[0] = complex(-0.0, 0.6)
