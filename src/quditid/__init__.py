@@ -32,7 +32,7 @@ from .montecarlo import (
     run_experiment,
     trial_batches,
 )
-from .state_ops import HermitianOperator, build_rho
+from .state_ops import build_rho
 from .sym_optimizer import (
     SymmetricFamily,
     build_symmetric_family,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfusionMatrix",
     "ExperimentReport",
-    "HermitianOperator",
     "INCONCLUSIVE",
     "LowRankPovmElement",
     "Povm",

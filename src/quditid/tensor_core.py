@@ -12,7 +12,6 @@ for the factors of a product input, _check_unit for unit norm.
 """
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +48,9 @@ def _check_index(name, value, low, high):
     return int(value)
 
 
-def _check_real(name, value, low=-sys.float_info.max, high=sys.float_info.max):
-    """Validate a real in finite bounds [low, high] (bools, strings, NaN, ±inf
-    refused); returns it as a float."""
+def _check_real(name, value, low, high):
+    """Validate a real in the caller's finite bounds [low, high], which are
+    required (bools, strings, NaN, ±inf refused); returns it as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not low <= value <= high:  # NaN and ±inf fail too
@@ -119,15 +118,16 @@ def haar_state(d, rng):
     """Haar-random single-qudit pure state.
 
     Drawn as an i.i.d. standard complex Gaussian vector, normalized; the
-    real parts are drawn before the imaginary parts.  Linear independence
-    of repeated draws holds with probability 1 and is not checked.
+    real parts are drawn before the imaginary parts.  A draw of norm zero
+    (probability 0 for a numpy Generator) is refused with ValueError, not
+    redrawn, so the call ends after one draw.  Linear independence of repeated
+    draws holds with probability 1 and is not checked.
     """
     d = check_dim(d)
-    while True:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            return v / norm
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    if not (norm := np.linalg.norm(v)) > 0.0:
+        raise ValueError("haar_state drew a zero vector")
+    return v / norm
 
 
 @dataclass(frozen=True)

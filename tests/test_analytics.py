@@ -15,7 +15,7 @@ from quditid.analytics import (
     verify_report,
 )
 from quditid.detection import Povm, build_povm
-from quditid.state_ops import HermitianOperator
+from quditid.state_ops import build_rho, rho_prefactor
 from quditid.tensor_core import encode_index, total_dim
 
 
@@ -88,7 +88,7 @@ def test_sym_block_trace_matches_full_space(d):
     n: the identity that collapses the success-probability trace to its
     closed form, for every reference n."""
     for n in range(1, d + 1):
-        proj = HermitianOperator(d, n, 0.5, 0.5).to_dense()
+        proj = build_rho(d, n).to_dense() / rho_prefactor(d)
         for k in range(d):
             for kp in range(d):
                 acc = 0.0

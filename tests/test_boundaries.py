@@ -1,7 +1,8 @@
 """One boundary table for every number the package accepts.
 
 Each numeric parameter of a name in quditid.__all__, of
-sym_optimizer.check_grid and of each CLI option is fed what its rule
+sym_optimizer.check_grid, of the state_ops.HermitianOperator constructor
+behind build_rho and of each CLI option is fed what its rule
 refuses: a bool, a float where an integer is due, NaN, +-inf, a string
 and one past each bound.  The library must raise ValueError, and the CLI
 must exit 1 without creating its --out file.  The bounds themselves are
@@ -12,7 +13,6 @@ name cannot ship without a row.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +21,11 @@ import pytest
 import quditid
 from conftest import basis_ket
 from quditid import cli
+from quditid.state_ops import HermitianOperator
 from quditid.sym_optimizer import check_grid
 
 NAN, INF = math.nan, math.inf
 TOP = 2**64 - 1  # the largest seed, trial index and count
-BIG = sys.float_info.max
 
 # Names whose arguments hold no number for the package to check: a
 # constant, the record run_experiment fills in (it validates nothing),
@@ -80,17 +80,12 @@ TABLE = [
     _dim("closed_form_success", quditid.closed_form_success),
     _dim("build_symmetric_family", quditid.build_symmetric_family),
     _dim("haar_state", lambda d: quditid.haar_state(d, np.random.default_rng(0))),
-    _dim("HermitianOperator", lambda d: quditid.HermitianOperator(d, 1, 0.5, 0.5)),
-    Param("HermitianOperator", "n", "integer", 1, 2,
-          lambda n: quditid.HermitianOperator(2, n, 0.5, 0.5)),
-    Param("HermitianOperator", "a", "real", -BIG, BIG,
-          lambda a: quditid.HermitianOperator(2, 1, a, 0.5)),
-    Param("HermitianOperator", "b", "real", -BIG, BIG,
-          lambda b: quditid.HermitianOperator(2, 1, 0.5, b)),
-    Param("HermitianOperator", "apply(vec)", "finite array", AMPS2, None,
-          lambda v: quditid.build_rho(2, 1).apply(v)),
+    _dim("HermitianOperator", lambda d: HermitianOperator(d, 1)),
+    Param("HermitianOperator", "n", "integer", 1, 2, lambda n: HermitianOperator(2, n)),
     _dim("build_rho", lambda d: quditid.build_rho(d, 1)),
     Param("build_rho", "n", "integer", 1, 2, lambda n: quditid.build_rho(2, n)),
+    Param("build_rho", "apply(vec)", "finite array", AMPS2, None,
+          lambda v: quditid.build_rho(2, 1).apply(v)),
     _dim("encode_index", lambda d: quditid.encode_index([0, 0, 0], d), accept=(2,)),
     Param("encode_index", "digit", "integer", 0, 1,
           lambda x: quditid.encode_index([x, 0, 0], 2)),
@@ -222,7 +217,8 @@ def test_library_accepts_the_valid_array(p):
 def test_every_public_name_is_in_the_table():
     covered = {p.name for p in TABLE}
     assert covered.isdisjoint(NO_NUMERIC_INPUT)
-    assert sorted(covered | set(NO_NUMERIC_INPUT)) == sorted(set(quditid.__all__) | {"check_grid"})
+    listed = set(quditid.__all__) | {"check_grid", "HermitianOperator"}
+    assert sorted(covered | set(NO_NUMERIC_INPUT)) == sorted(listed)
 
 
 # CLI options: (base arguments, option, kind, low, high).  Everything

@@ -129,9 +129,9 @@ def test_float_array_rejects_non_finite(bad, shape):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_ranked_rows_render_like_their_list(seed):
-    """The sort-based ranking of values and rows, on 1-64 rows by 1-4
-    columns: rows drawn from a few rows of _SPECIALS (signed zeros, a
-    subnormal), and all-distinct normals, each also as a one-row array."""
+    """Rendering by runs of equal rows, on 1-64 rows by 1-4 columns: rows
+    drawn from a few rows of _SPECIALS (signed zeros, a subnormal), and
+    all-distinct normals, each also as a one-row array."""
     rng = np.random.default_rng(seed)
     cols = int(rng.integers(1, 5))
     for rows in (1, int(rng.integers(2, 65))):

@@ -16,6 +16,7 @@ from quditid.montecarlo import (
     Z_99,
     SEED_LIMIT,
     _simulate_range,
+    haar_average_check,
     run_experiment,
     trial_batches,
     trial_stream,
@@ -54,14 +55,12 @@ def test_sample_haar_second_moment():
     the averaged two-copy state a scaled symmetric projector."""
     d = 2
     rng = np.random.default_rng(17)
-    acc = np.zeros((d * d, d * d), dtype=np.complex128)
     n_samples = 40000
-    for _ in range(n_samples):
-        psi = haar_state(d, rng)
-        pair = np.kron(psi, psi)
-        acc += np.outer(pair, pair.conj())
+    psi = np.array([haar_state(d, rng) for _ in range(n_samples)])
+    pair = (psi[:, :, None] * psi[:, None, :]).reshape(n_samples, d * d)
+    second = pair.T @ pair.conj() / n_samples
     target = 2.0 * pair_sym_projector(d) / (d * (d + 1))
-    assert np.max(np.abs(acc / n_samples - target)) < 0.02
+    assert np.max(np.abs(second - target)) < 0.02
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -143,7 +142,7 @@ def _one_trial(d, seed, index):
     return int(truths[0]), int(outcomes[0]), float(p[0])
 
 
-def test_run_trial_record_shape():
+def test_single_trial_record_shape():
     """One trial on its own: a truth in 1..d, an outcome that is the truth
     or inconclusive, and a success probability in [0, scale/d!]."""
     truths, outcomes, p = _simulate_range(3, 5, 0, 1)
@@ -153,7 +152,7 @@ def test_run_trial_record_shape():
     assert 0.0 <= p[0] <= 0.75 / 6
 
 
-def test_run_trial_deterministic():
+def test_single_trial_deterministic():
     assert _one_trial(2, 9, 4) == _one_trial(2, 9, 4)
 
 
@@ -282,7 +281,7 @@ def test_batch_across_counter_carry_matches_oracle(povm2, start, count):
         assert abs((1.0 - p_correct[k]) - p_inc) <= 1e-12
 
 
-def test_chunk_boundary_trials(monkeypatch, capsys):
+def test_batch_boundary_trials(monkeypatch, capsys):
     """Trials on either side of a batch boundary equal their single-trial
     rebuild, and a run with different batching gives the same arrays,
     the same counts and the same CSV bytes."""
@@ -501,6 +500,32 @@ def test_counts_share_the_64_bit_bound():
         trial_batches(2, 2**64, 0)
     with pytest.raises(ValueError, match=r"^samples must lie in 1\.\."):
         montecarlo.haar_average_check(2, 1, 2**64, 0)
+
+
+def test_haar_average_converges():
+    dev = haar_average_check(2, 1, 20000, seed=5)
+    assert dev < 0.02
+
+
+def test_haar_average_single_sample_is_far():
+    # one pure-state projector cannot reproduce a rank-6 mixture
+    assert haar_average_check(2, 1, 1, seed=5) > 0.05
+
+
+def test_haar_average_validation():
+    with pytest.raises(ValueError):
+        haar_average_check(2, 1, 0, seed=0)
+    with pytest.raises(ValueError):
+        haar_average_check(2, 3, 10, seed=0)
+    with pytest.raises(ValueError):
+        haar_average_check(5, 1, 10, seed=0)
+    with pytest.raises(ValueError):
+        haar_average_check(2, 1, 10, seed=-1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        haar_average_check(2, 1, 10, seed=None)
+    for samples in (True, 2.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            haar_average_check(2, 1, samples, seed=0)
 
 
 @pytest.mark.parametrize("d, samples, seed", [(2, 100000, 2024), (3, 20000, 1)])

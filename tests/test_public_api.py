@@ -1,14 +1,15 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import quditid
+from quditid import state_ops
 
 PUBLIC_NAMES = [
     "ConfusionMatrix",
     "ExperimentReport",
-    "HermitianOperator",
     "INCONCLUSIVE",
     "LowRankPovmElement",
     "Povm",
@@ -40,9 +41,11 @@ PUBLIC_NAMES = [
 ]
 
 
-# Names once exported that only tests called, and the JSON readers that no
-# command used; each is gone from the package.
+# Names once exported that only tests called, the JSON readers that no
+# command used, and HermitianOperator, whose constructor only respelled
+# build_rho; each is gone from the package.
 REMOVED_NAMES = [
+    "HermitianOperator",
     "TrialRecord",
     "build_sym_projector",
     "outcome_probabilities",
@@ -65,12 +68,18 @@ def test_hermitian_operator_public_methods_are_apply_and_to_dense():
     """apply holds its vector to the finite-number rule and to_dense takes
     no input; the digit swap behind both stays private, so no unchecked
     entry is public."""
-    cls = quditid.HermitianOperator
+    cls = state_ops.HermitianOperator
     public = sorted(
         name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))
     )
     assert public == ["apply", "to_dense"]
     assert not hasattr(cls, "swap")
+
+
+def test_averaged_state_holds_only_d_and_n():
+    """build_rho's operator is rho_n itself: no free coefficient to set."""
+    assert [f.name for f in dataclasses.fields(state_ops.HermitianOperator)] == ["d", "n"]
+    assert type(quditid.build_rho(2, 1)) is state_ops.HermitianOperator
 
 
 def _run_fresh(code):

@@ -125,6 +125,24 @@ def test_haar_state_normalized():
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+class _ZerosThenOnes:
+    """An rng whose first two standard_normal draws are zeros, ones after."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return np.zeros(size) if self.calls <= 2 else np.ones(size)
+
+
+def test_haar_state_refuses_a_zero_draw_instead_of_redrawing():
+    rng = _ZerosThenOnes()
+    with pytest.raises(ValueError, match="zero vector"):
+        haar_state(2, rng)
+    assert rng.calls == 2
+
+
 def test_state_vector_validation():
     amps = np.zeros(8, dtype=np.complex128)
     amps[3] = 1.0

@@ -90,12 +90,13 @@ def _scaled_prefactor(monkeypatch):
 
 def _wrong_reference(monkeypatch):
     op = state_ops.HermitianOperator
-    monkeypatch.setattr(state_ops, "HermitianOperator", lambda d, n, a, b: op(d, n % d + 1, a, b))
+    monkeypatch.setattr(state_ops, "HermitianOperator", lambda d, n: op(d, n % d + 1))
 
 
 def _antisymmetric(monkeypatch):
-    op = state_ops.HermitianOperator
-    monkeypatch.setattr(state_ops, "HermitianOperator", lambda d, n, a, b: op(d, n, a, -b))
+    """c*(I - SWAP)/2, through a negated digit swap."""
+    swap = state_ops.HermitianOperator._swap
+    monkeypatch.setattr(state_ops.HermitianOperator, "_swap", lambda self, vec: -swap(self, vec))
 
 
 @pytest.mark.parametrize("mutate", [_scaled_prefactor, _wrong_reference, _antisymmetric])
