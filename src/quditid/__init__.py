@@ -10,7 +10,6 @@ experiment with reproducible per-trial random streams.
 """
 
 from .analytics import (
-    ConfusionMatrix,
     closed_form_success,
     confusion,
     success_probability,
@@ -27,7 +26,6 @@ from .detection import (
 )
 from .montecarlo import (
     INCONCLUSIVE,
-    ExperimentReport,
     haar_average_check,
     run_experiment,
     trial_batches,
@@ -53,8 +51,6 @@ from .tensor_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfusionMatrix",
-    "ExperimentReport",
     "INCONCLUSIVE",
     "LowRankPovmElement",
     "Povm",

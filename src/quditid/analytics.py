@@ -4,12 +4,15 @@ report for the CLI.
 
 Every trace is exact.  Element m's vectors are S_k / sqrt(d!) for its
 integer sign matrix S (detection.LowRankPovmElement), and
-rho_n = (I + SWAP_0n) / ((d+1) d**d), so with the integers
-d! q_k = S_k . SWAP_0n(S_k) from build_rho's digit swap,
+rho_n = c (I + SWAP_0n) / 2 with c = state_ops.rho_prefactor(d), so with
+the integers d! q_k = S_k . SWAP_0n(S_k) from build_rho's digit swap,
 
-    Tr(rho_n Pi_m) = s_m / ((d+1) d**d) * sum_k (1 + q_k).
+    Tr(rho_n Pi_m) = s_m c / 2 * sum_k (1 + q_k).
 
-Each float reported is rounded once from these fractions.
+The doubles s_m and c enter by one nearest-double rule (_exact): the
+double nearest d/(d+1), or 2/((d+1) d**d), stands for that rational, and
+any other double for its own value.  Each float reported is rounded once
+from these fractions.
 """
 
 import math
@@ -17,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import state_ops
 from .detection import _sign_gram, build_povm
 from .state_ops import build_rho
-from .tensor_core import _check_finite, check_dense_dim, check_dim, total_dim
+from .tensor_core import check_dense_dim, check_dim, total_dim
 
 
 def closed_form_success(d):
@@ -30,26 +34,17 @@ def closed_form_success(d):
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Outcome probabilities per prepared state.
+    """Outcome probabilities per prepared state, built by confusion.
 
     entries[n-1, m-1] = Tr(rho_n Pi_m) for conclusive outcomes m = 1..d;
     the last column is the inconclusive probability, one minus the
     conclusive entries, since the inconclusive element is I - sum Pi_m.
     Rows sum to one; for the optimal measurement the off-diagonal
-    conclusive entries vanish.
+    conclusive entries vanish.  entries is a read-only float64 array.
     """
 
     d: int
     entries: np.ndarray
-
-    def __post_init__(self):
-        d = check_dim(self.d)
-        entries = _check_finite("confusion entries", self.entries)
-        if entries.shape != (d, d + 1):
-            raise ValueError(f"expected shape {(d, d + 1)}, got {entries.shape}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", entries)
 
     def max_offdiagonal(self):
         conclusive = self.entries[:, : self.d]
@@ -57,14 +52,14 @@ class ConfusionMatrix:
         return float(np.max(np.abs(off)))
 
 
-def _exact_scale(scale, d):
-    """The rational a scale stands for, as a Fraction: d/(d+1) for its
-    nearest double, the double's own value for any other."""
+def _exact(x, p, q):
+    """The rational a double x stands for, as a Fraction: p/q if x is the
+    double nearest p/q, x's own value otherwise."""
     # Imported on first use: fractions pulls in decimal, about 0.5 MiB
     # and 2 ms that every `simulate` run would otherwise pay at import.
     from fractions import Fraction
 
-    return Fraction(d, d + 1) if scale == d / (d + 1) else Fraction(scale)
+    return Fraction(p, q) if x == p / q else Fraction(x)
 
 
 def _traces(povm, d):
@@ -73,7 +68,7 @@ def _traces(povm, d):
     if povm.d != d:
         raise ValueError(f"measurement built for d={povm.d}, asked for d={d}")
     fact = math.factorial(d)
-    denominator = (d + 1) * d**d * fact
+    denominator = 2 * fact / _exact(state_ops.rho_prefactor(d), 2, (d + 1) * d**d)
     traces = []
     for n in range(1, d + 1):
         rho = build_rho(d, n)
@@ -82,7 +77,7 @@ def _traces(povm, d):
             cols = elem.signs.T
             swapped = int(np.sum(cols * rho._swap(cols), dtype=np.int64))
             rank = len(elem.signs)
-            row.append(_exact_scale(elem.scale, d) * (rank * fact + swapped) / denominator)
+            row.append(_exact(elem.scale, d, d + 1) * (rank * fact + swapped) / denominator)
         traces.append(row)
     return traces
 
@@ -94,8 +89,9 @@ def _success(traces):
 def confusion(povm, d):
     """Confusion matrix against the averaged states, each entry rounded
     once from its exact trace (inconclusive: one minus the row sum)."""
-    rows = _traces(povm, d)
-    return ConfusionMatrix(d, [[*map(float, row), float(1 - sum(row))] for row in rows])
+    entries = np.array([[*map(float, row), float(1 - sum(row))] for row in _traces(povm, d)])
+    entries.setflags(write=False)
+    return ConfusionMatrix(povm.d, entries)
 
 
 def success_probability(povm, d):
@@ -147,7 +143,7 @@ def verify_report(d, povm=None):
     - primal_feasible: I - sum Pi_m >= 0.  sum Pi_m shares its nonzero
       eigenvalues with D_s^(1/2) G D_s^(1/2), for G = S S^T / d! (S the
       stacked sign rows, S S^T from detection._sign_gram) and D_s each
-      row's scale as _exact_scale reads it, so this is
+      row's scale as _exact reads it, so this is
       d! D_s^-1 - S S^T >= 0 (Eldar 2003), by _is_psd.
 
     The report's floats are each rounded once from their exact values;
@@ -161,7 +157,7 @@ def verify_report(d, povm=None):
     max_offdiag = max(abs(t) for n, row in enumerate(traces) for m, t in enumerate(row) if m != n)
     form = (-_sign_gram(np.vstack([elem.signs for elem in povm.elements]))).tolist()
     for i, scale in enumerate(e.scale for e in povm.elements for _ in e.signs):
-        form[i][i] += math.factorial(d) / _exact_scale(scale, d)
+        form[i][i] += math.factorial(d) / _exact(scale, d, d + 1)
     checks = {
         "success_matches_closed_form": p_succ * (d + 1) * d ** (d - 1) == 1,
         "no_misidentification": max_offdiag == 0,

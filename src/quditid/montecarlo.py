@@ -271,7 +271,8 @@ def run_experiment(d, trials, seed):
     One loop over trial_batches adds up the counts, so memory does not
     grow with `trials`, and the results are bit-identical for a given
     (d, trials, seed).  One d x d determinant per trial makes this usable
-    up to d = 5 without ever touching the full tensor space.
+    up to tensor_core.MAX_DIM (the CLI allows d = 2..5) without ever
+    touching the full tensor space.
     """
     t0 = time.perf_counter()
     success = inconclusive = 0

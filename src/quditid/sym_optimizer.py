@@ -75,18 +75,14 @@ def build_symmetric_family(d):
     return SymmetricFamily(d, vectors)
 
 
-def rank_one_projectors(fam):
-    """Stack of the |v_n><v_n| projectors, shape (d, d, d)."""
-    v = fam.vectors
-    return np.einsum("ni,nj->nij", v, v.conj())
-
-
 def frame_operator(fam, weights=None):
-    """Weighted sums of the projectors: weights (..., d), default ones, give (..., d, d)."""
+    """Weighted sums of the projectors |v_n><v_n|: weights (..., d), default
+    ones, give (..., d, d)."""
     weights = _check_finite("weights", np.ones(fam.d) if weights is None else weights)
     if weights.shape[-1:] != (fam.d,):
         raise ValueError(f"expected {fam.d} weights, got shape {weights.shape}")
-    return np.tensordot(weights, rank_one_projectors(fam), axes=(-1, 0))
+    v = fam.vectors
+    return np.tensordot(weights, np.einsum("ni,nj->nij", v, v.conj()), axes=(-1, 0))
 
 
 def optimal_weight_eigen(fam):

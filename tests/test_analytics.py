@@ -6,7 +6,6 @@ import pytest
 from conftest import dense_conclusive_sum
 
 from quditid.analytics import (
-    ConfusionMatrix,
     _is_psd,
     closed_form_success,
     conclusive_sum_spectrum,
@@ -73,12 +72,25 @@ def test_confusion_dimension_mismatch(povm2):
         success_probability(povm2, 3)
 
 
-def test_confusion_matrix_validation():
-    with pytest.raises(ValueError):
-        ConfusionMatrix(2, np.zeros((2, 2)))
-    cm = ConfusionMatrix(2, np.array([[0.1, 0.0, 0.9], [0.0, 0.2, 0.8]]))
+def test_confusion_matrix_validation(povm2):
+    cm = confusion(povm2, 2)
     assert cm.max_offdiagonal() == 0.0
     assert not cm.entries.flags.writeable
+    assert cm.entries.dtype == np.float64 and cm.entries.shape == (2, 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_confusion_entries_are_the_rounded_exact_traces(d):
+    """Each entry is its exact trace rounded once: 1/((d+1) d**(d-1)) on
+    the diagonal, 0 off it, and one minus that in the inconclusive
+    column, in a read-only float64 (d, d+1) array."""
+    p = Fraction(1, (d + 1) * d ** (d - 1))
+    expected = np.zeros((d, d + 1))
+    np.fill_diagonal(expected, float(p))
+    expected[:, d] = float(1 - p)
+    entries = confusion(build_povm(d), d).entries
+    assert entries.dtype == np.float64 and not entries.flags.writeable
+    np.testing.assert_array_equal(entries, expected)
 
 
 @pytest.mark.parametrize("d", [2, 3])

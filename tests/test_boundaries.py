@@ -28,10 +28,9 @@ NAN, INF = math.nan, math.inf
 TOP = 2**64 - 1  # the largest seed, trial index and count
 
 # Names whose arguments hold no number for the package to check: a
-# constant, the record run_experiment fills in (it validates nothing),
-# and functions that read only objects validated when they were built.
+# constant, and functions that read only objects validated when they
+# were built.
 NO_NUMERIC_INPUT = [
-    "ExperimentReport",
     "INCONCLUSIVE",
     "inner_product",
     "optimal_weight_eigen",
@@ -120,10 +119,6 @@ TABLE = [
     _dim("SymmetricFamily", lambda d: quditid.SymmetricFamily(d, FAM2.vectors), accept=(2,)),
     Param("SymmetricFamily", "vectors", "finite array", FAM2.vectors, None,
           lambda v: quditid.SymmetricFamily(2, v)),
-    _dim("ConfusionMatrix", lambda d: quditid.ConfusionMatrix(d, np.zeros((2, 3))),
-         accept=(2,)),
-    Param("ConfusionMatrix", "entries", "finite array", np.full((2, 3), 1 / 3), None,
-          lambda e: quditid.ConfusionMatrix(2, e)),
     Param("frame_operator", "weights", "finite array", np.ones(2), None,
           lambda w: quditid.frame_operator(FAM2, w)),
     Param("optimal_weight_grid", "resolution", "real", 0.001, 0.1,

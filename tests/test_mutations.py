@@ -23,6 +23,9 @@ the dense remainder's smallest eigenvalue is only about -7e-13, which a
 float positivity check with an absolute 1e-10 tolerance passes.  At
 d=4 the two tilted doubles no longer average to exactly 4/5, so the
 success check flags that row too.
+
+One mutant breaks the averaged states instead: rho_n's prefactor scaled
+by 1 + 1e-9 or 1 - 1e-9 fails only the success check, at d = 2..5.
 """
 
 import itertools
@@ -31,6 +34,7 @@ import numpy as np
 import pytest
 from conftest import dense_conclusive_sum
 
+from quditid import state_ops
 from quditid.analytics import conclusive_sum_spectrum, verify_report
 from quditid.detection import LowRankPovmElement, Povm, build_povm
 from quditid.tensor_core import encode_index, total_dim
@@ -185,6 +189,18 @@ def test_mutant_flagged_by_exactly(mutant, d):
     report = verify_report(d, povm=MUTANTS[mutant](d))
     assert set(report["failed_checks"]) == FLAGGED[mutant, d]
     assert report["ok"] == (not FLAGGED[mutant, d])
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9], ids=["up", "down"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_scaled_rho_prefactor_fails_only_the_success_check(monkeypatch, d, factor):
+    """verify reads rho_n's prefactor from state_ops by the element
+    scale's nearest-double rule, so a prefactor off by one part in 1e9,
+    either way, moves the success probability off the closed form; the
+    cross terms stay 0 and the measurement stays valid."""
+    exact = state_ops.rho_prefactor
+    monkeypatch.setattr(state_ops, "rho_prefactor", lambda d: exact(d) * factor)
+    assert verify_report(d)["failed_checks"] == [SUCCESS]
 
 
 @pytest.mark.parametrize("mutant, d", [key for key in FLAGGED if key[1] <= 3])

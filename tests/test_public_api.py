@@ -4,12 +4,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import quditid
 from quditid import state_ops
 
 PUBLIC_NAMES = [
-    "ConfusionMatrix",
-    "ExperimentReport",
     "INCONCLUSIVE",
     "LowRankPovmElement",
     "Povm",
@@ -42,9 +42,13 @@ PUBLIC_NAMES = [
 
 
 # Names once exported that only tests called, the JSON readers that no
-# command used, and HermitianOperator, whose constructor only respelled
-# build_rho; each is gone from the package.
+# command used, HermitianOperator, whose constructor only respelled
+# build_rho, and ConfusionMatrix and ExperimentReport, whose constructors
+# were a second way to make what confusion and run_experiment compute;
+# each is gone from the package's exports.
 REMOVED_NAMES = [
+    "ConfusionMatrix",
+    "ExperimentReport",
     "HermitianOperator",
     "TrialRecord",
     "build_sym_projector",
@@ -112,6 +116,27 @@ def test_cli_import_loads_no_futures_or_logging():
         "if m in sys.modules]))"
     )
     assert json.loads(_run_fresh(code)) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--d", "3", "--trials", "100"], ["--d", "5", "--trials", "100", "--format", "csv"]],
+    ids=["d3-json", "d5-csv"],
+)
+def test_simulation_loads_no_fractions_decimal_or_numpy_random(args):
+    """A simulate run, in either output format, stays off the
+    exact-arithmetic and numpy.random imports: fractions (with decimal)
+    loads only when verify's traces need it, and the trial words come
+    from montecarlo's own Philox.  Each would add import time and memory
+    to every simulate process."""
+    code = (
+        "import contextlib, io, json, sys, quditid.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = quditid.cli.main(['simulate', *{args!r}])\n"
+        "print(json.dumps([code, [m for m in ('fractions', 'decimal', 'numpy.random') "
+        "if m in sys.modules]]))"
+    )
+    assert json.loads(_run_fresh(code)) == [0, []]
 
 
 # Layers the benchmark's traced algebra run (verify, build, optimize) records.

@@ -13,7 +13,6 @@ from quditid.sym_optimizer import (
     frame_operator,
     optimal_weight_eigen,
     optimal_weight_grid,
-    rank_one_projectors,
 )
 
 
@@ -74,13 +73,29 @@ def test_frame_operator_trace_and_bottom(d):
 
 
 def test_rank_one_projectors_shape():
+    """A one-hot weighting picks out one |v_n><v_n|: idempotent, trace 1."""
     fam = build_symmetric_family(3)
-    projs = rank_one_projectors(fam)
+    projs = frame_operator(fam, np.eye(3))
     assert projs.shape == (3, 3, 3)
     for n in range(3):
         p = projs[n]
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_frame_operator_is_the_weighted_projector_sum(d):
+    """Unweighted, on a seeded (200, d) batch and on a (4, 5, d) batch,
+    the operator is sum_n w_n |v_n><v_n| over the family's vectors."""
+    fam = build_symmetric_family(d)
+    projs = [np.outer(v, v.conj()) for v in fam.vectors]
+    rng = np.random.default_rng(d)
+    for weights in (np.ones(d), rng.random((200, d)), rng.random((4, 5, d))):
+        expected = sum(weights[..., n, None, None] * projs[n] for n in range(d))
+        got = frame_operator(fam, weights)
+        assert got.shape == weights.shape + (d,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(frame_operator(fam), frame_operator(fam, np.ones(d)))
 
 
 def test_frame_operator_weight_validation():
@@ -160,12 +175,11 @@ def _exhaustive_grid(fam, resolution, chunk=8192):
     first candidate with the largest feasible total."""
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
-    projs = rank_one_projectors(fam)
     best_total, best = -np.inf, None
     combos = list(itertools.product(range(steps), repeat=fam.d))
     for start in range(0, len(combos), chunk):
         alphas = values[np.asarray(combos[start:start + chunk])]
-        top = np.linalg.eigvalsh(np.tensordot(alphas, projs, axes=(1, 0)))[:, -1]
+        top = np.linalg.eigvalsh(frame_operator(fam, alphas))[:, -1]
         totals = alphas.sum(axis=1)
         totals[top > 1.0 + FEASIBILITY_TOL] = -np.inf
         i = int(np.argmax(totals))
