@@ -15,14 +15,16 @@ from quditid.analytics import (
 )
 from quditid.detection import Povm, build_povm
 from quditid.state_ops import build_rho, rho_prefactor
-from quditid.tensor_core import encode_index, total_dim
+from quditid.tensor_core import MAX_DIM, encode_index, total_dim
 
 
-def test_closed_form_values():
-    assert closed_form_success(2) == pytest.approx(1.0 / 6.0, abs=1e-16)
-    assert closed_form_success(3) == pytest.approx(1.0 / 36.0, abs=1e-16)
-    assert closed_form_success(4) == pytest.approx(1.0 / 320.0, abs=1e-16)
-    assert closed_form_success(5) == pytest.approx(1.0 / 3750.0, abs=1e-16)
+@pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+def test_closed_forms_are_the_nearest_doubles(d):
+    """At every d they accept, both closed forms return the double nearest
+    their rational: verify reads rho_prefactor(d) as 2/((d+1) d**d) only
+    when it is that double."""
+    assert closed_form_success(d) == float(Fraction(1, (d + 1) * d ** (d - 1)))
+    assert rho_prefactor(d) == float(Fraction(2, (d + 1) * d**d))
 
 
 def _rescaled(povm, scale):
@@ -70,13 +72,6 @@ def test_confusion_dimension_mismatch(povm2):
         confusion(povm2, 3)
     with pytest.raises(ValueError):
         success_probability(povm2, 3)
-
-
-def test_confusion_matrix_validation(povm2):
-    cm = confusion(povm2, 2)
-    assert cm.max_offdiagonal() == 0.0
-    assert not cm.entries.flags.writeable
-    assert cm.entries.dtype == np.float64 and cm.entries.shape == (2, 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -129,7 +124,7 @@ def test_conclusive_sum_spectrum_shape(d):
     assert spec.sum() == pytest.approx(d * d * d / (d + 1.0), abs=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_verify_report_passes(d):
     report = verify_report(d)
     assert report["ok"] is True
@@ -147,11 +142,6 @@ def test_verify_report_passes(d):
 def test_verify_report_accepts_prebuilt(povm2):
     report = verify_report(2, povm=povm2)
     assert report["ok"] is True
-
-
-def test_verify_report_rejects_large_d():
-    with pytest.raises(ValueError):
-        verify_report(6)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -10,6 +10,12 @@ accepted, each within a small budget: a simulation runs at most one
 batch, and no huge --trials is started.  A public name that is neither
 in the table nor in NO_NUMERIC_INPUT fails the coverage test, so a new
 name cannot ship without a row.
+
+Each behaviour is checked in one place: a paper claim in the acceptance
+suite (test_acceptance.py), a refused input here, a deliberately broken
+construction in test_mutations.py and test_two_design.py, and everything
+else in its module's tests.  A module test adds a refusal only where its
+row here cannot make it: a message, or when the refusal happens.
 """
 
 import math

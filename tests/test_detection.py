@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import basis_ket, decode_index, dense_conclusive_sum, stacked_vectors
+from conftest import basis_ket, decode_index, stacked_vectors
 
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
@@ -21,57 +21,15 @@ from quditid.detection import (
 from quditid.state_ops import build_rho
 from quditid.tensor_core import (
     DENSE_MAX_D,
-    encode_index,
     haar_state,
     inner_product,
     product_state,
-    total_dim,
 )
 
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
-# Hand-computed amplitude tables for d = 3: every nonzero amplitude of the
-# detection state for each outcome, keyed by the register digit string
-# (probe, ref 1, ref 2, ref 3).  Signs follow the permutation parity of the
-# digit values over the ascending active slots, times (-1)**n.
-GOLDEN_D3 = {
-    1: {
-        (0, 0, 1, 2): -INV_SQRT6,
-        (0, 0, 2, 1): +INV_SQRT6,
-        (1, 0, 0, 2): +INV_SQRT6,
-        (1, 0, 2, 0): -INV_SQRT6,
-        (2, 0, 0, 1): -INV_SQRT6,
-        (2, 0, 1, 0): +INV_SQRT6,
-    },
-    2: {
-        (0, 1, 0, 2): +INV_SQRT6,
-        (0, 2, 0, 1): -INV_SQRT6,
-        (1, 0, 0, 2): -INV_SQRT6,
-        (1, 2, 0, 0): +INV_SQRT6,
-        (2, 0, 0, 1): +INV_SQRT6,
-        (2, 1, 0, 0): -INV_SQRT6,
-    },
-    3: {
-        (0, 1, 2, 0): -INV_SQRT6,
-        (0, 2, 1, 0): +INV_SQRT6,
-        (1, 0, 2, 0): +INV_SQRT6,
-        (1, 2, 0, 0): -INV_SQRT6,
-        (2, 0, 1, 0): -INV_SQRT6,
-        (2, 1, 0, 0): +INV_SQRT6,
-    },
-}
 
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_golden_amplitudes_d3(n):
-    expected = np.zeros(total_dim(3), dtype=np.complex128)
-    for digits, amp in GOLDEN_D3[n].items():
-        expected[encode_index(digits, 3)] = amp
-    core = build_detection_core(3, n)
-    assert np.max(np.abs(core.amps - expected)) <= 1e-15
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_core_support_and_norm(d):
     for n in range(1, d + 1):
         core = build_detection_core(d, n)
@@ -83,21 +41,6 @@ def test_core_support_and_norm(d):
         # qudit n is parked at digit 0 in the core representation
         for flat in nz:
             assert decode_index(int(flat), d)[n] == 0
-
-
-def test_detection_index_validation():
-    with pytest.raises(ValueError):
-        build_detection_core(3, 0)
-    with pytest.raises(ValueError):
-        build_detection_core(3, 4)
-    with pytest.raises(ValueError):
-        build_povm_vector(3, 1, 3)
-    with pytest.raises(ValueError):
-        build_povm_vector(3, 1, -1)
-    with pytest.raises(ValueError):
-        build_povm_vector(3, 1, 1.0)
-    with pytest.raises(ValueError):
-        build_povm_vector(3, 2.0, 0)
 
 
 def test_builders_refuse_d_above_dense_limit():
@@ -115,7 +58,7 @@ def test_builders_refuse_d_above_dense_limit():
         conclusive_sum_spectrum(d)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_branch_vectors_live_in_one_excitation_sector(d):
     base = d * (d - 1) // 2
     for n in range(1, d + 1):
@@ -131,23 +74,6 @@ def test_branch_zero_is_the_core():
     np.testing.assert_array_equal(build_povm_vector(3, 2, 0).amps, core.amps)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_gram_structure_exhaustive(d, povm2, povm3, povm4):
-    """<pi_m(k)|pi_n(k')> = delta_kk' * (delta_mn - (1-delta_mn)/d)."""
-    povm = {2: povm2, 3: povm3, 4: povm4}[d]
-    vs = [(e.label, k, v) for e in povm.elements for k, v in enumerate(e.vectors)]
-    for m, k, a in vs:
-        for n, kp, b in vs:
-            got = inner_product(a, b)
-            if k != kp:
-                want = 0.0
-            elif m == n:
-                want = 1.0
-            else:
-                want = -1.0 / d
-            assert abs(got - want) <= 1e-12, (m, k, n, kp)
-
-
 def test_build_povm_scale(povm2, povm3):
     assert povm2.scale == pytest.approx(2.0 / 3.0, abs=1e-16)
     assert povm3.scale == pytest.approx(3.0 / 4.0, abs=1e-16)
@@ -155,41 +81,10 @@ def test_build_povm_scale(povm2, povm3):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_completeness_and_positivity(d, povm2, povm3, povm4):
-    povm = {2: povm2, 3: povm3, 4: povm4}[d]
-    D = total_dim(d)
-    conclusive = dense_conclusive_sum(povm.elements)
-    unknown = np.eye(D) - conclusive
-    assert np.max(np.abs(conclusive + unknown - np.eye(D))) <= 1e-10
-    assert np.linalg.eigvalsh(unknown)[0] >= -1e-10
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_conclusive_sum_spectrum(d, povm2, povm3):
-    povm = {2: povm2, 3: povm3}[d]
-    eigs = np.linalg.eigvalsh(dense_conclusive_sum(povm.elements))
-    assert np.max(np.abs(eigs - conclusive_sum_spectrum(d))) <= 1e-10
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_foreign_states_are_annihilated(d):
-    """rho_m kills every branch vector of any other outcome — the
-    structural source of unambiguity."""
-    rhos = {m: build_rho(d, m) for m in range(1, d + 1)}
-    for n in range(1, d + 1):
-        for k in range(d):
-            v = build_povm_vector(d, n, k)
-            for m in range(1, d + 1):
-                if m == n:
-                    continue
-                assert np.linalg.norm(rhos[m].apply(v.amps)) <= 1e-12
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
 def test_foreign_rho_sum_null_space_dim(d):
     """The joint null space of sum_{m != n} rho_m has dimension exactly d:
-    no conclusive element can be given a rank above d.  The operators are
-    real (a*I + b*SWAP), so the real eigensolve sees the same spectrum."""
+    no conclusive element can be given a rank above d.  Each rho_m is real,
+    c*(I + SWAP_{0m})/2, so the real eigensolve sees the same spectrum."""
     dense = {m: build_rho(d, m).to_dense() for m in range(1, d + 1)}
     assert all(not np.any(op.imag) for op in dense.values())
     for n in range(1, d + 1):
@@ -294,7 +189,7 @@ def test_low_rank_element_validation():
         LowRankPovmElement(3, 1, 2.0 / 3.0, s)  # width of d=2, not d=3
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_low_rank_element_keeps_integer_signs(d):
     elem = build_povm(d).elements[0]
     assert elem.signs.dtype == np.int8
@@ -350,17 +245,11 @@ def test_povm_wrapper_validation(povm2):
         Povm(2, (povm2.elements[1], povm2.elements[0]))
 
 
-def test_large_dimension_stays_low_rank():
-    povm = build_povm(5)
-    assert povm.scale == pytest.approx(5.0 / 6.0)
-    assert len(povm.elements) == 5
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_povm_serialization_round_trip(d, povm2, povm3):
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_povm_serialization_round_trip(d, povm2, povm3, povm4):
     """The JSON text carries each element's vectors bit for bit, signed
     zeros included, as (re, im) pairs."""
-    povm = {2: povm2, 3: povm3}[d]
+    povm = {2: povm2, 3: povm3, 4: povm4}[d]
     wire = json.loads(jsonio.dumps(povm_to_dict(povm)))
     assert wire["d"] == d
     assert wire["scale"] == povm.scale
@@ -399,18 +288,3 @@ def test_povm_to_dict_d5_makes_no_norm_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", refuse)
     wire = povm_to_dict(build_povm(5))
     assert sum(len(e["vectors"]) for e in wire["elements"]) == 25
-
-
-@pytest.mark.parametrize(
-    "field, bad",
-    [("d", 2.9), ("label", 1.7), ("element d", 2.5), ("d", True), ("label", True), ("element d", True)],
-)
-def test_measurement_refuses_non_integers(povm2, field, bad):
-    """The measurement's d, each element's label and each element's d
-    must be integers: a float or a bool is refused, not truncated."""
-    elem = povm2.elements[0]
-    with pytest.raises(ValueError, match="must be an integer"):
-        if field == "d":
-            Povm(bad, povm2.elements)
-        else:
-            replace(elem, **{"label" if field == "label" else "d": bad})

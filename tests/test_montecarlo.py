@@ -63,7 +63,7 @@ def test_sample_haar_second_moment():
     assert np.max(np.abs(second - target)) < 0.02
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_draw_trials_haar_second_moment(d):
     """The references _draw_trials builds satisfy the same identity,
     E[(|psi><psi|)^{x2}] = 2 P_sym / (d(d+1)), as Haar-random states must."""
@@ -458,21 +458,11 @@ def test_success_rate_symmetric_across_truths():
     assert math.erfc(math.sqrt(x / 2)) >= 0.01
 
 
-def test_run_experiment_validation():
-    """Both raise at the call: trial_batches before its first batch."""
-    for run in (run_experiment, trial_batches):
+def test_trial_batches_refuses_at_the_call():
+    """Each argument is checked before the first batch is taken."""
+    for d, trials, seed in [(1, 10, 0), (2, 0, 0), (2, 10, -1)]:
         with pytest.raises(ValueError):
-            run(2, 0, 0)
-        with pytest.raises(ValueError, match="must be an integer"):
-            run(2, 10.5, 0)
-        with pytest.raises(ValueError, match="must be an integer"):
-            run(2, True, 0)
-        with pytest.raises(ValueError):
-            run(2, 10, -1)
-        with pytest.raises(ValueError, match="must be an integer"):
-            run(2, 10, "seed")
-        with pytest.raises(ValueError):
-            run(1, 10, 0)
+            trial_batches(d, trials, seed)
 
 
 def test_seed_and_index_range():
@@ -510,22 +500,6 @@ def test_haar_average_converges():
 def test_haar_average_single_sample_is_far():
     # one pure-state projector cannot reproduce a rank-6 mixture
     assert haar_average_check(2, 1, 1, seed=5) > 0.05
-
-
-def test_haar_average_validation():
-    with pytest.raises(ValueError):
-        haar_average_check(2, 1, 0, seed=0)
-    with pytest.raises(ValueError):
-        haar_average_check(2, 3, 10, seed=0)
-    with pytest.raises(ValueError):
-        haar_average_check(5, 1, 10, seed=0)
-    with pytest.raises(ValueError):
-        haar_average_check(2, 1, 10, seed=-1)
-    with pytest.raises(ValueError, match="must be an integer"):
-        haar_average_check(2, 1, 10, seed=None)
-    for samples in (True, 2.5):
-        with pytest.raises(ValueError, match="must be an integer"):
-            haar_average_check(2, 1, samples, seed=0)
 
 
 @pytest.mark.parametrize("d, samples, seed", [(2, 100000, 2024), (3, 20000, 1)])

@@ -5,12 +5,13 @@ Averaging |psi><psi| (x) |psi><psi| over Haar-random psi gives
 (I + SWAP)/(d(d+1)).  The d+1 mutually unbiased bases of a prime d form
 a 2-design (Klappenecker and Roetteler, ISIT 2005), so the uniform
 average over their d(d+1) states gives the same operator as a finite
-sum.  Every other reference needs only a 1-design: any orthonormal basis
-averages to I/d.  So the averaged matching-probe state of
-build_rho(d, n) is the two-copy MUB average on qudits (0, n) tensored
-with I/d on the other references, with no sampling error.  d = 4 is not
-prime (its MUBs need GF(4) arithmetic) and is left to the Monte Carlo
-check, montecarlo.haar_average_check.
+sum.  The 5 MUBs of C^4 (Bandyopadhyay, Boykin, Roychowdhury and Vatan,
+Algorithmica 34, 512 (2002)) are one too, so the check runs at every d
+that build and verify accept, 2..5.  Every other reference needs only a
+1-design: any orthonormal basis averages to I/d.  So the averaged
+matching-probe state of build_rho(d, n) is the two-copy MUB average on
+qudits (0, n) tensored with I/d on the other references, with no
+sampling error.
 """
 
 import numpy as np
@@ -26,12 +27,23 @@ TOL = 1e-13
 
 def mub_states(d):
     """The d(d+1) states of d+1 mutually unbiased bases of C^d, as rows:
-    the Pauli eigenbases at d = 2; at odd prime d the computational basis
-    and (1/sqrt d) sum_j w**(b j**2 + k j) |j> for b, k in 0..d-1
-    (Wootters and Fields 1989)."""
+    the Pauli eigenbases at d = 2; at d = 4 the common eigenbases of the 5
+    classes of commuting two-qubit Paulis, each as the eigenbasis of P1 + 2 P2
+    for two members of a class, whose eigenvalues +-1 +-2 are distinct; at
+    odd prime d the computational basis and (1/sqrt d) sum_j w**(b j**2 + k j) |j>
+    for b, k in 0..d-1 (Wootters and Fields 1989)."""
     if d == 2:
         r = 1 / np.sqrt(2)
         return np.array([[1, 0], [0, 1], [r, r], [r, -r], [r, 1j * r], [r, -1j * r]])
+    if d == 4:
+        pauli = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+                 "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+        def op(name):
+            return np.kron(pauli[name[0]], pauli[name[1]])
+
+        classes = [("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"), ("XY", "YZ"), ("XZ", "YX")]
+        return np.vstack([np.linalg.eigh(op(a) + 2 * op(b))[1].T for a, b in classes])
     j = np.arange(d)
     bases = [np.eye(d)]
     for b in range(d):
@@ -71,14 +83,14 @@ def rho_deviation(d):
     return worst
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11, 13])
 def test_mub_states_are_a_two_design(d):
     moment = two_copy_average(d)
     target = 2 * pair_sym_projector(d) / (d * (d + 1))  # (I + SWAP)/(d(d+1))
     assert np.max(np.abs(moment - target)) <= TOL * np.max(np.abs(target))
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rho_is_the_exact_average_of_matching_products(d):
     assert rho_deviation(d) <= TOL
 
@@ -100,7 +112,7 @@ def _antisymmetric(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate", [_scaled_prefactor, _wrong_reference, _antisymmetric])
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_broken_rho_fails_the_exact_average(monkeypatch, mutate, d):
     mutate(monkeypatch)
     assert rho_deviation(d) > TOL
