@@ -32,14 +32,12 @@ from .montecarlo import (
 )
 from .state_ops import build_rho
 from .sym_optimizer import (
-    SymmetricFamily,
     build_symmetric_family,
     frame_operator,
     optimal_weight_eigen,
     optimal_weight_grid,
 )
 from .tensor_core import (
-    StateVector,
     encode_index,
     haar_state,
     inner_product,
@@ -54,8 +52,6 @@ __all__ = [
     "INCONCLUSIVE",
     "LowRankPovmElement",
     "Povm",
-    "StateVector",
-    "SymmetricFamily",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",

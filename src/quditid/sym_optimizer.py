@@ -23,7 +23,6 @@ import numpy as np
 
 from .tensor_core import _check_finite, _check_real, check_dim
 
-GRAM_TOL = 1e-12
 # Feasibility margin on the largest eigenvalue; boundary points count.
 FEASIBILITY_TOL = 1e-10
 
@@ -35,26 +34,14 @@ MAX_RESOLUTION = 0.1
 
 @dataclass(frozen=True)
 class SymmetricFamily:
-    """d unit vectors in C^d with pairwise overlap -1/d.
+    """d unit vectors in C^d with pairwise overlap -1/d, as
+    build_symmetric_family builds them.
 
-    Row n-1 of `vectors` holds the vector for outcome n.
+    Row n-1 of the read-only `vectors` holds the vector for outcome n.
     """
 
     d: int
     vectors: np.ndarray
-
-    def __post_init__(self):
-        d = check_dim(self.d)
-        vectors = _check_finite("family vectors", self.vectors, np.complex128)
-        if vectors.shape != (d, d):
-            raise ValueError(f"expected shape {(d, d)}, got {vectors.shape}")
-        gram = vectors.conj() @ vectors.T
-        target = np.eye(d) + (-1.0 / d) * (np.ones((d, d)) - np.eye(d))
-        if not np.max(np.abs(gram - target)) <= GRAM_TOL:  # NaN fails too
-            raise ValueError("vectors do not realize the -1/d overlap family")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "vectors", vectors)
 
 
 def build_symmetric_family(d):
@@ -72,6 +59,7 @@ def build_symmetric_family(d):
         row = (math.sqrt(d + 1) / d) * np.exp(2j * np.pi * n * ls / d)
         row[0] = 1.0 / d
         vectors[n - 1] = row
+    vectors.setflags(write=False)
     return SymmetricFamily(d, vectors)
 
 

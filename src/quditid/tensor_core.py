@@ -132,7 +132,8 @@ def haar_state(d, rng):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state of the full (d+1)-qudit register.
+    """Normalized pure state of the full (d+1)-qudit register, as
+    product_state, build_povm_vector and LowRankPovmElement.vectors make it.
 
     Immutable after construction; the amplitude buffer is copied and
     marked read-only so instances are safe to share across threads.
@@ -142,21 +143,15 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        d = check_dim(self.d)
-        amps = _check_numbers("amplitudes", self.amps, np.complex128).reshape(-1)
-        D = d ** (d + 1)
-        if amps.shape != (D,):
-            raise ValueError(f"expected {D} amplitudes for d={d}, got {amps.shape}")
-        _check_unit("state vector", amps)
+        amps = np.array(self.amps, dtype=np.complex128)
         amps.setflags(write=False)
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "amps", amps)
 
 
 def product_state(factors):
     """Tensor product of d+1 single-qudit states, probe factor first, for d
     at most DENSE_MAX_D.  The factors pass _check_factors, the rule
-    overlap_with_product shares, so a product of accepted factors is accepted.
+    overlap_with_product shares, which divides each by its norm.
     """
     d = check_dense_dim(len(factors := list(factors)) - 1)
     return StateVector(d, functools.reduce(np.kron, _check_factors(d, factors)))

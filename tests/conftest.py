@@ -1,10 +1,38 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
 
 from quditid import build_povm, overlap_with_product
 from quditid.tensor_core import _check_index, encode_index, total_dim
+
+
+# Wall-clock limit per test, so that a regression which accepts a huge
+# count (haar_average_check with 2**64 samples, say) fails the suite
+# instead of hanging it.  It is half as long again as the longest budget
+# a test asserts, criterion 7's 120 s, so that budget still reports first.
+TEST_TIME_LIMIT_S = 180
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Raise TimeoutError in a test still running after TEST_TIME_LIMIT_S;
+    a no-op where SIGALRM does not exist."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test still running after {TEST_TIME_LIMIT_S} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="session")

@@ -89,7 +89,7 @@ def test_confusion_entries_are_the_rounded_exact_traces(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_sym_block_trace_matches_full_space(d):
+def test_probe_trace_of_pair_projector_is_scaled_identity(d):
     """Tracing the probe out of the symmetric projector on (probe, n), with
     the spectators held at |0>, leaves (d+1)/2 times the identity on qudit
     n: the identity that collapses the success-probability trace to its

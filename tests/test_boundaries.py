@@ -48,7 +48,6 @@ POVM2 = quditid.build_povm(2)
 SIGNS2 = POVM2.elements[0].signs
 FAM2 = quditid.build_symmetric_family(2)
 KETS2 = [basis_ket(2, 0), basis_ket(2, 1), basis_ket(2, 0)]
-AMPS2 = np.eye(8)[3]
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ TABLE = [
     Param("HermitianOperator", "n", "integer", 1, 2, lambda n: HermitianOperator(2, n)),
     _dim("build_rho", lambda d: quditid.build_rho(d, 1)),
     Param("build_rho", "n", "integer", 1, 2, lambda n: quditid.build_rho(2, n)),
-    Param("build_rho", "apply(vec)", "finite array", AMPS2, None,
+    Param("build_rho", "apply(vec)", "finite array", np.eye(8)[3], None,
           lambda v: quditid.build_rho(2, 1).apply(v)),
     _dim("encode_index", lambda d: quditid.encode_index([0, 0, 0], d), accept=(2,)),
     Param("encode_index", "digit", "integer", 0, 1,
@@ -115,16 +114,10 @@ TABLE = [
           lambda s: quditid.LowRankPovmElement(2, 1, s, SIGNS2)),
     Param("LowRankPovmElement", "signs", "finite array", SIGNS2, None,
           lambda s: quditid.LowRankPovmElement(2, 1, 2 / 3, s)),
-    _dim("StateVector", lambda d: quditid.StateVector(d, AMPS2), accept=(2,)),
-    Param("StateVector", "amps", "unit vector", AMPS2, None,
-          lambda a: quditid.StateVector(2, a)),
     Param("product_state", "factors[0]", "unit vector", KETS2[0], None,
           lambda f: quditid.product_state([f, *KETS2[1:]])),
     Param("product_state", "factors[2]", "unit vector", KETS2[2], None,
           lambda f: quditid.product_state([*KETS2[:2], f])),
-    _dim("SymmetricFamily", lambda d: quditid.SymmetricFamily(d, FAM2.vectors), accept=(2,)),
-    Param("SymmetricFamily", "vectors", "finite array", FAM2.vectors, None,
-          lambda v: quditid.SymmetricFamily(2, v)),
     Param("frame_operator", "weights", "finite array", np.ones(2), None,
           lambda w: quditid.frame_operator(FAM2, w)),
     Param("optimal_weight_grid", "resolution", "real", 0.001, 0.1,

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
+import threading
 import types
 
 import numpy as np
 import pytest
 
-from quditid import cli, jsonio
+from quditid import cli, jsonio, montecarlo
 from quditid.detection import build_povm
 
 # SHA-256 of `build --d N --out FILE`, pinned so that faster rendering
@@ -278,24 +280,26 @@ def test_csv_rows_reject_non_finite(bad):
         next(blocks)
 
 
-def test_simulate_threads_hint_does_not_change_output(capsys, monkeypatch):
-    monkeypatch.delenv("QID_THREADS", raising=False)
-    rc1, out1 = run_cli(capsys, "simulate", "--d", "2", "--trials", "9000", "--seed", "4")
-    monkeypatch.setenv("QID_THREADS", "4")
-    rc2, out2 = run_cli(capsys, "simulate", "--d", "2", "--trials", "9000", "--seed", "4")
-    assert rc1 == rc2 == 0
-    a = json.loads(out1)
-    b = json.loads(out2)
-    a.pop("wall_time_s")
-    b.pop("wall_time_s")
-    assert a == b
-
-
-def test_simulate_bad_threads_hint_is_ignored(capsys, monkeypatch):
-    monkeypatch.setenv("QID_THREADS", "not-a-number")
-    rc, out = run_cli(capsys, "simulate", "--d", "2", "--trials", "100", "--seed", "0")
-    assert rc == 0
-    assert json.loads(out)["trials"] == 100
+def test_threads_hint_does_not_change_output(capsys, monkeypatch):
+    """At d = 4 on two CPUs the batches run on threads; the report is the
+    same with QID_THREADS unset, set to a count and set to garbage."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started, thread = [], threading.Thread
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or thread(*a, **k))
+    argv = ["simulate", "--d", "4", "--trials", str(2 * montecarlo._batch_size(4) + 1)]
+    reports = []
+    for hint in (None, "4", "not-a-number"):
+        if hint is None:
+            monkeypatch.delenv("QID_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("QID_THREADS", hint)
+        rc, out = run_cli(capsys, *argv, "--seed", "4")
+        assert rc == 0
+        report = json.loads(out)
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+    assert len(started) == 3 * 2
 
 
 def test_optimize_eigen(capsys):

@@ -128,7 +128,7 @@ def test_float_array_rejects_non_finite(bad, shape):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_ranked_rows_render_like_their_list(seed):
+def test_row_runs_render_like_their_list(seed):
     """Rendering by runs of equal rows, on 1-64 rows by 1-4 columns: rows
     drawn from a few rows of _SPECIALS (signed zeros, a subnormal), and
     all-distinct normals, each also as a one-row array."""

@@ -130,11 +130,6 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
                 assert want <= 1e-12
 
 
-def _batch_size(d):
-    """Trials per batch: _BLOCKS Philox blocks, d*d + 1 of them a trial."""
-    return max(1, montecarlo._BLOCKS // (d * d + 1))
-
-
 def _one_trial(d, seed, index):
     """Trial `index` under `seed`, simulated on its own: (truth, outcome,
     success probability)."""
@@ -285,7 +280,7 @@ def test_batch_boundary_trials(monkeypatch, capsys):
     """Trials on either side of a batch boundary equal their single-trial
     rebuild, and a run with different batching gives the same arrays,
     the same counts and the same CSV bytes."""
-    chunk = _batch_size(2)
+    chunk = montecarlo._batch_size(2)
     truths, outcomes, p_correct = _trial_arrays(2, chunk + 2, 11)
     for i in (chunk - 1, chunk, chunk + 1):
         assert _one_trial(2, 11, i) == (truths[i], outcomes[i], p_correct[i])
@@ -307,7 +302,7 @@ def test_batch_boundary_trials(monkeypatch, capsys):
 def test_batches_hold_a_fixed_block_budget(d, size):
     """Batches are sized in Philox blocks, not trials, so a batch's
     temporaries stay about the same at every d."""
-    assert _batch_size(d) == size
+    assert montecarlo._batch_size(d) == size
     starts = [start for start, *_ in trial_batches(d, size + 1, 0)]
     assert starts == [0, size]
 
@@ -340,7 +335,7 @@ def test_threaded_batches_equal_serial_batches(monkeypatch, d):
     """From d = 4 on two CPUs the batches are computed on threads, and
     every column equals the one-CPU serial run's, also when the threads
     switch as often as the interpreter allows."""
-    trials = 5 * _batch_size(d) + 3
+    trials = 5 * montecarlo._batch_size(d) + 3
     threads = _record_threads(monkeypatch)
     _cpus(monkeypatch, 1)
     serial = _trial_arrays(d, trials, 3)
@@ -402,7 +397,7 @@ def test_batch_error_reaches_the_consumer(monkeypatch):
     """A batch's exception comes out of the consumer's next, in order,
     and leaves no thread running."""
     simulate = montecarlo._simulate_range
-    size = _batch_size(5)
+    size = montecarlo._batch_size(5)
 
     def failing(d, seed, start, count):
         if start == size:

@@ -13,8 +13,6 @@ PUBLIC_NAMES = [
     "INCONCLUSIVE",
     "LowRankPovmElement",
     "Povm",
-    "StateVector",
-    "SymmetricFamily",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",
@@ -43,13 +41,18 @@ PUBLIC_NAMES = [
 
 # Names once exported that only tests called, the JSON readers that no
 # command used, HermitianOperator, whose constructor only respelled
-# build_rho, and ConfusionMatrix and ExperimentReport, whose constructors
-# were a second way to make what confusion and run_experiment compute;
-# each is gone from the package's exports.
+# build_rho, ConfusionMatrix and ExperimentReport, whose constructors
+# were a second way to make what confusion and run_experiment compute,
+# and StateVector and SymmetricFamily, whose constructors were a second
+# way to make the states and the family that product_state,
+# build_povm_vector and build_symmetric_family build; each is gone from
+# the package's exports.
 REMOVED_NAMES = [
     "ConfusionMatrix",
     "ExperimentReport",
     "HermitianOperator",
+    "StateVector",
+    "SymmetricFamily",
     "TrialRecord",
     "build_sym_projector",
     "outcome_probabilities",
