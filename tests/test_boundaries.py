@@ -114,10 +114,11 @@ TABLE = [
           lambda s: quditid.LowRankPovmElement(2, 1, s, SIGNS2)),
     Param("LowRankPovmElement", "signs", "finite array", SIGNS2, None,
           lambda s: quditid.LowRankPovmElement(2, 1, 2 / 3, s)),
-    Param("product_state", "factors[0]", "unit vector", KETS2[0], None,
-          lambda f: quditid.product_state([f, *KETS2[1:]])),
-    Param("product_state", "factors[2]", "unit vector", KETS2[2], None,
-          lambda f: quditid.product_state([*KETS2[:2], f])),
+    # product_state is the one maker of a state from caller input, so every
+    # factor is fed what _check_factors refuses.
+    *(Param("product_state", f"factors[{j}]", "unit vector", KETS2[j], None,
+            lambda f, j=j: quditid.product_state([*KETS2[:j], f, *KETS2[j + 1:]]))
+      for j in range(3)),
     Param("frame_operator", "weights", "finite array", np.ones(2), None,
           lambda w: quditid.frame_operator(FAM2, w)),
     Param("optimal_weight_grid", "resolution", "real", 0.001, 0.1,

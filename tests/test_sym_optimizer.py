@@ -12,10 +12,13 @@ from quditid.sym_optimizer import (
     frame_operator,
     optimal_weight_grid,
 )
+from quditid.tensor_core import MAX_DIM
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
 def test_family_gram(d):
+    """The -1/d Gram at every d build_symmetric_family accepts: the family
+    record checks nothing itself."""
     fam = build_symmetric_family(d)
     gram = fam.vectors.conj() @ fam.vectors.T
     target = np.eye(d) + (-1.0 / d) * (np.ones((d, d)) - np.eye(d))
