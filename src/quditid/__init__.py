@@ -16,8 +16,6 @@ from .analytics import (
     verify_report,
 )
 from .detection import (
-    LowRankPovmElement,
-    Povm,
     build_detection_core,
     build_povm,
     build_povm_vector,
@@ -50,8 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INCONCLUSIVE",
-    "LowRankPovmElement",
-    "Povm",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",

@@ -3,7 +3,7 @@ matrix, the overall success probability, and a bundled verification
 report for the CLI.
 
 Every trace is exact.  Element m's vectors are S_k / sqrt(d!) for its
-integer sign matrix S (detection.LowRankPovmElement), and
+integer sign matrix S, with S S^T = d! I as build_povm guarantees, and
 rho_n = c (I + SWAP_0n) / 2 with c = state_ops.rho_prefactor(d), so with
 the integers d! q_k = S_k . SWAP_0n(S_k) from build_rho's digit swap,
 
@@ -131,8 +131,8 @@ def _is_psd(rows):
     return True
 
 
-def verify_report(d, povm=None):
-    """Run the algebraic checks and bundle the results.
+def verify_report(d):
+    """Run the algebraic checks on build_povm(d) and bundle the results.
 
     Each check is exact, blind to the sign of any one vector (it reads
     only the operators Pi_m), and flags at least one broken measurement
@@ -150,8 +150,8 @@ def verify_report(d, povm=None):
     "ok" is true when "failed_checks" is empty.  build_povm refuses
     d > DENSE_MAX_D.
     """
-    d = check_dim(d)
-    povm = build_povm(d) if povm is None else povm
+    povm = build_povm(d)
+    d = povm.d
     traces = _traces(povm, d)
     p_succ = _success(traces)
     max_offdiag = max(abs(t) for n, row in enumerate(traces) for m, t in enumerate(row) if m != n)

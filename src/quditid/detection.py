@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, _check_factors, _check_index, _check_real
+from .tensor_core import StateVector, _check_factors, _check_index
 from .tensor_core import check_dense_dim, check_dim, state_to_dict
 
 
 def _sign_matrix(d, n):
-    """Element n's (d, d**(d+1)) int8 sign matrix (d and n already
-    validated): row k holds the d! nonzero signs of the branch-k vector.
+    """Element n's read-only (d, d**(d+1)) int8 sign matrix (d and n
+    already validated): row k holds the d! nonzero signs of the branch-k
+    vector.
 
     The digit values 0..d-1 go to the d slots other than qudit n
     (ascending label order) in all d! ways, each signed by its
@@ -40,6 +41,7 @@ def _sign_matrix(d, n):
     matrix = np.zeros((d, d ** (d + 1)), dtype=np.int8)
     flat = perms @ d ** (d - slots) + branches * d ** (d - n)
     matrix[branches, flat] = np.where((n + inversions) % 2, -1, 1)
+    matrix.setflags(write=False)
     return matrix
 
 
@@ -79,12 +81,13 @@ def build_povm_vector(d, n, k):
 
 @dataclass(frozen=True)
 class LowRankPovmElement:
-    """Conclusive measurement operator scale * sum_k |v_k><v_k|.
+    """Conclusive measurement operator scale * sum_k |v_k><v_k|, as
+    build_povm builds it.
 
-    Stored as its scale and the integer sign matrix S of its orthonormal
-    vectors, v_k = S_k / sqrt(d!): a read-only int8 (rank, d**(d+1))
-    array with entries in {-1, 0, 1}.  Orthonormality is the exact
-    equality S S^T = d! I.  No float form is kept; `vectors` computes the
+    Stored as its scale d/(d+1) and the integer sign matrix S of its
+    orthonormal vectors, v_k = S_k / sqrt(d!): build_povm makes S a
+    read-only int8 (d, d**(d+1)) array with entries in {-1, 0, 1} and
+    S S^T = d! I exactly.  No float form is kept; `vectors` computes the
     dense StateVectors when asked.
     """
 
@@ -92,24 +95,6 @@ class LowRankPovmElement:
     label: int
     scale: float
     signs: np.ndarray
-
-    def __post_init__(self):
-        d = check_dim(self.d)
-        label = _check_index("outcome label", self.label, 1, d)
-        scale = _check_real("scale", self.scale, math.ulp(0.0), 1.0)  # (0, 1]
-        signs = np.array(self.signs)
-        if signs.ndim != 2 or not len(signs) or signs.shape[1] != d ** (d + 1):
-            raise ValueError(f"expected a (rank, {d ** (d + 1)}) sign matrix, got {signs.shape}")
-        if signs.dtype.kind not in "iu" or np.any((signs < -1) | (signs > 1)):
-            raise ValueError("sign matrix entries must be integers in {-1, 0, 1}")
-        if np.any(_sign_gram(signs) != math.factorial(d) * np.eye(len(signs), dtype=np.int64)):
-            raise ValueError("element vectors are not orthonormal: S S^T != d! I")
-        signs = signs.astype(np.int8)
-        signs.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "signs", signs)
 
     @property
     def vectors(self):
@@ -120,7 +105,8 @@ class LowRankPovmElement:
 
 @dataclass(frozen=True)
 class Povm:
-    """The d conclusive elements of the measurement.
+    """The d conclusive elements of the measurement, labelled 1..d, as
+    build_povm builds them.
 
     The inconclusive element is not stored: it is defined as the
     identity minus the conclusive sum, so completeness holds by
@@ -129,18 +115,6 @@ class Povm:
 
     d: int
     elements: tuple
-
-    def __post_init__(self):
-        d = check_dim(self.d)
-        elements = tuple(self.elements)
-        if len(elements) != d:
-            raise ValueError(f"expected {d} conclusive elements, got {len(elements)}")
-        if [e.label for e in elements] != list(range(1, d + 1)):
-            raise ValueError("elements must be labeled 1..d in order")
-        if any(e.d != d for e in elements):
-            raise ValueError("element dimension mismatch")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "elements", elements)
 
     @property
     def scale(self):
@@ -157,7 +131,8 @@ def build_povm(d):
     """
     d = check_dense_dim(d)
     scale = d / (d + 1)
-    return Povm(d, [LowRankPovmElement(d, n, scale, _sign_matrix(d, n)) for n in range(1, d + 1)])
+    elements = (LowRankPovmElement(d, n, scale, _sign_matrix(d, n)) for n in range(1, d + 1))
+    return Povm(d, tuple(elements))
 
 
 def overlap_with_product(d, n, factors):
@@ -179,13 +154,8 @@ def overlap_with_product(d, n, factors):
 
 
 def povm_to_dict(povm):
-    """JSON-ready form: the one scale plus the raw vectors of each element.
-
-    Raises ValueError when the element scales differ, which this form
-    cannot hold.
-    """
-    if any(elem.scale != povm.scale for elem in povm.elements):
-        raise ValueError("element scales differ; the JSON form holds one scale")
+    """JSON-ready form: the one scale build_povm gives every element, plus
+    the raw vectors of each element."""
     return {
         "d": povm.d,
         "scale": float(povm.scale),

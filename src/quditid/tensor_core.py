@@ -8,7 +8,7 @@ probe digit most significant:
     flat = sum_j digits[j] * d**(d - j)
 
 Each input rule is written once, in a _check_* function here: _check_factors
-for the factors of a product input, _check_unit for unit norm.
+holds the factors of a product input, unit norm included.
 """
 
 import functools
@@ -73,23 +73,20 @@ def _check_finite(name, values, dtype=np.float64):
     return values
 
 
-def _check_unit(name, values):
-    """The norm of a 1-D complex128 array, refused unless within NORM_TOL of 1."""
-    reim = values.view(np.float64)  # einsum: np.linalg.norm's BLAS ddot wakes idle threads
-    if not abs((norm := np.sqrt(np.einsum("i,i", reim, reim))) - 1.0) <= NORM_TOL:  # NaN fails
-        raise ValueError(f"{name} is not normalized")
-    return norm
-
-
 def _check_factors(d, factors):
-    """The d+1 factors of a product input as (d,) unit vectors, each over its norm."""
+    """The d+1 factors of a product input as (d,) vectors, each refused
+    unless its norm lies within NORM_TOL of 1 and returned over its norm."""
     if len(factors) != d + 1:
         raise ValueError(f"expected {d + 1} factors, got {len(factors)}")
-    factors = [_check_numbers(f"factor {j}", f, np.complex128) for j, f in enumerate(factors)]
+    units = []
     for j, f in enumerate(factors):
+        f = _check_numbers(f"factor {j}", f, np.complex128)
         if f.shape != (d,):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
-    return [f / _check_unit(f"factor {j}", f) for j, f in enumerate(factors)]
+        if not abs((norm := np.linalg.norm(f)) - 1.0) <= NORM_TOL:  # NaN fails
+            raise ValueError(f"factor {j} is not normalized")
+        units.append(f / norm)
+    return units
 
 
 def total_dim(d):

@@ -34,8 +34,7 @@ NAN, INF = math.nan, math.inf
 TOP = 2**64 - 1  # the largest seed, trial index and count
 
 # Names whose arguments hold no number for the package to check: a
-# constant, and functions that read only objects validated when they
-# were built.
+# constant, and functions that read only objects their makers built.
 NO_NUMERIC_INPUT = [
     "INCONCLUSIVE",
     "inner_product",
@@ -45,7 +44,6 @@ NO_NUMERIC_INPUT = [
 ]
 
 POVM2 = quditid.build_povm(2)
-SIGNS2 = POVM2.elements[0].signs
 FAM2 = quditid.build_symmetric_family(2)
 KETS2 = [basis_ket(2, 0), basis_ket(2, 1), basis_ket(2, 0)]
 
@@ -105,15 +103,6 @@ TABLE = [
     _dim("verify_report", quditid.verify_report, high=5, accept=(2,)),
     _dim("confusion", lambda d: quditid.confusion(POVM2, d), accept=(2,)),
     _dim("success_probability", lambda d: quditid.success_probability(POVM2, d), accept=(2,)),
-    _dim("Povm", lambda d: quditid.Povm(d, POVM2.elements), accept=(2,)),
-    _dim("LowRankPovmElement", lambda d: quditid.LowRankPovmElement(d, 1, 2 / 3, SIGNS2),
-         accept=(2,)),
-    Param("LowRankPovmElement", "label", "integer", 1, 2,
-          lambda n: quditid.LowRankPovmElement(2, n, 2 / 3, SIGNS2)),
-    Param("LowRankPovmElement", "scale", "real", 5e-324, 1.0,
-          lambda s: quditid.LowRankPovmElement(2, 1, s, SIGNS2)),
-    Param("LowRankPovmElement", "signs", "finite array", SIGNS2, None,
-          lambda s: quditid.LowRankPovmElement(2, 1, 2 / 3, s)),
     # product_state is the one maker of a state from caller input, so every
     # factor is fed what _check_factors refuses.
     *(Param("product_state", f"factors[{j}]", "unit vector", KETS2[j], None,

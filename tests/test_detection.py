@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +9,7 @@ from conftest import basis_ket, decode_index, stacked_vectors
 from quditid import jsonio
 from quditid.analytics import conclusive_sum_spectrum
 from quditid.detection import (
-    LowRankPovmElement,
-    Povm,
+    _sign_gram,
     build_detection_core,
     build_povm,
     build_povm_vector,
@@ -214,50 +212,29 @@ def test_factors_within_tolerance_give_a_product_state(d, error):
             assert abs(overlap_with_product(d, n, near) - overlap_with_product(d, n, exact)) <= 1e-12
 
 
-def test_low_rank_element_validation():
-    s = build_povm(2).elements[0].signs  # rows v_{1,0}, v_{1,1} in sign form
-    with pytest.raises(ValueError, match="orthonormal"):
-        LowRankPovmElement(2, 1, 2.0 / 3.0, s[[0, 0]])  # repeated row
-    two = s.copy()
-    two[0, np.flatnonzero(two[0])[0]] = 2
-    with pytest.raises(ValueError, match="integers in"):
-        LowRankPovmElement(2, 1, 2.0 / 3.0, two)  # entry outside {-1, 0, 1}
-    for bad in (s[:, :-1], s[0], np.zeros((0, 8), dtype=np.int8), ()):
-        with pytest.raises(ValueError, match="sign matrix"):
-            LowRankPovmElement(2, 1, 2.0 / 3.0, bad)  # wrong width, not 2-D, empty
-    with pytest.raises(ValueError):
-        LowRankPovmElement(2, 0, 2.0 / 3.0, s)  # bad label
-    for label in (1.0, 1.5, True):
-        with pytest.raises(ValueError, match="must be an integer"):
-            LowRankPovmElement(2, label, 2.0 / 3.0, s)  # not an integer
-    with pytest.raises(ValueError):
-        LowRankPovmElement(2, 1, 0.0, s)  # scale outside (0, 1]
-    with pytest.raises(ValueError):
-        LowRankPovmElement(3, 1, 2.0 / 3.0, s)  # width of d=2, not d=3
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_low_rank_element_keeps_integer_signs(d):
-    elem = build_povm(d).elements[0]
-    assert elem.signs.dtype == np.int8
-    assert not elem.signs.flags.writeable
-    m = stacked_vectors(elem)
-    np.testing.assert_array_equal(elem.signs / math.sqrt(math.factorial(d)), m.real)
-    np.testing.assert_array_equal(m.imag, 0.0)
-    assert set(np.unique(elem.signs).tolist()) == {-1, 0, 1}
-
-
-def test_low_rank_element_requires_sign_form():
-    """S is taken as integers only: neither its float image S / sqrt(d!)
-    nor S itself written as floats is accepted."""
-    s = build_povm(2).elements[0].signs
-    for bad in (s / math.sqrt(2.0), s.astype(np.float64), s.astype(bool)):
-        with pytest.raises(ValueError, match="integers in"):
-            LowRankPovmElement(2, 1, 2.0 / 3.0, bad)
-    # any integer dtype is read as S and kept as read-only int8
-    elem = LowRankPovmElement(2, 1, 2.0 / 3.0, s.astype(np.int64).tolist())
-    assert elem.signs.dtype == np.int8
-    np.testing.assert_array_equal(elem.signs, s)
+    """What build_povm guarantees of every element, since neither record
+    checks it: a tuple of elements labelled 1..d at scale d/(d+1), each
+    with a read-only int8 (d, d**(d+1)) sign matrix S of entries in
+    {-1, 0, 1} and S S^T = d! I exactly, which analytics._traces relies
+    on when it counts rank * d!."""
+    povm = build_povm(d)
+    assert povm.d == d
+    assert type(povm.elements) is tuple
+    assert [elem.label for elem in povm.elements] == list(range(1, d + 1))
+    root = math.sqrt(math.factorial(d))
+    for elem in povm.elements:
+        assert elem.d == d
+        assert elem.scale == d / (d + 1)
+        assert elem.signs.dtype == np.int8
+        assert elem.signs.shape == (d, total_dim(d))
+        assert not elem.signs.flags.writeable
+        assert set(np.unique(elem.signs).tolist()) == {-1, 0, 1}
+        np.testing.assert_array_equal(_sign_gram(elem.signs), math.factorial(d) * np.eye(d))
+        m = stacked_vectors(elem)
+        np.testing.assert_array_equal(elem.signs / root, m.real)
+        np.testing.assert_array_equal(m.imag, 0.0)
 
 
 def test_build_povm_keeps_only_sign_form():
@@ -285,13 +262,6 @@ def test_povm_vector_is_a_row_of_the_element(d):
             assert build_povm_vector(d, n, k).amps.tobytes() == want.tobytes()
 
 
-def test_povm_wrapper_validation(povm2):
-    with pytest.raises(ValueError):
-        Povm(2, povm2.elements[:1])
-    with pytest.raises(ValueError):
-        Povm(2, (povm2.elements[1], povm2.elements[0]))
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_povm_serialization_round_trip(d, povm2, povm3, povm4):
     """The JSON text carries each element's vectors bit for bit, signed
@@ -308,20 +278,6 @@ def test_povm_serialization_round_trip(d, povm2, povm3, povm4):
             np.testing.assert_array_equal(
                 pairs.view(np.complex128).ravel().view(np.uint64), want.amps.view(np.uint64)
             )
-
-
-def test_povm_to_dict_refuses_differing_scales(povm2):
-    """The JSON form holds one scale, so a measurement whose element
-    scales differ is refused rather than written with the first one."""
-    mixed = Povm(
-        2,
-        [
-            replace(e, scale=scale)
-            for e, scale in zip(povm2.elements, (0.6, 2.0 / 3.0))
-        ],
-    )
-    with pytest.raises(ValueError, match="scales differ"):
-        povm_to_dict(mixed)
 
 
 def test_povm_to_dict_d5_makes_no_norm_call(monkeypatch):

@@ -3,7 +3,8 @@ least one deliberately broken measurement, and no check may flag a
 mutant that leaves every element operator as it is.
 
 Each mutant rebuilds the elements' sign rows from digits with one named
-break and passes the result to `verify_report`; the table below pins
+break, and reaches `verify_report` through `build_povm`, which each test
+patches in `analytics` to return it; the table below pins
 exactly which checks flag it, at d=2 and d=3 and, for the scale
 mutants closest to the optimum, at d=4 and d=5.  The unbroken builder
 reproduces `build_povm`'s sign matrices entry for entry, so each mutant
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 from conftest import dense_conclusive_sum
 
-from quditid import state_ops
+from quditid import analytics, state_ops
 from quditid.analytics import conclusive_sum_spectrum, verify_report
 from quditid.detection import LowRankPovmElement, Povm, build_povm
 from quditid.tensor_core import encode_index, total_dim
@@ -82,16 +83,22 @@ def _povm(d, scale=1.0, vectors=None, scales=None, **breaks):
     scales = scales or {}
     return Povm(
         d,
-        [
+        tuple(
             LowRankPovmElement(
                 d,
                 n,
                 scales.get(n, scale * d / (d + 1)),
-                [vectors(d, n, k) for k in range(d)],
+                np.array([vectors(d, n, k) for k in range(d)], dtype=np.int8),
             )
             for n in range(1, d + 1)
-        ],
+        ),
     )
+
+
+def _verify(monkeypatch, d, povm):
+    """verify_report(d) on `povm`, handed to it as build_povm's result."""
+    monkeypatch.setattr(analytics, "build_povm", lambda dim: povm)
+    return verify_report(d)
 
 
 def _tilted(d, eps):
@@ -185,8 +192,8 @@ def test_unbroken_builder_reproduces_build_povm(d):
 
 
 @pytest.mark.parametrize("mutant, d", list(FLAGGED))
-def test_mutant_flagged_by_exactly(mutant, d):
-    report = verify_report(d, povm=MUTANTS[mutant](d))
+def test_mutant_flagged_by_exactly(monkeypatch, mutant, d):
+    report = _verify(monkeypatch, d, MUTANTS[mutant](d))
     assert set(report["failed_checks"]) == FLAGGED[mutant, d]
     assert report["ok"] == (not FLAGGED[mutant, d])
 
@@ -204,7 +211,7 @@ def test_scaled_rho_prefactor_fails_only_the_success_check(monkeypatch, d, facto
 
 
 @pytest.mark.parametrize("mutant, d", [key for key in FLAGGED if key[1] <= 3])
-def test_exact_checks_decide_the_dense_spectrum(mutant, d):
+def test_exact_checks_decide_the_dense_spectrum(monkeypatch, mutant, d):
     """Dense oracle for primal_feasible, one implication at a time: a
     measurement that passes it has no remainder eigenvalue below -1e-12,
     one with a remainder eigenvalue below -1e-10 fails it, and one that
@@ -213,7 +220,7 @@ def test_exact_checks_decide_the_dense_spectrum(mutant, d):
     "tilted scales 2**-40" fails primal_feasible, exactly, while its
     least dense eigenvalue is only about -7e-13."""
     povm = MUTANTS[mutant](d)
-    report = verify_report(d, povm=povm)
+    report = _verify(monkeypatch, d, povm)
     dense = dense_conclusive_sum(povm.elements)
     remainder = np.linalg.eigvalsh(np.eye(total_dim(d)) - dense)
     if report["checks"][PRIMAL]:
@@ -225,7 +232,7 @@ def test_exact_checks_decide_the_dense_spectrum(mutant, d):
         assert np.max(np.abs(remainder - want)) <= 1e-10
 
 
-def test_every_check_flags_a_mutant():
+def test_every_check_flags_a_mutant(monkeypatch):
     checks = set(verify_report(2)["checks"])
     assert checks == {SUCCESS, MISID, PRIMAL}
     for check in checks:
@@ -233,4 +240,4 @@ def test_every_check_flags_a_mutant():
     for (mutant, d), flagged in FLAGGED.items():
         assert bool(flagged) is (mutant not in EQUIVALENT), (mutant, d)
         if mutant in EQUIVALENT:
-            assert verify_report(d, povm=MUTANTS[mutant](d))["ok"] is True
+            assert _verify(monkeypatch, d, MUTANTS[mutant](d))["ok"] is True

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +12,6 @@ from quditid import state_ops
 
 PUBLIC_NAMES = [
     "INCONCLUSIVE",
-    "LowRankPovmElement",
-    "Povm",
     "build_detection_core",
     "build_povm",
     "build_povm_vector",
@@ -43,14 +42,18 @@ PUBLIC_NAMES = [
 # command used, HermitianOperator, whose constructor only respelled
 # build_rho, ConfusionMatrix and ExperimentReport, whose constructors
 # were a second way to make what confusion and run_experiment compute,
-# and StateVector and SymmetricFamily, whose constructors were a second
+# StateVector and SymmetricFamily, whose constructors were a second
 # way to make the states and the family that product_state,
-# build_povm_vector and build_symmetric_family build; each is gone from
-# the package's exports.
+# build_povm_vector and build_symmetric_family build, and
+# LowRankPovmElement and Povm, whose constructors were a second way to
+# make the measurement build_povm builds; each is gone from the
+# package's exports.
 REMOVED_NAMES = [
     "ConfusionMatrix",
     "ExperimentReport",
     "HermitianOperator",
+    "LowRankPovmElement",
+    "Povm",
     "StateVector",
     "SymmetricFamily",
     "TrialRecord",
@@ -63,12 +66,50 @@ REMOVED_NAMES = [
 ]
 
 
+# The parameter names of every public function, so that adding or
+# dropping a parameter is a visible edit here.
+SIGNATURES = {
+    "build_detection_core": ["d", "n"],
+    "build_povm": ["d"],
+    "build_povm_vector": ["d", "n", "k"],
+    "build_rho": ["d", "n"],
+    "build_symmetric_family": ["d"],
+    "closed_form_success": ["d"],
+    "confusion": ["povm", "d"],
+    "encode_index": ["digits", "d"],
+    "frame_operator": ["fam", "weights"],
+    "haar_average_check": ["d", "n", "samples", "seed"],
+    "haar_state": ["d", "rng"],
+    "inner_product": ["a", "b"],
+    "optimal_weight_eigen": ["fam"],
+    "optimal_weight_grid": ["fam", "resolution"],
+    "overlap_with_product": ["d", "n", "factors"],
+    "povm_to_dict": ["povm"],
+    "product_state": ["factors"],
+    "run_experiment": ["d", "trials", "seed"],
+    "state_to_dict": ["state"],
+    "success_probability": ["povm", "d"],
+    "total_dim": ["d"],
+    "trial_batches": ["d", "trials", "seed"],
+    "verify_report": ["d"],
+}
+
+
 def test_public_names_are_pinned_and_resolve():
     assert quditid.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(quditid, name) is not None
     for name in REMOVED_NAMES:
         assert not hasattr(quditid, name)
+
+
+def test_public_signatures_are_pinned():
+    """Every public name but the INCONCLUSIVE constant is a function, and
+    each takes exactly the parameters SIGNATURES lists."""
+    functions = [name for name in PUBLIC_NAMES if name != "INCONCLUSIVE"]
+    assert all(inspect.isfunction(getattr(quditid, name)) for name in functions)
+    found = {name: list(inspect.signature(getattr(quditid, name)).parameters) for name in functions}
+    assert found == SIGNATURES
 
 
 def test_hermitian_operator_public_methods_are_apply_and_to_dense():
