@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from quditid import build_povm, overlap_with_product
+from quditid import analytics, build_povm, overlap_with_product
 from quditid.tensor_core import _check_index, encode_index, total_dim
 
 
@@ -33,6 +33,13 @@ def _time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def verify_built(monkeypatch, d, povm):
+    """verify_report(d) on `povm`, handed to it as build_povm's result:
+    verify_report takes no measurement of its own."""
+    monkeypatch.setattr(analytics, "build_povm", lambda dim: povm)
+    return analytics.verify_report(d)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense_conclusive_sum
+from conftest import dense_conclusive_sum, verify_built
 
 from quditid import analytics
 from quditid.analytics import (
@@ -140,9 +140,47 @@ def test_verify_report_passes(d):
     }
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_verify_report_checks_what_build_povm_makes(monkeypatch, d):
+    """verify_report(d) takes no measurement: it checks the one
+    build_povm(d) returns, built once."""
+    calls = []
+
+    def spy(dim):
+        calls.append(dim)
+        return build_povm(dim)
+
+    monkeypatch.setattr(analytics, "build_povm", spy)
+    assert verify_report(d)["ok"] is True
+    assert calls == [d]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("excess", ["tiny", "unit"])
+def test_verify_report_flags_oversized_scale(monkeypatch, d, excess):
+    """Any scale above d/(d+1) makes the remainder indefinite."""
+    scale = {"tiny": d / (d + 1) + 1e-6, "unit": 1.0}[excess]
+    report = verify_built(monkeypatch, d, _rescaled(build_povm(d), scale))
+    assert report["ok"] is False
+    assert report["failed_checks"] == ["primal_feasible", "success_matches_closed_form"]
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_verify_report_success_tolerance_is_relative(monkeypatch, d):
+    """A scale off by 5e-11 (relative) moves the success probability by
+    5e-11 of itself: below 1e-12 in absolute terms at d >= 4, where the
+    optimum is at most 1/320.  The exact success check flags it all the
+    same; a scale below the optimum keeps the remainder positive."""
+    povm = build_povm(d)
+    report = verify_built(monkeypatch, d, _rescaled(povm, povm.scale * (1 - 5e-11)))
+    assert report["failed_checks"] == ["success_matches_closed_form"]
+    p = closed_form_success(d)
+    assert report["p_succ"] == pytest.approx(p * (1 - 5e-11), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("optimal", [True, False])
-def test_gram_spectrum_matches_dense_oracle(monkeypatch, d, optimal, povm2, povm3):
+def test_gram_spectrum_matches_dense_oracle(monkeypatch, d, optimal, povm2, povm3, povm4):
     """The dense conclusive sum has the eigenvalues scale times the Gram
     eigenvalues {1/d, (d+1)/d}, padded with zeros: conclusive_sum_spectrum(d)
     at the optimal scale, (d+1)/d times it at scale 1, whose remainder is
@@ -150,11 +188,10 @@ def test_gram_spectrum_matches_dense_oracle(monkeypatch, d, optimal, povm2, povm
     implication at a time: passing it means no eigenvalue below -1e-12,
     and an eigenvalue below -1e-10 means failing it.  verify_report reads
     the measurement from build_povm, patched here."""
-    povm = {2: povm2, 3: povm3}[d]
+    povm = {2: povm2, 3: povm3, 4: povm4}[d]
     if not optimal:
         povm = _rescaled(povm, 1.0)
-    monkeypatch.setattr(analytics, "build_povm", lambda dim: povm)
-    report = verify_report(d)
+    report = verify_built(monkeypatch, d, povm)
     assert report["checks"]["primal_feasible"] is optimal
     D = total_dim(d)
     dense = dense_conclusive_sum(povm.elements)

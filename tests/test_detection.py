@@ -212,29 +212,31 @@ def test_factors_within_tolerance_give_a_product_state(d, error):
             assert abs(overlap_with_product(d, n, near) - overlap_with_product(d, n, exact)) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_low_rank_element_keeps_integer_signs(d):
-    """What build_povm guarantees of every element, since neither record
-    checks it: a tuple of elements labelled 1..d at scale d/(d+1), each
-    with a read-only int8 (d, d**(d+1)) sign matrix S of entries in
-    {-1, 0, 1} and S S^T = d! I exactly, which analytics._traces relies
-    on when it counts rank * d!."""
+@pytest.mark.parametrize(
+    "d, n",
+    [pytest.param(d, n, id=f"d{d}-n{n}") for d in range(2, 6) for n in range(1, d + 1)],
+)
+def test_low_rank_element_keeps_integer_signs(d, n):
+    """What build_povm guarantees of every element, one element n a case,
+    since neither record checks it: a tuple of elements labelled 1..d at
+    scale d/(d+1), each with a read-only int8 (d, d**(d+1)) sign matrix S
+    of entries in {-1, 0, 1} and S S^T = d! I exactly, which
+    analytics._traces relies on when it counts rank * d!."""
     povm = build_povm(d)
     assert povm.d == d
     assert type(povm.elements) is tuple
     assert [elem.label for elem in povm.elements] == list(range(1, d + 1))
-    root = math.sqrt(math.factorial(d))
-    for elem in povm.elements:
-        assert elem.d == d
-        assert elem.scale == d / (d + 1)
-        assert elem.signs.dtype == np.int8
-        assert elem.signs.shape == (d, total_dim(d))
-        assert not elem.signs.flags.writeable
-        assert set(np.unique(elem.signs).tolist()) == {-1, 0, 1}
-        np.testing.assert_array_equal(_sign_gram(elem.signs), math.factorial(d) * np.eye(d))
-        m = stacked_vectors(elem)
-        np.testing.assert_array_equal(elem.signs / root, m.real)
-        np.testing.assert_array_equal(m.imag, 0.0)
+    elem = povm.elements[n - 1]
+    assert elem.d == d
+    assert elem.scale == d / (d + 1)
+    assert elem.signs.dtype == np.int8
+    assert elem.signs.shape == (d, total_dim(d))
+    assert not elem.signs.flags.writeable
+    assert set(np.unique(elem.signs).tolist()) == {-1, 0, 1}
+    np.testing.assert_array_equal(_sign_gram(elem.signs), math.factorial(d) * np.eye(d))
+    m = stacked_vectors(elem)
+    np.testing.assert_array_equal(elem.signs / math.sqrt(math.factorial(d)), m.real)
+    np.testing.assert_array_equal(m.imag, 0.0)
 
 
 def test_build_povm_keeps_only_sign_form():
@@ -262,14 +264,15 @@ def test_povm_vector_is_a_row_of_the_element(d):
             assert build_povm_vector(d, n, k).amps.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_povm_serialization_round_trip(d, povm2, povm3, povm4):
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_povm_serialization_round_trip(d):
     """The JSON text carries each element's vectors bit for bit, signed
-    zeros included, as (re, im) pairs."""
-    povm = {2: povm2, 3: povm3, 4: povm4}[d]
+    zeros included, as (re, im) pairs, and the one scale d/(d+1) that
+    build_povm gives every element."""
+    povm = build_povm(d)
     wire = json.loads(jsonio.dumps(povm_to_dict(povm)))
     assert wire["d"] == d
-    assert wire["scale"] == povm.scale
+    assert wire["scale"] == d / (d + 1)
     assert [e["n"] for e in wire["elements"]] == [e.label for e in povm.elements]
     for entry, elem in zip(wire["elements"], povm.elements, strict=True):
         for got, want in zip(entry["vectors"], elem.vectors, strict=True):

@@ -33,9 +33,9 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import dense_conclusive_sum
+from conftest import dense_conclusive_sum, verify_built
 
-from quditid import analytics, state_ops
+from quditid import state_ops
 from quditid.analytics import conclusive_sum_spectrum, verify_report
 from quditid.detection import LowRankPovmElement, Povm, build_povm
 from quditid.tensor_core import encode_index, total_dim
@@ -93,12 +93,6 @@ def _povm(d, scale=1.0, vectors=None, scales=None, **breaks):
             for n in range(1, d + 1)
         ),
     )
-
-
-def _verify(monkeypatch, d, povm):
-    """verify_report(d) on `povm`, handed to it as build_povm's result."""
-    monkeypatch.setattr(analytics, "build_povm", lambda dim: povm)
-    return verify_report(d)
 
 
 def _tilted(d, eps):
@@ -193,7 +187,7 @@ def test_unbroken_builder_reproduces_build_povm(d):
 
 @pytest.mark.parametrize("mutant, d", list(FLAGGED))
 def test_mutant_flagged_by_exactly(monkeypatch, mutant, d):
-    report = _verify(monkeypatch, d, MUTANTS[mutant](d))
+    report = verify_built(monkeypatch, d, MUTANTS[mutant](d))
     assert set(report["failed_checks"]) == FLAGGED[mutant, d]
     assert report["ok"] == (not FLAGGED[mutant, d])
 
@@ -220,7 +214,7 @@ def test_exact_checks_decide_the_dense_spectrum(monkeypatch, mutant, d):
     "tilted scales 2**-40" fails primal_feasible, exactly, while its
     least dense eigenvalue is only about -7e-13."""
     povm = MUTANTS[mutant](d)
-    report = _verify(monkeypatch, d, povm)
+    report = verify_built(monkeypatch, d, povm)
     dense = dense_conclusive_sum(povm.elements)
     remainder = np.linalg.eigvalsh(np.eye(total_dim(d)) - dense)
     if report["checks"][PRIMAL]:
@@ -240,4 +234,4 @@ def test_every_check_flags_a_mutant(monkeypatch):
     for (mutant, d), flagged in FLAGGED.items():
         assert bool(flagged) is (mutant not in EQUIVALENT), (mutant, d)
         if mutant in EQUIVALENT:
-            assert _verify(monkeypatch, d, MUTANTS[mutant](d))["ok"] is True
+            assert verify_built(monkeypatch, d, MUTANTS[mutant](d))["ok"] is True

@@ -8,7 +8,12 @@ import sys
 import pytest
 
 import quditid
-from quditid import state_ops
+from quditid import analytics, detection, montecarlo, state_ops, sym_optimizer, tensor_core
+from quditid.analytics import ConfusionMatrix
+from quditid.detection import LowRankPovmElement, Povm
+from quditid.montecarlo import ExperimentReport
+from quditid.sym_optimizer import SymmetricFamily
+from quditid.tensor_core import StateVector
 
 PUBLIC_NAMES = [
     "INCONCLUSIVE",
@@ -101,15 +106,52 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(quditid, name) is not None
     for name in REMOVED_NAMES:
         assert not hasattr(quditid, name)
+    assert sorted(SIGNATURES) == [name for name in PUBLIC_NAMES if name != "INCONCLUSIVE"]
 
 
-def test_public_signatures_are_pinned():
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_public_signatures_are_pinned(name):
     """Every public name but the INCONCLUSIVE constant is a function, and
     each takes exactly the parameters SIGNATURES lists."""
-    functions = [name for name in PUBLIC_NAMES if name != "INCONCLUSIVE"]
-    assert all(inspect.isfunction(getattr(quditid, name)) for name in functions)
-    found = {name: list(inspect.signature(getattr(quditid, name)).parameters) for name in functions}
-    assert found == SIGNATURES
+    function = getattr(quditid, name)
+    assert inspect.isfunction(function)
+    assert list(inspect.signature(function).parameters) == SIGNATURES[name]
+
+
+# The fields of every record the package's makers return, so that a field
+# cannot be added or dropped without a visible edit here.  None but
+# HermitianOperator and StateVector runs code when it is made: each
+# record's maker guarantees what the record holds.
+# test_averaged_state_holds_only_d_and_n pins HermitianOperator.
+RECORDS = {
+    ConfusionMatrix: ["d", "entries"],
+    ExperimentReport: [
+        "d", "trials", "seed", "success_count", "error_count", "inconclusive_count",
+        "success_rate", "error_rate", "inconclusive_rate", "ci99_half_width", "wall_time_s",
+    ],
+    LowRankPovmElement: ["d", "label", "scale", "signs"],
+    Povm: ["d", "elements"],
+    StateVector: ["d", "amps"],
+    SymmetricFamily: ["d", "vectors"],
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_fields_are_pinned(record):
+    assert [f.name for f in dataclasses.fields(record)] == RECORDS[record]
+    assert hasattr(record, "__post_init__") is (record is StateVector)
+
+
+def test_every_record_is_pinned():
+    """Each dataclass defined in a package module is in RECORDS, but for
+    HermitianOperator."""
+    found = {
+        obj
+        for module in (analytics, detection, montecarlo, state_ops, sym_optimizer, tensor_core)
+        for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    }
+    assert found == set(RECORDS) | {state_ops.HermitianOperator}
 
 
 def test_hermitian_operator_public_methods_are_apply_and_to_dense():
