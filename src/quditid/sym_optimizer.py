@@ -5,8 +5,10 @@ with 1 on the diagonal and -1/d off it.  Any family with that Gram can
 be written explicitly in an abstract d-dimensional space, where
 maximizing the total conclusive weight subject to the summed operator
 staying below the identity becomes a d x d eigenvalue problem, plus a
-brute-force grid search as a second opinion, which takes each spectrum
-from the real Gram form A^dagger A for the frame operator A A^dagger.
+brute-force grid search as a second opinion.  The search tests the real
+Gram form A^dagger A of the frame operator A A^dagger against the
+identity through the Schur complement on the last weight, which gives
+each prefix's largest feasible last weight without an eigensolve.
 
 This module deliberately never imports the measurement construction;
 agreement of the two routes is asserted in the test suite, not wired in
@@ -26,10 +28,13 @@ from .tensor_core import _check_finite, _check_real, check_dim
 # Feasibility margin on the largest eigenvalue; boundary points count.
 FEASIBILITY_TOL = 1e-10
 
-# Inputs the grid oracle accepts; d = 3 at the finest takes ~1.8M eigensolves.
+# Inputs the grid oracle accepts; d = 3 at the finest has 1001**2 prefixes.
 GRID_DIMS = (2, 3)
 MIN_RESOLUTION = 0.001
 MAX_RESOLUTION = 0.1
+
+# Prefixes per batch of the grid search, which bounds its memory.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,49 +98,70 @@ def check_grid(d, resolution):
     return _check_real("resolution", resolution, MIN_RESOLUTION, MAX_RESOLUTION)
 
 
+def _frontier_chunks(gram, values):
+    """Each prefix's frontier on the grid `values` for the real Gram `gram`.
+
+    A prefix is a point's first d-1 grid indices.  Yields, in lexicographic
+    prefix order, (n, d) index arrays of at most _CHUNK prefixes, with the
+    prefix in the first d-1 columns and its frontier in the last: the
+    largest k with the point feasible, or -1 when even k = 0 is not.
+    """
+    d, steps = len(gram), len(values)
+    bound, roots = 1.0 + FEASIBILITY_TOL, np.sqrt(values)
+    prefixes = steps ** (d - 1)
+    for start in range(0, prefixes, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, prefixes))
+        points = np.empty((len(flat), d), dtype=np.intp)
+        points[:, :-1] = np.stack(np.unravel_index(flat, (steps,) * (d - 1)), axis=1)
+        r = np.ones(points.shape)
+        r[:, :-1] = roots[points[:, :-1]]
+        # bound*I - diag(r) G diag(r) with the last root 1: a last weight w
+        # scales the last row and column off the diagonal by sqrt(w) and
+        # G_dd by w, so the last Schur complement is bound - w q.
+        a = bound * np.eye(d) - r[:, :, None] * gram * r[:, None, :]
+        ok = np.ones(len(flat), dtype=bool)
+        for j in range(d - 1):
+            ok &= a[:, j, j] > 0
+            pivot = np.where(ok, a[:, j, j], 1.0)[:, None, None]
+            a[:, j + 1:, j + 1:] -= a[:, j + 1:, j, None] * a[:, None, j, j + 1:] / pivot
+        q = np.where(ok, bound - a[:, -1, -1], 1.0)
+        # bound / q rounds: settle the last step on the product itself.
+        k = np.searchsorted(values, bound / q, side="right") - 1
+        up = np.minimum(k + 1, steps - 1)
+        k = np.where(values[up] * q <= bound, up, np.where(values[k] * q <= bound, k, k - 1))
+        points[:, -1] = np.where(ok, k, -1)
+        yield points
+
+
 def optimal_weight_grid(fam, resolution):
     """Brute-force search over per-outcome weights on a regular grid.
 
     Weights run over {0, resolution, ..., <=1} per outcome, for the
     (d, resolution) check_grid accepts.  Returns (weights, total) of the
     feasible point (top eigenvalue at most 1 + FEASIBILITY_TOL of the
-    weighted frame operator A A^dagger, A = [sqrt(w_n) v_n], taken as that
-    of the real d x d matrix A^dagger A = diag(sqrt w) G diag(sqrt w), G the
+    weighted frame operator A A^dagger, A = [sqrt(w_n) v_n], or equally of
+    the real d x d matrix A^dagger A = diag(sqrt w) G diag(sqrt w), G the
     Gram matrix) with the largest float total, ties going to the
     lexicographically smallest weights.  Raising a weight adds a positive
     semidefinite term, so the feasible set is down-closed, and strictly
     raises the float total: the answer is some prefix's frontier point,
-    the largest feasible last index after the first d-1.  As the
-    second-to-last index rises with the first d-2 fixed (one row), the
-    frontier can only fall.  So each row is walked once from (0, top) in
-    its last two indices: a feasible point is its prefix's frontier and
-    the walk moves to the next prefix, an infeasible one lowers the last
-    index.  Rows and prefixes come in lexicographic order, and the first
-    largest total wins.
+    the largest feasible last index after the first d-1.  Feasibility is
+    positive semidefiniteness of (1 + FEASIBILITY_TOL) I - diag(sqrt w) G
+    diag(sqrt w); by its Schur complement on the last index this holds
+    when the first d-1 pivots are positive and w_d q <= 1 + FEASIBILITY_TOL,
+    q = G_dd + h^T B^-1 h, with B the leading block and h the last column
+    above the diagonal at w_d = 1.  So one batched elimination per chunk
+    of prefixes gives every frontier at once.  Prefixes come in
+    lexicographic order, and the first largest total wins.
     """
     resolution = check_grid(fam.d, resolution)
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
-    gram, roots = (fam.vectors.conj() @ fam.vectors.T).real, np.sqrt(values)
-    at = np.indices((steps,) * (fam.d - 2) + (1, 1)).reshape(fam.d, -1).T
-    at[:, -1] = steps - 1
-    best, best_at = np.full(len(at), -np.inf), at.copy()
-
-    # perfbench/child.py counts grid candidates from the eigvalsh calls
-    # made in a function of this name.
-    def consider(points):
-        """Feasibility of each row of grid indices in `points`."""
-        r = roots[points]
-        top = np.linalg.eigvalsh(r[:, :, None] * gram * r[:, None, :])[:, -1]
-        return top <= 1.0 + FEASIBILITY_TOL
-
-    while (live := np.flatnonzero((at[:, -2] < steps) & (at[:, -1] >= 0))).size:
-        ok = consider(at[live])
-        found = live[ok]
-        totals = values[at[found]].sum(axis=1)
-        gain = totals > best[found]
-        best[found[gain]], best_at[found[gain]] = totals[gain], at[found[gain]]
-        at[found, -2] += 1
-        at[live[~ok], -1] -= 1
-    row = int(np.argmax(best))
-    return values[best_at[row]], float(best[row])
+    gram = (fam.vectors.conj() @ fam.vectors.T).real
+    best, best_at = -np.inf, None
+    for points in _frontier_chunks(gram, values):
+        totals = np.where(points[:, -1] >= 0, values[points].sum(axis=1), -np.inf)
+        i = int(np.argmax(totals))
+        if totals[i] > best:
+            best, best_at = totals[i], points[i]
+    return values[best_at], float(best)

@@ -250,6 +250,7 @@ CLI_ACCEPTED = [
     ["optimize", "--d", "5"],
     ["optimize", "--d", "3", "--mode", "grid", "--resolution", "0.1"],
     ["optimize", "--d", "2", "--mode", "grid", "--resolution", "0.001"],
+    ["optimize", "--d", "3", "--mode", "grid", "--resolution", "0.001"],
 ]
 
 

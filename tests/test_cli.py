@@ -40,6 +40,7 @@ OPTIMIZE_SHA256 = {
     (2, "0.001"): "927b997585558080fa01f8a9825a6a0e67fee7a13af69801fbe2d595ac516463",
     (3, "0.01"): "0e665ff758d0209620cc87745cad428c67495a1852992f25581afc5a2e2d51ed",
     (3, "0.005"): "2fcca8dba818710ff11a3c3e1e1ccf00b5fac05b48802b000a96228a0bd95918",
+    (3, "0.001"): "937fe80ab0cc5fc47177caa2645a54984980a12f09dfbff68a8162cd3647c29c",
 }
 
 # SHA-256 of `simulate --format csv --out FILE` for (d, trials, seed),

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import tracemalloc
@@ -8,6 +7,7 @@ import pytest
 
 from quditid.sym_optimizer import (
     FEASIBILITY_TOL,
+    _frontier_chunks,
     build_symmetric_family,
     frame_operator,
     optimal_weight_grid,
@@ -153,7 +153,7 @@ def _exhaustive_grid(fam, resolution, chunk=8192):
     return best, float(best_total)
 
 
-# d = 2 is a single walk; at 0.005 and 0.002 it runs 201 and 501 steps.
+# d = 2 has one prefix per grid index: 201 and 501 at 0.005 and 0.002.
 @pytest.mark.parametrize(
     "resolution, d",
     [(r, d) for r in [0.1, 0.09, 0.07, 0.05, 0.04, 1 / 30, 0.03, 0.02] for d in (2, 3)]
@@ -176,25 +176,16 @@ def test_grid_search_tie_breaks_on_float_total():
     assert total == 2.1700000000000004
 
 
-def test_grid_search_walks_each_row_once(monkeypatch):
-    # Each of the 101 rows takes at most one step per grid index in its
-    # last two coordinates: at most 2 * 101 rounds and 2 * 101**2 solves.
-    # The exact counts pin the walk, and the caller's name pins the rule
-    # by which perfbench/child.py counts grid candidates.
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
+def test_grid_search_makes_no_eigensolve(monkeypatch):
+    # Feasibility comes from one batched elimination per chunk of
+    # prefixes, so the search reaches its answer with eigvalsh refusing.
+    def refusing(*args, **kwargs):
+        raise AssertionError("optimal_weight_grid called eigvalsh")
 
-    def counting(a, *args, **kwargs):
-        solved.append((inspect.currentframe().f_back.f_code.co_name, len(a)))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refusing)
     weights, total = optimal_weight_grid(build_symmetric_family(3), 0.01)
     assert weights.tolist() == [0.75, 0.75, 0.75]
     assert total == 2.25
-    assert {caller for caller, _ in solved} == {"consider"}
-    assert len(solved) == 201 <= 2 * 101
-    assert sum(n for _, n in solved) == 18462 <= 2 * 101**2 < 101**3
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -211,37 +202,34 @@ def test_gram_form_has_the_frame_operator_spectrum(d):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _frame_top(fam, weights, eigvalsh):
-    """Oracle: the top eigenvalue of each weighted frame operator, which
-    the grid compared with 1 + FEASIBILITY_TOL before the Gram form."""
-    return eigvalsh(frame_operator(fam, weights))[:, -1]
-
-
-# Every candidate of the walk gets the frame operator's decision.  The
-# smallest |top - (1 + FEASIBILITY_TOL)| over these walks is 1.0e-10, at
-# boundary points whose top is 1 (both forms alike); the two forms' tops
-# differ by at most 1.8e-15.
+# Every prefix's frontier gets the frame operator's decision: feasible at
+# (p, k*), infeasible at (p, k* + 1) where that is on the grid, and
+# infeasible at (p, 0) when there is no frontier.  The frontiers are read
+# from the chunks optimal_weight_grid consumes.  The smallest
+# |top - (1 + FEASIBILITY_TOL)| over these points is 1.0e-10, at boundary
+# points whose top is 1.
 @pytest.mark.parametrize("d, resolution", [(2, 0.01), (2, 0.001), (3, 0.01), (3, 0.005)])
-def test_grid_feasibility_matches_frame_operator(monkeypatch, d, resolution):
+def test_grid_feasibility_matches_frame_operator(d, resolution):
     fam = build_symmetric_family(d)
     steps = int(math.floor(1.0 / resolution + 1e-9)) + 1
     values = np.arange(steps) * resolution
-    eigvalsh = np.linalg.eigvalsh
-    seen = []
-
-    def checking(a, *args, **kwargs):
-        eigs = eigvalsh(a, *args, **kwargs)
-        caller = inspect.currentframe().f_back
-        assert caller.f_code.co_name == "consider"
-        top = _frame_top(fam, values[caller.f_locals["points"]], eigvalsh)
-        bound = 1.0 + FEASIBILITY_TOL
-        np.testing.assert_array_equal(eigs[:, -1] <= bound, top <= bound)
-        seen.append(np.abs(np.concatenate([top, eigs[:, -1]]) - bound))
-        return eigs
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", checking)
-    optimal_weight_grid(fam, resolution)
-    assert np.concatenate(seen).min() > 1e-13
+    gram = (fam.vectors.conj() @ fam.vectors.T).real
+    points = np.concatenate(list(_frontier_chunks(gram, values)))
+    prefixes = list(itertools.product(range(steps), repeat=d - 1))
+    np.testing.assert_array_equal(points[:, :-1], np.array(prefixes))
+    found = points[points[:, -1] >= 0]
+    beyond = found[found[:, -1] < steps - 1].copy()
+    beyond[:, -1] += 1
+    empty = points[points[:, -1] < 0].copy()
+    empty[:, -1] = 0
+    found_top, beyond_top, empty_top = (
+        np.linalg.eigvalsh(frame_operator(fam, values[p]))[:, -1] for p in (found, beyond, empty)
+    )
+    bound = 1.0 + FEASIBILITY_TOL
+    assert np.all(found_top <= bound)
+    assert np.all(beyond_top > bound) and np.all(empty_top > bound)
+    tops = np.concatenate([found_top, beyond_top, empty_top])
+    assert np.abs(tops - bound).min() > 1e-13
 
 
 def _traced_peak(d, resolution):
@@ -256,12 +244,12 @@ def _traced_peak(d, resolution):
 
 
 def test_grid_search_memory_stays_below_the_grid():
-    # The d = 3 grid at 0.005 has 201**3 = 8.1M points; the walk holds
-    # one point per row, 201 rows.
+    # The d = 3 grid at 0.005 has 201**3 = 8.1M points; the search holds
+    # one chunk of at most 4096 prefixes.
     assert _traced_peak(3, 0.005) < 32 * 2**20
 
 
 def test_grid_search_memory_does_not_grow_with_the_prefixes():
-    # 501**2 = 251k prefixes at d = 3, 0.002; the walk's 501 rows take
-    # about 0.16 MiB, where a batch over every prefix took 69 MiB.
+    # 501**2 = 251k prefixes at d = 3, 0.002, taken 4096 at a time, where
+    # a batch over every prefix took 69 MiB.
     assert _traced_peak(3, 0.002) < 4 * 2**20
