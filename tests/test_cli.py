@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import sys
 import threading
 import types
 
@@ -150,10 +152,13 @@ def test_emit_writes_long_pieces_in_slices(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=writes.append))
     cli._emit([piece, small], None, pytest.fail)
     assert "".join(writes) == piece + small + "\n"
-    assert len(writes) == 5
+    assert len(writes) == math.ceil(len(piece) / cli._SLICE) + 2
     assert max(map(len, writes)) == cli._SLICE
     # A piece of at most one slice is written as it is, not copied.
     assert writes[-2] is small
+    # Below glibc's 128 KiB mmap threshold, a slice and its copy reuse heap memory.
+    full = piece[: cli._SLICE]
+    assert sys.getsizeof(full) < 128 << 10 and len(full.encode("utf-8")) < 128 << 10
 
 
 def test_build_round_trips(capsys):

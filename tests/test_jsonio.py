@@ -168,3 +168,31 @@ def test_runs_of_rows_render_like_their_list():
         or jsonio.dumps({"x": [arr]}) != jsonio.dumps({"x": [arr.tolist()]})
     ]
     assert wrong == []
+
+
+def test_run_pieces_are_shared_within_one_dumps():
+    """One dumps call renders, as their lists would: two equal arrays whose
+    last run is longer than one row (one shared piece ends both), an array
+    whose last run is one row, and runs of -0.0 rows beside 0.0 rows.  The
+    last row's fix-up makes a new string and leaves every shared piece whole."""
+    zero, a = [0.0, 0.0], [0.5, -0.25]
+    long_tail = _runs((a, 2), (zero, 50))
+    one_row_tail = _runs((zero, 50), (a, 1))
+    signed = _runs((zero, 4), ([-0.0, 0.0], 3), (zero, 4), ([-0.0, -0.0], 2), ([0.0, -0.0], 1))
+    arrays = [long_tail, long_tail.copy(), one_row_tail, signed]
+    obj = {"x": arrays, "y": {"z": signed}}
+    as_lists = {"x": [arr.tolist() for arr in arrays], "y": {"z": signed.tolist()}}
+    assert jsonio.dumps(obj) == jsonio.dumps(as_lists)
+
+    out, runs = [], {}
+    jsonio._render(obj, 0, out, runs)
+    assert "".join(out) == jsonio.dumps(as_lists)
+    assert all(piece == text * count for (text, count), piece in runs.items())
+    # Each of the five arrays ends in a fresh string, not a shared piece.
+    ends = [piece for piece in out if piece.lstrip().startswith("[") and piece.endswith("]")]
+    assert len(ends) == 5
+    assert not any(end is piece for end in ends for piece in runs.values())
+    # The three 50-row runs of zeros share one piece: it ends both equal
+    # arrays before their fix-ups, and stays whole at the head of the third.
+    (zeros,) = [key for key in runs if key[1] == 50]
+    assert sum(piece is runs[zeros] for piece in out) == 1
