@@ -48,39 +48,57 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Longest text handed to one write: the file's encoder copies what it is
-# given, so a 25.8 MB `build` report goes out in slices of this size.  At
-# 64 KiB a slice and its UTF-8 copy each stay below glibc's 128 KiB mmap
-# threshold, so every write reuses heap memory.  1 MiB slices of the
-# `build --d 5` text were mapped, faulted and unmapped per slice: 11,849
-# minor faults and a median 38 ms to write, against none and 17 ms
-# (2-vCPU Xeon, heap warmed as in perfbench/child.py).
+# Characters per write.  The text goes out in blocks of exactly _SLICE
+# characters (the last one shorter), each cut from and joined across the
+# rendered pieces, so the whole text is never joined into one string.  At
+# 64 KiB a block and its UTF-8 copy each stay below glibc's 128 KiB mmap
+# threshold, so every write reuses heap memory; 1 MiB slices of the
+# `build --d 5` text were mapped, faulted and unmapped per slice.
 _SLICE = 1 << 16
 
 
 def _emit(output, out, error):
     """Write a command's output, then a newline, to the file `out` or stdout.
 
-    A dict is a JSON report, rendered here, before the file is opened; any
-    other output is an iterable of text pieces.  An OSError from opening
-    `out` goes to `error`, the parser's usage-error exit.  Each piece is
-    written in slices of at most _SLICE characters, so a piece no longer
-    than that is one write of the same string.
+    A dict is a JSON report, rendered here into its list of pieces before
+    the file is opened, so an output fault raises before any file exists;
+    any other output is an iterable of text pieces.  An OSError from
+    opening `out` goes to `error`, the parser's usage-error exit.
+
+    Every write but the last is exactly _SLICE characters.  `build --d 5`
+    renders 6,212 pieces of 25.8 MB.  Writing them to a file took 21 ms in
+    blocks, 37 ms when joined first (a fresh mapping of the whole text,
+    6,300 minor faults) and 36 ms one piece at a time (8 KiB writes):
+    medians of 7 fresh processes, heap warmed as in perfbench/child.py,
+    2-vCPU Xeon.
     """
-    pieces = [jsonio.dumps(output)] if isinstance(output, dict) else output
+    pieces = jsonio.render(output) if isinstance(output, dict) else output
     try:
         sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         error(f"cannot open --out: {exc}")
     with sink as fh:
-        for piece in pieces:
-            for start in range(0, len(piece), _SLICE):
-                fh.write(piece[start : start + _SLICE])
-            # Free the piece before the next is rendered, as writelines
-            # does: holding each CSV block meanwhile measured 0.5 MiB more
-            # peak RSS (simulate --d 5 --format csv, 20k trials).
-            del piece
-        fh.write("\n")
+        block, size = [], 0  # the next write's parts and their length
+        try:
+            for piece in pieces:
+                start = 0
+                while len(piece) - start >= _SLICE - size:
+                    end = start + _SLICE - size
+                    block.append(piece[start:end])
+                    fh.write("".join(block))
+                    block, size, start = [], 0, end
+                block.append(piece[start:])  # the piece itself when start is 0
+                size += len(piece) - start
+                # Free the piece before the next is rendered, as writelines
+                # does: holding each CSV batch meanwhile measured 0.5 MiB
+                # more peak RSS (simulate --d 5 --format csv, 20k trials).
+                # The block keeps fewer than _SLICE characters of it.
+                del piece
+            block.append("\n")
+        finally:
+            # Every piece rendered is written, also when rendering the next
+            # one fails, so a failed CSV run leaves its finished batches.
+            fh.write("".join(block))
 
 
 def _cmd_build(args):

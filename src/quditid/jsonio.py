@@ -7,19 +7,21 @@ keep a fixed significant-digit form.  Every written number promises 17
 significant digits, so this module renders numbers itself and leaves
 everything else to the stdlib.  It is the one home of that rule:
 format_float, and the CSV row template of csv_blocks with its
-format_float fallback; the cli only writes the text.
+format_float fallback; the cli only writes the text.  render gives a
+report's text as its list of pieces, which the cli writes in blocks
+without joining; dumps joins them into one string.
 
 A non-empty 2-D float ndarray renders exactly as its tolist() would,
 but it is walked by runs of consecutive rows that are equal by bit
 pattern (so -0.0 stays apart from 0.0).  Each distinct value is
 formatted once, each distinct run-head row's text is built once, and a
 run adds one piece, its row's text repeated, to the piece list.  A
-piece is made once per dumps call for each (row text, count), so equal
-runs share one string, and the one large copy of the text is the final
-join.  A measurement vector's (D, 2) array of d**(d+1) amplitudes has
-only d! nonzero rows, so it is a few hundred runs, mostly of
-[0.0, 0.0]: `build --d 5` joins 6,212 pieces, where one reference per
-row would be 390,812, and its runs share 84 strings of 2.9 MB in all.
+piece is made once per render call for each (row text, count), so equal
+runs share one string.  A measurement vector's (D, 2) array of d**(d+1)
+amplitudes has only d! nonzero rows, so it is a few hundred runs, mostly
+of [0.0, 0.0]: `build --d 5` renders 6,212 pieces, where one reference
+per row would be 390,812, and its runs share 84 strings of 2.9 MB in
+all.  The 25.8 MB text itself is never one string on the cli's path.
 """
 
 import json
@@ -77,7 +79,7 @@ def _render_floats(arr, level, out, runs):
     to the list `out`, one piece per run of equal rows: the row's text, with
     the "," and newline that follow it, repeated once per row.  `runs` maps
     (row text, count) to that piece, so an equal run anywhere in the same
-    dumps call appends the same string."""
+    render call appends the same string."""
     pad = "  " * (level + 1)
     inner_pad = "  " * (level + 2)
     sep = ",\n" + inner_pad
@@ -146,10 +148,16 @@ def _render(obj, level, out, runs):
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps(obj):
-    """Serialize to pretty-printed JSON with deterministic numerics.  The
-    pieces go into one list, joined once, so the whole text is copied only
-    there."""
+def render(obj):
+    """The pretty-printed JSON text of `obj`, with deterministic numerics,
+    as the list of its pieces in order.  A list, not a generator, so every
+    output fault (a non-finite value, an unserializable object) raises
+    before the caller writes anything."""
     out = []
     _render(obj, 0, out, {})
-    return "".join(out)
+    return out
+
+
+def dumps(obj):
+    """The JSON text of `obj` as one string: render's pieces joined."""
+    return "".join(render(obj))

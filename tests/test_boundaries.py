@@ -127,12 +127,12 @@ TABLE = [
           lambda s: quditid.haar_average_check(2, 1, s, 0), accept=(1,)),
     Param("haar_average_check", "seed", "integer", 0, TOP,
           lambda s: quditid.haar_average_check(2, 1, 1, s)),
-    _dim("run_experiment", lambda d: quditid.run_experiment(d, 1, 0)),
+    _dim("run_experiment", lambda d: quditid.run_experiment(d, 1, 0), high=10),
     Param("run_experiment", "trials", "integer", 1, TOP,
           lambda t: quditid.run_experiment(2, t, 0), accept=(1,)),
     Param("run_experiment", "seed", "integer", 0, TOP,
           lambda s: quditid.run_experiment(2, 1, s)),
-    _dim("trial_batches", lambda d: next(quditid.trial_batches(d, 1, 0))),
+    _dim("trial_batches", lambda d: next(quditid.trial_batches(d, 1, 0)), high=10),
     # trial_batches refuses at the call; an accepted call runs one batch.
     Param("trial_batches", "trials", "integer", 1, TOP,
           lambda t: next(quditid.trial_batches(2, t, TOP))),

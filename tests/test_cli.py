@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -150,15 +151,83 @@ def test_emit_writes_long_pieces_in_slices(monkeypatch, tmp_path):
 
     writes = []
     monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=writes.append))
-    cli._emit([piece, small], None, pytest.fail)
-    assert "".join(writes) == piece + small + "\n"
-    assert len(writes) == math.ceil(len(piece) / cli._SLICE) + 2
-    assert max(map(len, writes)) == cli._SLICE
-    # A piece of at most one slice is written as it is, not copied.
-    assert writes[-2] is small
-    # Below glibc's 128 KiB mmap threshold, a slice and its copy reuse heap memory.
+
+    def emitted(pieces):
+        """The writes of _emit(pieces) to stdout, checked to be the text in
+        blocks of one slice each, the last one shorter."""
+        writes.clear()
+        cli._emit(pieces, None, pytest.fail)
+        text = "".join(pieces) + "\n"
+        assert "".join(writes) == text
+        assert len(writes) == math.ceil(len(text) / cli._SLICE)
+        assert all(len(w) == cli._SLICE for w in writes[:-1])
+        return writes
+
+    # Short pieces before and after a long one share its first and last blocks.
+    assert max(map(len, emitted([small, piece, small]))) == cli._SLICE
+    # Many tiny pieces are gathered: no write per piece, none above a slice.
+    tiny = [f"{i}," for i in range(100_000)]
+    total = sum(map(len, tiny)) + 1
+    assert len(emitted(tiny)) <= math.ceil(total / cli._SLICE) + 1
+    # A piece of one slice that starts a block is written as it is, not copied.
     full = piece[: cli._SLICE]
+    assert emitted([full, small])[0] is full
+    # Below glibc's 128 KiB mmap threshold, a slice and its copy reuse heap memory.
     assert sys.getsizeof(full) < 128 << 10 and len(full.encode("utf-8")) < 128 << 10
+
+
+def test_emit_writes_every_finished_piece_when_rendering_fails(tmp_path):
+    """A piece that fails to render ends the output after every piece
+    before it, whole, and its error reaches the caller."""
+    def pieces():
+        yield "header"
+        yield "x" * (cli._SLICE + 10)
+        yield "rows"
+        raise ValueError("non-finite value nan in output")
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._emit(pieces(), str(path), pytest.fail)
+    assert path.read_text(encoding="utf-8") == "header" + "x" * (cli._SLICE + 10) + "rows"
+
+
+def test_build_writes_no_copy_of_the_whole_text(tmp_path):
+    """`build --d 5` writes its 25.8 MB report from the rendered pieces:
+    at no point does it hold a second string of the whole text, so its
+    traced peak stays below the report's length."""
+    path = tmp_path / "povm.json"
+    cli.main(["build", "--d", "2", "--out", str(path)])  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert cli.main(["build", "--d", "5", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--d", str(d)] for command in ("build", "verify", "optimize") for d in (2, 3, 4)],
+    ids=" ".join,
+)
+def test_reports_are_written_without_joining(capsys, monkeypatch, tmp_path, argv):
+    """The CLI writes the bytes of jsonio.dumps(report) and a newline, to
+    stdout and to --out, without ever calling dumps."""
+    args = cli._build_parser().parse_args(argv)
+    want = jsonio.dumps(args.run(args)[0]) + "\n"
+
+    def refuse(obj):
+        raise AssertionError("the CLI joined the whole report")
+
+    monkeypatch.setattr(jsonio, "dumps", refuse)
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out == want
+    path = tmp_path / "report.json"
+    rc, out = run_cli(capsys, *argv, "--out", str(path))
+    assert (rc, out) == (0, "")
+    assert path.read_text(encoding="utf-8") == want
 
 
 def test_build_round_trips(capsys):

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_batch_boundary_trials(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines(keepends=True) == csv
 
 
-@pytest.mark.parametrize("d, size", [(2, 4096), (3, 2048), (5, 787), (10, 202), (14, 103)])
+@pytest.mark.parametrize("d, size", [(2, 4096), (3, 2048), (5, 787), (8, 315), (10, 202)])
 def test_batches_hold_a_fixed_block_budget(d, size):
     """Batches are sized in Philox blocks, not trials, so a batch's
     temporaries stay about the same at every d."""
@@ -453,6 +454,60 @@ def test_success_rate_symmetric_across_truths():
     assert math.erfc(math.sqrt(x / 2)) >= 0.01
 
 
+def success_moment(d, k):
+    """E[p_correct**k] for Haar-random references, exactly.  Gram-Schmidt on
+    the reference columns gives |det R|**2 = prod_{j=2..d} B_j with
+    independent B_j ~ Beta(d - j + 1, j - 1) (Goodman, Ann. Math. Statist.
+    1963), so p = c prod B_j with c = d/((d + 1) d!), and
+    E[p**k] = c**k prod_{j=2..d} (d - j + 1)_k / (d)_k, (x)_k rising."""
+    def rising(x):
+        return math.prod(range(x, x + k))
+
+    c = Fraction(d, (d + 1) * math.factorial(d))
+    return float(c**k * math.prod(Fraction(rising(d - j + 1), rising(d)) for j in range(2, d + 1)))
+
+
+# Trials per d for the moment tests: about 1.6 s in all.
+LAW_TRIALS = {2: 200_000, 3: 200_000, 4: 200_000, 5: 100_000, 8: 20_000, 10: 10_000}
+
+
+@pytest.mark.parametrize("d", sorted(LAW_TRIALS))
+def test_success_probability_moments_match_the_law(d):
+    """The mean of p_correct and of its square lie within 5 standard errors
+    of the exact moments, each error taken from the exact moment of twice
+    the order.  Counted rates cannot see a wrong law of p; these can."""
+    trials = LAW_TRIALS[d]
+    p = _trial_arrays(d, trials, 3601)[2]
+    for k in (1, 2):
+        want = success_moment(d, k)
+        se = math.sqrt((success_moment(d, 2 * k) - want**2) / trials)
+        z = (float(np.mean(p**k)) - want) / se
+        assert abs(z) < 5.0, (k, z)
+
+
+def test_success_probability_is_uniform_at_d2():
+    """At d = 2, p = B_2/3 with B_2 ~ Beta(1, 1): uniform on (0, 1/3).  A
+    Kolmogorov-Smirnov test against that law, with the exact law of the
+    one-sided statistic (smirnov): twice its tail bounds the two-sided
+    p-value from above, so a false alarm has odds below 1e-6."""
+    from scipy.special import smirnov
+
+    u = np.sort(3.0 * _trial_arrays(2, 50_000, 3602)[2])
+    n = len(u)
+    steps = np.arange(1, n + 1) / n
+    stat = max(float(np.max(steps - u)), float(np.max(u - (steps - 1.0 / n))))
+    assert 2.0 * smirnov(n, stat) >= 1e-6
+
+
+def test_success_moment_closed_forms():
+    """The oracle's first moment is the closed-form success probability,
+    and at d = 2 its moments are those of the uniform law on (0, 1/3)."""
+    for d in (2, 3, 4, 5, 8, 10):
+        assert success_moment(d, 1) == pytest.approx(closed_form_success(d), rel=1e-15)
+    for k in (1, 2, 3, 4):
+        assert success_moment(2, k) == pytest.approx(1 / ((k + 1) * 3**k), rel=1e-15)
+
+
 def test_trial_batches_refuses_at_the_call():
     """Each argument is checked before the first batch is taken."""
     for d, trials, seed in [(1, 10, 0), (2, 0, 0), (2, 10, -1)]:
@@ -528,10 +583,11 @@ def test_haar_average_check_draws_the_trial_batches(monkeypatch):
 
 
 # SHA-256 of the (truths, outcomes, p_correct) bytes of trial_batches(d,
-# 2100, 7), joined over its batches.  The simulation runs at any d up
-# to 14, but the CSV digests pin only d <= 5.  Every outcome here is
-# inconclusive, so only the p_correct bytes catch a change in how the
-# references are normalised; at d = 8 a reordered sum changes most of them.
+# 2100, 7), joined over its batches.  The simulation runs at any d up to
+# SIM_MAX_DIM = 10, but the CSV digests pin only d <= 5.  Every outcome
+# here is inconclusive, so only the p_correct bytes catch a change in how
+# the references are normalised; at d = 8 a reordered sum changes most of
+# them.
 SIM_SHA256 = {
     8: (
         "23b5db6eb16da8f661d8ecc8862329694b1a38a274b58927950586dc884b7e3b",
