@@ -12,16 +12,26 @@ Reproducibility: trial i's random words are a pure function of
 (seed, i).  They come from the counter-based generator Philox-4x32-10
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 keyed by the seed and counted by the trial index and block, and are
-computed for a whole batch of trials at once: trial i takes d*d + 1
-blocks, one per reference amplitude and a last one for its true index
-and outcome uniform.  Seeds, trial indices and counts of trials or
-samples are integers in [0, 2**64), counts at least 1; anything else is
-a ValueError, by the rule check_dim follows.
+computed for a whole batch of trials at once.  Each radius and each
+phase takes one 32-bit word w, as the uniform (w + 0.5) 2**-32, so a
+radius sqrt(-ln u) is finite (u >= 2**-33 caps the energy -ln u at
+ln 2**33 ~ 22.9, which an Exp(1) energy exceeds with probability about
+1.1e-10) and > 0.  A reference's global phase is unobservable: it leaves
+its projector and |det R| unchanged, so each reference's first amplitude
+is real and only the d - 1 others get a phase.  Those phases are i.i.d.
+uniform and independent of the energies, as the differences
+theta_jl - theta_j0 of a draw with d phases are.  A trial takes
+_blocks_per_trial(d) = ceil((2d² - d)/4) + 1 blocks (3, 5, 13, 31 and
+49 at d = 2, 3, 5, 8 and 10), the last one for its true index and its
+outcome uniform, which keep 52 bits each: the mean success probability
+at d = 10, about 9e-11, is below 2**-32.  Seeds, trial indices and
+counts of trials or samples are integers in [0, 2**64), counts at least
+1; anything else is a ValueError, by the rule check_dim follows.
 trial_batches(d, trials, seed) yields the trials in batches of _BLOCKS
-Philox blocks (about 1.4 MiB of temporaries), computed on two threads
-from d = 4 given two batches and CPUs; a trial at d <= 3 is too little
-work for threads.  Its values are the same however batched or threaded.
-_simulate_range(d, seed, i, 1) reproduces trial i on its own.
+Philox blocks, computed on two threads from d = 4 given two batches and
+CPUs; a trial at d <= 3 is too little work for threads.  Its values are
+the same however batched or threaded.  _simulate_range(d, seed, i, 1)
+reproduces trial i on its own.
 
 haar_average_check checks state_ops.build_rho against the same draws.
 """
@@ -47,8 +57,12 @@ INCONCLUSIVE = 0
 # Two-sided 99% normal quantile, for the confidence half-width.
 Z_99 = 2.5758293035489004
 
-# Philox blocks per batch, d*d + 1 a trial: 2048 trials at d = 3, 787 at d = 5.
-_BLOCKS = 20480
+# Philox blocks per batch, _blocks_per_trial(d) a trial: 2048 trials at d = 3
+# and 787 at d = 5, as before the layout halved the blocks.  A batch's
+# temporaries peak near 0.7 MiB (0.86 at d = 10).  Twice the budget kept them
+# at 1.3 MiB, but a d = 5 CSV run's peak RSS rose 2%: its rows and the batches
+# in flight on the threads grow with the trials per batch.
+_BLOCKS = 10240
 
 # Seeds and trial indices fill the 64-bit Philox key and counter halves.
 SEED_LIMIT = 2**64
@@ -104,38 +118,62 @@ def _uniforms(a, b):
     return (m.astype(np.float64) + 0.5) * 2.0**-52
 
 
+def _uniforms32(words):
+    """Uniforms in (0, 1) from uint64 words below 2**32: (w + 0.5) / 2**32,
+    exact in float64, so the extremes are 2**-33 and 1 - 2**-33."""
+    u = words + 0.5
+    u *= 2.0**-32
+    return u
+
+
 def _draw_trials(d, seed, start, count):
     """Reference states, true indices and outcome uniforms of the trials
     start .. start + count - 1 under `seed`.
 
     Block k of trial i is Philox-4x32-10 of counter (i & 0xffffffff,
     i >> 32, k, 0) under key (seed & 0xffffffff, seed >> 32), for
-    k = 0..d*d, and each word pair gives one uniform (see _uniforms).
-    Block k < d² is amplitude k % d of reference k // d: with u from its
-    words 0, 1 and v from its words 2, 3, the amplitude is
-    sqrt(-ln u) * exp(2 pi i v), and each reference is then normalised;
-    since every u < 1, every radius is > 0.  Block d² gives the true
-    index 1 + floor(d u) from its words 0, 1 and the outcome uniform from
-    its words 2, 3.  Returns refs (count, d, d), truths (count,) and
-    uniforms (count,).
+    k = 0..m, m = _blocks_per_trial(d) - 1.  Word w of block k < m is
+    stream word w m + k, and each stream word gives one uniform (see
+    _uniforms32).  Stream word j d + l is the radius word of amplitude l
+    of reference j, and stream word d² + j (d - 1) + l - 1 the phase word
+    of amplitude l >= 1; the last 4m - d(2d - 1) words are unused.  With
+    u the radius uniform and v the phase uniform, amplitude l >= 1 is
+    sqrt(-ln u) exp(2 pi i v) and amplitude 0 the real sqrt(-ln u): a
+    reference's global phase is unobservable, so none is drawn.  Each
+    reference is then normalised; since every u < 1, every radius is > 0.
+    Block m gives the true index 1 + floor(d u) from its words 0, 1 and
+    the outcome uniform from its words 2, 3 (see _uniforms).  Returns
+    refs (count, d, d), truths (count,) and uniforms (count,).
     """
+    m = _blocks_per_trial(d) - 1
     n = d * d
     trial = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    c = np.zeros((4, n + 1, count), dtype=np.uint64)
+    c = np.zeros((4, m + 1, count), dtype=np.uint64)
     c[0] = trial & _MASK32
     c[1] = trial >> 32
-    c[2] = np.arange(n + 1, dtype=np.uint64)[:, None]
+    c[2] = np.arange(m + 1, dtype=np.uint64)[:, None]
     _philox4x32(c.reshape(4, -1), (seed & _MASK32, seed >> 32))
-    # energy and refs keep the .T view's trials-innermost layout (ufuncs keep K
-    # order), so each row sum adds its d energies in sequence.  A C-contiguous
-    # copy (summed pairwise from d = 8) or np.sum(..., out=) changes the order and
-    # the bits, as SIM_SHA256 at d = 8 and 10 shows: a new buffer must keep it.
-    energy = -np.log(_uniforms(c[0, :n], c[1, :n]).T.reshape(count, d, d))
-    energy /= energy.sum(axis=-1, keepdims=True)
-    refs = np.exp((2j * np.pi) * _uniforms(c[2, :n], c[3, :n]).T.reshape(count, d, d))
-    refs *= np.sqrt(energy)
-    truths = 1 + (d * _uniforms(c[0, n], c[1, n])).astype(np.int64)  # floor, as u > 0
-    return refs, truths, _uniforms(c[2, n], c[3, n])
+    truths = 1 + (d * _uniforms(c[0, m], c[1, m])).astype(np.int64)  # floor, as u > 0
+    outcome = _uniforms(c[2, m], c[3, m])
+    u = _uniforms32(c[:, :m]).reshape(4 * m, count)  # stream words, trials innermost
+    del c  # so the words are not held beside refs
+    # ln u < 0, so ln u / sum(ln u) is the normalised energy.  The sum adds
+    # each reference's d rows in sequence; the bits depend on that order.
+    energy = np.log(u[:n], out=u[:n]).reshape(d, d, count)
+    energy /= energy.sum(axis=1, keepdims=True)
+    radii = np.sqrt(energy, out=energy)
+    # The parts are written through float views: a float operand in a
+    # complex ufunc is cast through buffers of up to 0.3 MiB.
+    refs = np.empty((d, d, count), dtype=np.complex128)
+    re, im = refs.real, refs.imag
+    re[:, 0] = radii[:, 0]
+    im[:, 0] = 0.0
+    re[:, 1:] = 0.0
+    np.multiply(u[n : n + d * (d - 1)].reshape(d, d - 1, count), 2 * np.pi, out=im[:, 1:])
+    np.exp(refs[:, 1:], out=refs[:, 1:])
+    re[:, 1:] *= radii[:, 1:]
+    im[:, 1:] *= radii[:, 1:]
+    return refs.transpose(2, 0, 1), truths, outcome
 
 
 def _probs_batch(d, refs):
@@ -193,9 +231,15 @@ def _in_order(fn, items):
             thread.join()
 
 
+def _blocks_per_trial(d):
+    """Philox blocks of one trial: its d² radius and d(d - 1) phase words,
+    four to a block, and one block for its truth and outcome uniform."""
+    return (d * (2 * d - 1) + 3) // 4 + 1
+
+
 def _batch_size(d):
-    """Trials per batch at dimension d: _BLOCKS Philox blocks, d*d + 1 a trial."""
-    return max(1, _BLOCKS // (d * d + 1))
+    """Trials per batch at dimension d: _BLOCKS Philox blocks, _blocks_per_trial(d) a trial."""
+    return max(1, _BLOCKS // _blocks_per_trial(d))
 
 
 def trial_batches(d, trials, seed):

