@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import StateVector, _check_factors, _check_index
-from .tensor_core import check_dense_dim, check_dim, state_to_dict
+from .jsonio import SignRows
+from .tensor_core import StateVector, _check_factors, _check_index, check_dense_dim, check_dim
+# perfbench/child.py binds detection.state_to_dict by name, so it stays a
+# module attribute though povm_to_dict no longer calls it.
+from .tensor_core import state_to_dict  # noqa: F401
 
 
 def _sign_matrix(d, n):
@@ -155,12 +158,15 @@ def overlap_with_product(d, n, factors):
 
 def povm_to_dict(povm):
     """JSON-ready form: the one scale build_povm gives every element, plus
-    the raw vectors of each element."""
+    each element's vectors in state_to_dict's form, their amplitudes given
+    as sign rows over sqrt(d!) (jsonio.SignRows), so none is made dense."""
+    d = povm.d
+    unit = 1 / math.sqrt(math.factorial(d))
     return {
-        "d": povm.d,
+        "d": d,
         "scale": float(povm.scale),
         "elements": [
-            {"n": elem.label, "vectors": [state_to_dict(v) for v in elem.vectors]}
+            {"n": elem.label, "vectors": [{"d": d, "amps": SignRows(s, unit)} for s in elem.signs]}
             for elem in povm.elements
         ],
     }

@@ -11,21 +11,20 @@ format_float fallback; the cli only writes the text.  render gives a
 report's text as its list of pieces, which the cli writes in blocks
 without joining; dumps joins them into one string.
 
-A non-empty 2-D float ndarray renders exactly as its tolist() would,
-but it is walked by runs of consecutive rows that are equal by bit
-pattern (so -0.0 stays apart from 0.0).  Each distinct value is
-formatted once, each distinct run-head row's text is built once, and a
-run adds one piece, its row's text repeated, to the piece list.  A
-piece is made once per render call for each (row text, count), so equal
-runs share one string.  A measurement vector's (D, 2) array of d**(d+1)
-amplitudes has only d! nonzero rows, so it is a few hundred runs, mostly
-of [0.0, 0.0]: `build --d 5` renders 6,212 pieces, where one reference
-per row would be 390,812, and its runs share 84 strings of 2.9 MB in
-all.  The 25.8 MB text itself is never one string on the cli's path.
+A measurement vector's (D, 2) amplitudes come as SignRows, its signs
+and one unit, not as a float array.  Only d! of its D = d**(d+1) rows
+are nonzero, so its text is written from np.flatnonzero of the signs
+with no scan of the rows: a piece per nonzero row, and one per run of
+[0.0, 0.0] rows between them.  A zero run's piece is made once per
+render call for each (level, length), so equal runs share one string:
+`build --d 5` renders 6,212 pieces, where one reference per row would
+be 390,812, and its zero runs share 82 strings of 2.9 MB in all.  The
+25.8 MB text itself is never one string on the cli's path.
 """
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,46 +73,40 @@ def csv_blocks(batches):
         yield "".join(rows)
 
 
-def _render_floats(arr, level, out, runs):
-    """Append the text of a non-empty 2-D float array, as _render(arr.tolist()),
-    to the list `out`, one piece per run of equal rows: the row's text, with
-    the "," and newline that follow it, repeated once per row.  `runs` maps
-    (row text, count) to that piece, so an equal run anywhere in the same
-    render call appends the same string."""
-    pad = "  " * (level + 1)
-    inner_pad = "  " * (level + 2)
-    sep = ",\n" + inner_pad
-    values = np.ascontiguousarray(arr, dtype=np.float64)
-    # Compare by bit pattern, so -0.0 stays apart from 0.0.
-    bits = values.view(np.uint64)
-    # A run of equal rows starts at row 0 and wherever any column changes.
-    starts = np.zeros(len(bits), dtype=bool)
-    starts[0] = True
-    for column in bits.T:
-        starts[1:] |= column[1:] != column[:-1]
-    heads = np.flatnonzero(starts)
-    counts = np.diff(heads, append=len(bits)).tolist()
-    texts = {}  # value bits -> its text
-    row_texts = {}  # row bits -> its text
+@dataclass(frozen=True)
+class SignRows:
+    """The (D, 2) float array of rows [signs[i] * unit, 0.0], held as its 1-D
+    integer signs in {-1, 0, 1} and positive float unit; renders as its tolist()."""
+
+    signs: np.ndarray
+    unit: float
+
+
+def _render_signs(rows, level, out, pieces):
+    """Append the text of the SignRows `rows` to the list `out`: a piece per
+    nonzero row and per run of zero rows.  `pieces` maps (level, length) to
+    a zero run's piece, so equal runs in one render call share one string."""
+    pad, inner_pad = "  " * (level + 1), "  " * (level + 2)
+    row = f"{pad}[\n{inner_pad}%s,\n{inner_pad}0.0\n{pad}],\n"
+    texts = {s: row % format_float(s * rows.unit) for s in (-1, 0, 1)}
+    nonzero = np.flatnonzero(rows.signs)
+    # The zero runs before each nonzero row and after the last (sign 0: none).
+    gaps = (np.diff(nonzero, prepend=-1, append=len(rows.signs)) - 1).tolist()
     out.append("[\n")
-    for key, row, count in zip(map(tuple, bits[heads].tolist()), values[heads].tolist(), counts):
-        if (text := row_texts.get(key)) is None:
-            for b, x in zip(key, row):
-                if b not in texts:
-                    texts[b] = format_float(x)
-            cells = sep.join(texts[b] for b in key)
-            text = row_texts[key] = f"{pad}[\n{inner_pad}{cells}\n{pad}],\n"
-        if (piece := runs.get((text, count))) is None:
-            piece = runs[text, count] = text * count
-        out.append(piece)
-    # The last row ends the array instead of a ",\n": a new string, so the
-    # shared piece in `runs` keeps its text.
-    out[-1] = out[-1][:-2] + "\n" + "  " * level + "]"
+    for sign, gap in zip([0, *rows.signs[nonzero].tolist()], gaps):
+        if sign:
+            out.append(texts[sign])
+        if gap:
+            if (piece := pieces.get((level, gap))) is None:
+                piece = pieces[level, gap] = texts[0] * gap
+            out.append(piece)
+    # The last row ends the array, in a new string: shared pieces stay whole.
+    out[-1] = out[-1][:-2] + "\n" + "  " * level + "]" if len(rows.signs) else "[]"
 
 
-def _render(obj, level, out, runs):
+def _render(obj, level, out, pieces):
     """Append the text of `obj`, two spaces per level, to the list `out`;
-    `runs` holds the float-array run pieces made so far (_render_floats)."""
+    `pieces` holds the SignRows pieces made so far (_render_signs)."""
     pad = "  " * (level + 1)
     close_pad = "  " * level
     if obj is None:
@@ -132,16 +125,16 @@ def _render(obj, level, out, runs):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{sep}\n{pad}{json.dumps(key)}: ")
-            _render(value, level + 1, out, runs)
+            _render(value, level + 1, out, pieces)
             sep = ","
         out.append(f"\n{close_pad}}}" if obj else "{}")
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and obj.size:
-        _render_floats(obj, level, out, runs)
+    elif isinstance(obj, SignRows):
+        _render_signs(obj, level, out, pieces)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         sep = "["
         for item in obj:
             out.append(f"{sep}\n{pad}")
-            _render(item, level + 1, out, runs)
+            _render(item, level + 1, out, pieces)
             sep = ","
         out.append(f"\n{close_pad}]" if len(obj) else "[]")
     else:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from conftest import basis_ket, decode_index, stacked_vectors
 
-from quditid import jsonio
+from quditid import cli, jsonio
 from quditid.analytics import conclusive_sum_spectrum
 from quditid.detection import (
+    LowRankPovmElement,
     _sign_gram,
     build_detection_core,
     build_povm,
@@ -296,3 +297,19 @@ def test_povm_to_dict_d5_makes_no_norm_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", refuse)
     wire = povm_to_dict(build_povm(5))
     assert sum(len(e["vectors"]) for e in wire["elements"]) == 25
+
+
+def test_build_path_forms_no_dense_vector(monkeypatch, tmp_path):
+    """povm_to_dict hands jsonio each vector's signs, so neither it nor the
+    `build` command asks an element for its dense vectors: at d = 5 those
+    are 25 vectors of 15,625 complex amplitudes."""
+
+    def refuse(self):
+        raise AssertionError("LowRankPovmElement.vectors called")
+
+    monkeypatch.setattr(LowRankPovmElement, "vectors", property(refuse))
+    text = jsonio.dumps(povm_to_dict(build_povm(5)))
+    assert text.count('"amps"') == 25
+    path = tmp_path / "povm.json"
+    assert cli.main(["build", "--d", "5", "--out", str(path)]) == 0
+    assert path.stat().st_size == len(text) + 1

@@ -6,6 +6,7 @@ import pytest
 
 from quditid import jsonio
 from quditid.detection import build_povm, povm_to_dict
+from quditid.tensor_core import state_to_dict
 
 
 def test_format_float_17_digits():
@@ -104,20 +105,6 @@ def test_float_array_keeps_signed_zero():
     assert [math.copysign(1.0, x) for x in json.loads(text)] == [1.0, -1.0, 1.0]
 
 
-def test_float_array_formats_each_distinct_value_once(monkeypatch):
-    calls = []
-    real = jsonio.format_float
-
-    def counting(x):
-        calls.append(float(x))
-        return real(x)
-
-    monkeypatch.setattr(jsonio, "format_float", counting)
-    arr = np.array([[0.5, -0.0], [0.0, 0.5], [0.5, -0.0]] * 100)
-    text = jsonio.dumps(arr)
-    assert sorted(calls) == [-0.0, 0.0, 0.5]
-    assert text == jsonio.dumps(arr.tolist())
-
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("shape", [(4,), (2, 2)])
@@ -129,9 +116,10 @@ def test_float_array_rejects_non_finite(bad, shape):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_row_runs_render_like_their_list(seed):
-    """Rendering by runs of equal rows, on 1-64 rows by 1-4 columns: rows
-    drawn from a few rows of _SPECIALS (signed zeros, a subnormal), and
-    all-distinct normals, each also as a one-row array."""
+    """A 2-D float array renders through the list path, on 1-64 rows by
+    1-4 columns: runs of rows drawn from a few rows of _SPECIALS (signed
+    zeros, a subnormal), and all-distinct normals, each also as a one-row
+    array."""
     rng = np.random.default_rng(seed)
     cols = int(rng.integers(1, 5))
     for rows in (1, int(rng.integers(2, 65))):
@@ -142,57 +130,92 @@ def test_row_runs_render_like_their_list(seed):
             assert jsonio.dumps(arr) == jsonio.dumps(arr.tolist())
 
 
-def _runs(*runs):
-    """A 2-D array of the given (row, count) runs, in order."""
-    return np.concatenate([np.tile(np.array([row], dtype=np.float64), (count, 1)) for row, count in runs])
+def _dense(signs, unit):
+    """The (D, 2) float array a SignRows stands for: rows [s * unit, 0.0]."""
+    signs = np.asarray(signs, dtype=np.int8)
+    return np.stack([signs * unit, np.zeros(len(signs))], axis=1)
 
 
-def test_runs_of_rows_render_like_their_list():
-    """Runs of equal rows at the start, middle and end; runs told apart only
-    by a signed zero or a subnormal; one row; one long run; a build vector."""
-    zero, a, b = [0.0, 0.0], [0.5, -0.25], [1.0 / 3.0, 2.0]
-    cases = [
-        _runs((zero, 500), (a, 1), (zero, 300), (b, 400), (a, 2), (zero, 700)),
-        _runs((a, 3), (zero, 2), (a, 1000)),
-        _runs((zero, 3), ([-0.0, 0.0], 2), (zero, 4), ([0.0, -0.0], 1), (zero, 2), ([-0.0, -0.0], 3)),
-        _runs((zero, 5), ([5e-324, 0.0], 1), (zero, 5), ([0.0, -5e-324], 3), (zero, 1)),
-        _runs(([0.25, -0.0], 1)),
-        _runs(([1.0 / 3.0, -0.0], 20_000)),
-        povm_to_dict(build_povm(3))["elements"][1]["vectors"][2]["amps"],
-    ]
-    # Indices, not texts: a failed compare of 20,000 rows would be diffed.
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_build_sign_rows_render_like_their_dense_list(d):
+    """Every vector of build_povm(d), rendered from its signs, is the text
+    of its dense state_to_dict amplitudes as nested lists."""
+    povm = build_povm(d)
     wrong = [
-        i
-        for i, arr in enumerate(cases)
-        if jsonio.dumps(arr) != jsonio.dumps(arr.tolist())
-        or jsonio.dumps({"x": [arr]}) != jsonio.dumps({"x": [arr.tolist()]})
+        (elem.label, k)
+        for entry, elem in zip(povm_to_dict(povm)["elements"], povm.elements, strict=True)
+        for k, (got, vector) in enumerate(zip(entry["vectors"], elem.vectors, strict=True))
+        if jsonio.dumps(got) != jsonio.dumps({"d": d, "amps": state_to_dict(vector)["amps"].tolist()})
     ]
     assert wrong == []
 
 
-def test_run_pieces_are_shared_within_one_dumps():
-    """One dumps call renders, as their lists would: two equal arrays whose
-    last run is longer than one row (one shared piece ends both), an array
-    whose last run is one row, and runs of -0.0 rows beside 0.0 rows.  The
-    last row's fix-up makes a new string and leaves every shared piece whole."""
-    zero, a = [0.0, 0.0], [0.5, -0.25]
-    long_tail = _runs((a, 2), (zero, 50))
-    one_row_tail = _runs((zero, 50), (a, 1))
-    signed = _runs((zero, 4), ([-0.0, 0.0], 3), (zero, 4), ([-0.0, -0.0], 2), ([0.0, -0.0], 1))
-    arrays = [long_tail, long_tail.copy(), one_row_tail, signed]
-    obj = {"x": arrays, "y": {"z": signed}}
-    as_lists = {"x": [arr.tolist() for arr in arrays], "y": {"z": signed.tolist()}}
-    assert jsonio.dumps(obj) == jsonio.dumps(as_lists)
+def test_sign_rows_render_like_their_list():
+    """Nonzero first and last rows, adjacent nonzeros of equal and of
+    opposite sign, one row, all-zero rows and no rows, each also nested
+    in a dict inside a list."""
+    unit = 1.0 / math.sqrt(6.0)
+    cases = [
+        [1, 0, 0, -1, 0, 0, 0, 1],
+        [0, 0, -1, -1, 1, 0, 1, 0, 0],
+        [-1, 1, 1, -1],
+        [0, 0, 0, 0, 0, -1],
+        [-1],
+        [1],
+        [0],
+        [0] * 7,
+        [],
+    ]
+    wrong = []
+    for signs in cases:
+        rows = jsonio.SignRows(np.array(signs, dtype=np.int8), unit)
+        as_list = _dense(signs, unit).tolist()
+        nested, nested_list = {"x": [rows, {"y": rows}]}, {"x": [as_list, {"y": as_list}]}
+        if jsonio.dumps(rows) != jsonio.dumps(as_list) or jsonio.dumps(nested) != jsonio.dumps(nested_list):
+            wrong.append(signs)
+    assert wrong == []
 
-    out, runs = [], {}
-    jsonio._render(obj, 0, out, runs)
+
+def test_sign_row_pieces_are_shared_within_one_render():
+    """One render call, as the arrays' lists would: two equal arrays that
+    end in a zero run, one that ends in a nonzero row, one all zero, and
+    one at another level.  Equal zero runs at one level are one string,
+    and each array ends in a fresh string that no shared piece is."""
+    unit = 0.5
+    tail = np.array([1] + [0] * 50, dtype=np.int8)
+    arrays = [tail, tail.copy(), np.array([0] * 50 + [-1], dtype=np.int8), np.zeros(51, np.int8)]
+    obj = {"x": [jsonio.SignRows(a, unit) for a in arrays], "y": {"z": [jsonio.SignRows(tail, unit)]}}
+    as_lists = {"x": [_dense(a, unit).tolist() for a in arrays], "y": {"z": [_dense(tail, unit).tolist()]}}
+
+    out, pieces = [], {}
+    jsonio._render(obj, 0, out, pieces)
     assert "".join(out) == jsonio.dumps(as_lists)
-    assert all(piece == text * count for (text, count), piece in runs.items())
+    for (level, gap), piece in pieces.items():
+        pad, inner_pad = "  " * (level + 1), "  " * (level + 2)
+        assert piece == f"{pad}[\n{inner_pad}0.0,\n{inner_pad}0.0\n{pad}],\n" * gap
     # Each of the five arrays ends in a fresh string, not a shared piece.
-    ends = [piece for piece in out if piece.lstrip().startswith("[") and piece.endswith("]")]
+    ends = [piece for piece in out if piece.endswith("]") and "0.0" in piece]
     assert len(ends) == 5
-    assert not any(end is piece for end in ends for piece in runs.values())
-    # The three 50-row runs of zeros share one piece: it ends both equal
-    # arrays before their fix-ups, and stays whole at the head of the third.
-    (zeros,) = [key for key in runs if key[1] == 50]
-    assert sum(piece is runs[zeros] for piece in out) == 1
+    assert not any(end is piece for end in ends for piece in pieces.values())
+    # Under "x" (level 2) the third array's 50-row zero run is the piece
+    # that ended the first two before their fix-ups, so it appears once
+    # whole; the all-zero array's 51-row run is a piece of its own.
+    assert sorted(pieces) == [(2, 50), (2, 51), (3, 50)]
+    assert sum(piece is pieces[2, 50] for piece in out) == 1
+
+
+def test_sign_rows_format_each_value_once(monkeypatch):
+    """A SignRows formats its three amplitudes, -unit, 0.0 and unit, once
+    each, however many rows it has."""
+    calls = []
+    real = jsonio.format_float
+
+    def counting(x):
+        calls.append(float(x))
+        return real(x)
+
+    monkeypatch.setattr(jsonio, "format_float", counting)
+    signs = np.array([0, 1, -1, 0, 1] * 100, dtype=np.int8)
+    text = jsonio.dumps(jsonio.SignRows(signs, 0.5))
+    assert sorted(calls) == [-0.5, 0.0, 0.5]
+    assert text == jsonio.dumps(_dense(signs, 0.5).tolist())

@@ -17,16 +17,21 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
 
 
-def _check_record(record):
-    """Every key of the pairs-v1 schema, and nothing else."""
-    assert tuple(record) == pairs.RECORD_KEYS
+def _check_record(record, done=None):
+    """Every key of the pairs-v1 schema, and nothing else: a complete
+    record, or, given `done`, one left after that many of its pairs, with
+    their rows and no summary."""
+    complete = done is None
+    done = record["pairs"] if complete else done
+    assert tuple(record) == (pairs.RECORD_KEYS if complete else pairs.RECORD_KEYS[:-1])
+    assert record["complete"] is complete
     assert record["schema"] == pairs.SCHEMA
     assert len(record["seeds"]) == record["pairs"]
-    assert len(record["runs"]) == 2 * record["pairs"]
+    assert len(record["runs"]) == 2 * done
     assert isinstance(record["change_dirty"], bool)
     assert record["change_dirty"] == bool(record["dirty_paths"])
     assert set(record["src_sha256"]) == {"parent", "change"}
-    for k, seed in enumerate(record["seeds"]):
+    for k, seed in enumerate(record["seeds"][:done]):
         rows = [run for run in record["runs"] if run["pair"] == k]
         assert [run["seed"] for run in rows] == [seed, seed]
         assert {run["side"] for run in rows} == {"parent", "change"}
@@ -35,6 +40,8 @@ def _check_record(record):
     for run in record["runs"]:
         assert tuple(run) == pairs.RUN_KEYS
         assert list(run["metrics"]) == METRICS
+    if not complete:
+        return
     assert list(record["summary"]) == METRICS
     for name, s in record["summary"].items():
         assert tuple(s) == pairs.SUMMARY_KEYS
@@ -72,7 +79,8 @@ def test_sign_test_p_values():
 
 
 def test_committed_pair_records_follow_the_schema():
-    """Every pairs-v1 record in a BENCH_*.json file has the fixed schema."""
+    """Every pairs-v1 record in a BENCH_*.json file has the fixed schema
+    and is complete."""
     records = [r for path in ROOT.glob("BENCH_*.json")
                for r in json.loads(path.read_text()).values()
                if isinstance(r, dict) and r.get("schema") == pairs.SCHEMA]
@@ -108,6 +116,37 @@ def test_dirty_change_side_is_refused(monkeypatch, tmp_path, capsys):
     assert pairs.main(argv) == 2
     assert "--allow-dirty" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stopped_run_keeps_its_finished_pairs(monkeypatch, tmp_path):
+    """A run stopped in its second pair leaves the first pair's rows in an
+    incomplete record, beside the records already in the file."""
+    calls = []
+
+    def run_side(tree, workload, seed, seconds):
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        calls.append(tree.name)
+        return 1, 1, 0, dict.fromkeys(METRICS, 1.0)
+
+    monkeypatch.setattr(pairs, "dirty_paths", lambda: [])
+    monkeypatch.setattr(pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(pairs, "build_trees", lambda tmp, sha: {"parent": tmp / "parent",
+                                                               "change": tmp / "change"})
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"earlier": {"kept": True}}, indent=2) + "\n")
+    argv = ["--parent", "HEAD", "--workload", "algebra", "--pairs", "3", "--seconds", "1",
+            "--seed0", "5", "--name", "stopped", "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        pairs.main(argv)
+    records = json.loads(out.read_text())
+    assert list(records) == ["earlier", "stopped"]
+    assert records["earlier"] == {"kept": True}
+    record = records["stopped"]
+    _check_record(record, done=1)
+    assert [(run["pair"], run["side"]) for run in record["runs"]] == [(0, "parent"), (0, "change")]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),

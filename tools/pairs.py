@@ -15,7 +15,10 @@ of the checkout), beside the records already there, which stay as they
 are; an existing NAME is refused.  Its schema (RECORD_KEYS, "pairs-v1"):
 both SHAs, the provenance, the command, one row per run, and per
 end-to-end metric of BENCHMARK.json each side's median and quartiles,
-the change's wins out of N and a two-sided sign-test p-value.
+the change's wins out of N and a two-sided sign-test p-value.  The file
+is rewritten after every pair, with the rows so far, "complete": false
+and no summary, so a run that stops early keeps its finished pairs; the
+last pair's write sets "complete": true and adds the summary.
 
 The change side must match HEAD in src/, perfbench/ and BENCHMARK.json.
 --allow-dirty runs it anyway, and the record lists the paths that differ
@@ -44,7 +47,7 @@ SCHEMA = "pairs-v1"
 RECORD_KEYS = (
     "schema", "workload", "command", "run_command", "parent_sha", "change_sha",
     "change_dirty", "dirty_paths", "src_sha256", "provenance", "pairs", "seconds",
-    "seeds", "runs", "summary",
+    "seeds", "complete", "runs", "summary",
 )
 RUN_KEYS = ("pair", "seed", "side", "first", "loadavg", "correct", "attempted", "failed", "metrics")
 SIDE_KEYS = ("median", "q1", "q3")
@@ -151,6 +154,14 @@ def summarize(runs, spec):
     return out
 
 
+def write_records(out, records):
+    """Replace the file `out` with `records`, through a temporary file, so
+    a run stopped mid-write leaves the previous version whole."""
+    tmp = out.with_name(out.name + ".tmp")
+    tmp.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, out)
+
+
 def provenance():
     cpu = platform.processor()
     try:
@@ -208,7 +219,24 @@ def main(argv=None):
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = build_trees(Path(tmp), parent_sha)
-        digests = {side: src_digest(tree / "src") for side, tree in trees.items()}
+        record = records[args.name] = {
+            "schema": SCHEMA,
+            "workload": args.workload,
+            "command": shlex.join(["python3", "tools/pairs.py", *(argv or sys.argv[1:])]),
+            "run_command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
+                           f"--seconds {args.seconds} --trace 0",
+            "parent_sha": parent_sha,
+            "change_sha": git("rev-parse", "HEAD"),
+            "change_dirty": bool(dirty),
+            "dirty_paths": dirty,
+            "src_sha256": {side: src_digest(tree / "src") for side, tree in trees.items()},
+            "provenance": provenance(),
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "seeds": seeds,
+            "complete": False,
+            "runs": runs,
+        }
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
@@ -220,26 +248,10 @@ def main(argv=None):
                              "failed": failed, "metrics": metrics})
                 print(f"pair {k} seed {seed} {side:6s} job_s {metrics.get('job_s')}",
                       file=sys.stderr)
-    record = {
-        "schema": SCHEMA,
-        "workload": args.workload,
-        "command": shlex.join(["python3", "tools/pairs.py", *(argv or sys.argv[1:])]),
-        "run_command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
-                       f"--seconds {args.seconds} --trace 0",
-        "parent_sha": parent_sha,
-        "change_sha": git("rev-parse", "HEAD"),
-        "change_dirty": bool(dirty),
-        "dirty_paths": dirty,
-        "src_sha256": digests,
-        "provenance": provenance(),
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "seeds": seeds,
-        "runs": runs,
-        "summary": summarize(runs, spec),
-    }
-    records[args.name] = record
-    out.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+            if k == args.pairs - 1:
+                record["complete"] = True
+                record["summary"] = summarize(runs, spec)
+            write_records(out, records)
     for name, s in record["summary"].items():
         print(f"{name:14s} parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
               f"wins {s['change_wins']}/{s['pairs']} p {s['sign_test_p']:.3g}")
