@@ -5,8 +5,10 @@ uniformly chosen one of them, and samples a measurement outcome.  With
 the probe equal to reference t, every conclusive outcome other than t
 has probability zero (its detection states are antisymmetric over two
 equal factors), and outcome t has probability (d/(d+1))/d! |det R|², R
-the d x d matrix of the references: one determinant per trial, never a
-dense operator.  The inconclusive probability is the complement.
+the d x d matrix of the references, never a dense operator.  |det R|² is
+the product of the squared norms that Gram-Schmidt on the references
+leaves, computed for a whole batch at once with no LAPACK call (see
+_probs_batch).  The inconclusive probability is the complement.
 
 Reproducibility: trial i's random words are a pure function of
 (seed, i).  They come from the counter-based generator Philox-4x32-10
@@ -179,11 +181,27 @@ def _draw_trials(d, seed, start, count):
 def _probs_batch(d, refs):
     """Success probability of each trial in a batch whose probe equals
     its true reference: c |det R|² for refs (B, d, d), R[b] the matrix of
-    trial b's references and c = (d/(d+1))/d!, which by Hadamard's
-    inequality bounds it for unit-norm references.  Returns shape (B,).
+    trial b's references and c = (d/(d+1))/d!.  Returns shape (B,).
+
+    Modified Gram-Schmidt on the references gives |det R|² as the product
+    of the squared norms |r_j⊥|², r_j⊥ being reference j less its
+    projections on the references before it.  Each step is one array
+    operation over the whole batch, on the (d, d, B) buffer under refs,
+    which it overwrites: the caller's refs are spent.  As |r_j⊥| <= |r_j|
+    = 1, the product is at most 1, so c bounds p (Hadamard's inequality).
+    A zero norm, as a reference equal to an earlier one can leave, gives
+    p = 0, not NaN.
     """
-    dets = np.linalg.det(refs)
-    return (d / (d + 1) / math.factorial(d)) * (dets.real**2 + dets.imag**2)
+    v = refs.transpose(1, 2, 0)  # v[j, l, b]: amplitude l of reference j in trial b
+    det2 = np.ones(v.shape[2])
+    for j in range(d):
+        q = v[j]
+        n2 = (q.real**2 + q.imag**2).sum(axis=0)
+        det2 *= n2
+        if j + 1 < d:
+            q *= np.divide(1.0, np.sqrt(n2), out=np.zeros_like(n2), where=n2 > 0)
+            v[j + 1 :] -= (q.conj() * v[j + 1 :]).sum(axis=1)[:, None] * q
+    return (d / (d + 1) / math.factorial(d)) * det2
 
 
 def _simulate_range(d, seed, start, count):
@@ -319,7 +337,7 @@ def run_experiment(d, trials, seed):
 
     One loop over trial_batches adds up the counts, so memory does not
     grow with `trials`, and the results are bit-identical for a given
-    (d, trials, seed).  One d x d determinant per trial makes this usable
+    (d, trials, seed).  A trial's d x d Gram-Schmidt makes this usable
     up to SIM_MAX_DIM (the CLI allows d = 2..5) without ever touching the
     full tensor space.
     """

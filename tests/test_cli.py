@@ -51,9 +51,9 @@ OPTIMIZE_SHA256 = {
 # form.  Each trial count crosses a batch boundary (3413 trials at d = 2,
 # 2048 at d = 3, 787 at d = 5).
 CSV_SHA256 = {
-    (5, 20000, 1001): "87502da1deaffe71ea8eae33c92602e4f9f447e392b07dbe4ec3a091a36136e0",
-    (2, 4099, 11): "35660b36f4ea13486cf4c98295d632fc024dc36b02a986fa054d1e2007d81e7c",
-    (3, 2049, 0): "95e09345d8efefb521ec991a7b34479eba41e3f3bba82346ab0293c2efcd4a6a",
+    (5, 20000, 1001): "c36092b2b24bcda260ac67a9f10b48581fc551ea7b8a71df65b1ca5e566bf16d",
+    (2, 4099, 11): "cd5036d3f013a5241b1881cdb152a00b627acbc93ef90e2e090a8e69ee2f1d7e",
+    (3, 2049, 0): "e907c670825121802b7036de8c3246d6dc250f5f1bb86d9e53fe276c02273768",
 }
 
 

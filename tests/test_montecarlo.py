@@ -617,12 +617,12 @@ SIM_SHA256 = {
     8: (
         "42ac985697ca5e3a36e88bdb0e32af370eb7f8a97be4aa70588aa3c987ab9148",
         "efda51d6a2cb7308d88483cbdd30d47fc2d522b943017c725eb4c0cdaa1f58fe",
-        "ca2527e9be21863d448a5d42a1d8140e163754771413c3a2f47194c8d3f41f30",
+        "341f62f06306dacd3973439398c1a7f5669c9a425d39c35cef61e41925494a47",
     ),
     10: (
         "d3995e9a1dc19ebf689f7131881109d61491b71e10007256cf8dea536e142038",
         "efda51d6a2cb7308d88483cbdd30d47fc2d522b943017c725eb4c0cdaa1f58fe",
-        "12a4db0989dc176e886672eeed4341877b0b4a2fcf0f578cb6fbcef74289ee62",
+        "30845377f54b7003f10f5ac84ef14873dc0f19053c803bc888368034f3523255",
     ),
 }
 
