@@ -1,6 +1,9 @@
 import cmath
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -112,6 +115,41 @@ def test_probabilities_match_operator_expectations(d, povm2, povm3):
             want = element_expectation(elem, full.amps)
             assert abs(p[elem.label - 1] - want) <= 1e-12
         assert abs(p_inc - (1.0 - p.sum())) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 10])
+def test_probs_batch_is_c_times_the_squared_determinant(d):
+    """Gram-Schmidt's |det R|² over a full drawn batch against LAPACK's
+    determinant, which only this test calls: within 1e-12 relative."""
+    refs = montecarlo._draw_trials(d, 70 + d, 0, montecarlo._batch_size(d))[0]
+    dets = np.linalg.det(refs)  # before _probs_batch overwrites refs
+    want = d / (d + 1) / math.factorial(d) * np.abs(dets) ** 2
+    np.testing.assert_allclose(montecarlo._probs_batch(d, refs), want, rtol=1e-12, atol=0)
+
+
+def test_probs_batch_is_zero_for_equal_references():
+    """A reference equal to an earlier one gives p = 0, finite, and the
+    other trials of its batch keep their values.  The equal references
+    below are exact in binary, so Gram-Schmidt leaves an exact zero norm,
+    which must not turn the later steps into NaN.  A drawn reference
+    repeated leaves a norm at rounding level instead, as LAPACK's LU did
+    in 43% of such trials at d = 3."""
+    d = 3
+    refs = montecarlo._draw_trials(d, 9, 0, 64)[0]
+    dets = np.linalg.det(refs)
+    x = np.array([1 + 1j, 1 - 1j, 0]) / 2
+    e = np.eye(d)
+    exact = {5: [x, x, e[2]], 17: [e[0], e[1], e[0]], 40: [np.zeros(d), e[1], e[2]]}
+    for b, rows in exact.items():
+        refs[b] = rows
+    refs[50, 2] = refs[50, 1]
+    p = montecarlo._probs_batch(d, refs)
+    assert np.all(np.isfinite(p))
+    assert p[list(exact)].tolist() == [0.0, 0.0, 0.0]
+    assert 0.0 <= p[50] <= 1e-28
+    rest = np.setdiff1d(np.arange(64), [*exact, 50])
+    want = d / (d + 1) / math.factorial(d) * np.abs(dets[rest]) ** 2
+    np.testing.assert_allclose(p[rest], want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -633,6 +671,42 @@ def test_simulation_bytes_are_pinned_past_d5(d):
     assert [col.dtype.str for col in columns] == ["<i8", "<i8", "<f8"]
     digests = tuple(hashlib.sha256(col.tobytes()).hexdigest() for col in columns)
     assert digests == SIM_SHA256[d]
+
+
+def test_pinned_simulation_bytes_do_not_depend_on_openblas():
+    """The simulation calls no BLAS or LAPACK routine, so the pinned
+    p_correct and CSV digests hold in a fresh interpreter with OpenBLAS
+    held to its Haswell kernels.  This is not full portability: numpy's
+    own SIMD log, exp and complex arithmetic still depend on the CPU."""
+    from test_cli import CSV_SHA256
+
+    code = f"""
+import hashlib, json, os, tempfile
+import numpy as np
+from quditid import cli, montecarlo
+sim = {{}}
+for d in {sorted(SIM_SHA256)!r}:
+    columns = [np.concatenate(col) for col in list(zip(*montecarlo.trial_batches(d, 2100, 7)))[1:]]
+    sim[d] = [hashlib.sha256(col.tobytes()).hexdigest() for col in columns]
+csv = []
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trials.csv")
+    for d, trials, seed in {sorted(CSV_SHA256)!r}:
+        argv = ["simulate", "--d", str(d), "--trials", str(trials), "--seed", str(seed),
+                "--format", "csv", "--out", path]
+        assert cli.main(argv) == 0
+        with open(path, "rb") as f:
+            csv.append(hashlib.sha256(f.read()).hexdigest())
+print(json.dumps({{"sim": sim, "csv": csv}}))
+"""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert {int(d): tuple(v) for d, v in result["sim"].items()} == SIM_SHA256
+    assert result["csv"] == [CSV_SHA256[key] for key in sorted(CSV_SHA256)]
 
 
 def test_summary_dict_is_scalar_only():

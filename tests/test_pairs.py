@@ -71,6 +71,21 @@ def test_summary_counts_wins_in_the_better_direction():
     assert ok["sign_test_p"] == 2 / 16
 
 
+def test_summary_counts_near_equal_values_as_ties():
+    """Values that agree to 1e-12 relative tie, whichever is larger: an
+    unchanged output_mb averaged over another number of jobs is no win."""
+    runs = []
+    for k, (p, c) in enumerate([(25.83632, 25.836320000000004), (25.836320000000004, 25.83632),
+                                (25.83632, 25.8363)]):
+        for side, mb in (("parent", p), ("change", c)):
+            metrics = dict.fromkeys(METRICS, 1.0)
+            metrics["output_mb"] = mb
+            runs.append({"pair": k, "side": side, "metrics": metrics})
+    out = pairs.summarize(runs, SPEC)["output_mb"]
+    assert (out["change_wins"], out["ties"], out["pairs"]) == (1, 2, 3)
+    assert out["sign_test_p"] == pairs.sign_test_p(1, 0) == 1.0
+
+
 def test_sign_test_p_values():
     assert pairs.sign_test_p(10, 0) == 2 / 1024
     assert pairs.sign_test_p(1, 9) == 2 * 11 / 1024

@@ -129,7 +129,9 @@ def sign_test_p(wins, losses):
 
 def summarize(runs, spec):
     """Per end-to-end metric of the BENCHMARK.json `spec`: each side's
-    quartiles, and the change's wins, ties and sign-test p over the pairs."""
+    quartiles, and the change's wins, ties and sign-test p over the pairs.
+    A pair ties when its two values agree to 1e-12 relative, so a mean
+    whose last bit moves with the number of jobs averaged is no win."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
@@ -140,8 +142,9 @@ def summarize(runs, spec):
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         sign = 1 if better == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        ties = sum(c == p for p, c in zip(parent, change))
+        tied = [abs(c - p) <= 1e-12 * max(abs(p), abs(c)) for p, c in zip(parent, change)]
+        wins = sum(sign * (c - p) > 0 and not tie for p, c, tie in zip(parent, change, tied))
+        ties = sum(tied)
         out[name] = {
             "better": better,
             "parent": quartiles(parent),
