@@ -15,8 +15,8 @@ A command returns its output (a JSON payload or CSV text pieces) and
 exit code, and main reports a library ValueError it raises as a usage
 error.  Only then is the output rendered and written, so an output fault,
 such as a non-finite value, raises ValueError instead.
-From d = 4 on two or more CPUs, `simulate` runs on two threads; its
-bytes depend only on (d, trials, seed), and QID_THREADS is ignored.
+The bytes `simulate` writes depend only on (d, trials, seed);
+QID_THREADS is ignored.
 """
 
 import argparse

@@ -29,18 +29,22 @@ outcome uniform, which keep 52 bits each: the mean success probability
 at d = 10, about 9e-11, is below 2**-32.  Seeds, trial indices and
 counts of trials or samples are integers in [0, 2**64), counts at least
 1; anything else is a ValueError, by the rule check_dim follows.
-trial_batches(d, trials, seed) yields the trials in batches of _BLOCKS
-Philox blocks, computed on two threads from d = 4 given two batches and
-CPUs; a trial at d <= 3 is too little work for threads.  Its values are
-the same however batched or threaded.  _simulate_range(d, seed, i, 1)
-reproduces trial i on its own.
+A phase factor exp(2 pi i (w + 0.5) 2**-32) is the product of three
+entries of small tables indexed by w's bits (see _phase_tables), so
+np.exp runs only on the tables' 5,120 entries.  trial_batches(d,
+trials, seed) yields the trials in batches of _BLOCKS Philox blocks,
+computed one after another on the calling thread, each when the
+consumer asks for it.  Its values are the same however batched into
+batches of two or more trials.  _simulate_range(d, seed, i, 1)
+reproduces trial i on its own, its p_correct bit for bit at d <= 3 and
+to the last bits from d = 4, where numpy sums a lone trial's rows in
+another order.
 
 haar_average_check checks state_ops.build_rho against the same draws.
 """
 
+import functools
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -61,9 +65,9 @@ Z_99 = 2.5758293035489004
 
 # Philox blocks per batch, _blocks_per_trial(d) a trial: 2048 trials at d = 3
 # and 787 at d = 5, as before the layout halved the blocks.  A batch's
-# temporaries peak near 0.7 MiB (0.86 at d = 10).  Twice the budget kept them
-# at 1.3 MiB, but a d = 5 CSV run's peak RSS rose 2%: its rows and the batches
-# in flight on the threads grow with the trials per batch.
+# temporaries peak near 0.7 MiB (0.89 at d = 8).  Twice the budget kept them
+# at 1.3 MiB, but a d = 5 CSV run's peak RSS rose 2%: its rows grow with the
+# trials per batch.
 _BLOCKS = 10240
 
 # Seeds and trial indices fill the 64-bit Philox key and counter halves.
@@ -121,11 +125,26 @@ def _uniforms(a, b):
 
 
 def _uniforms32(words):
-    """Uniforms in (0, 1) from uint64 words below 2**32: (w + 0.5) / 2**32,
+    """Uniforms in (0, 1) from integer words below 2**32: (w + 0.5) / 2**32,
     exact in float64, so the extremes are 2**-33 and 1 - 2**-33."""
     u = words + 0.5
     u *= 2.0**-32
     return u
+
+
+@functools.cache
+def _phase_tables():
+    """(hi, mid, lo): exp(2 pi i t) at t = a 2**-11 and b 2**-22 for
+    a, b < 2048, and at t = (c + 0.5) 2**-32 for c < 1024, read-only.  A
+    word w < 2**32 is a 2**21 + b 2**10 + c, so the phase factor
+    exp(2 pi i (w + 0.5) 2**-32) is hi[a] mid[b] lo[c].  Built on the
+    first draw, not at import: 5,120 entries, 80 KiB."""
+    tables = []
+    for size, offset, scale in ((2048, 0, 2.0**-11), (2048, 0, 2.0**-22), (1024, 0.5, 2.0**-32)):
+        table = np.exp(2j * np.pi * ((np.arange(size) + offset) * scale))
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def _draw_trials(d, seed, start, count):
@@ -143,9 +162,13 @@ def _draw_trials(d, seed, start, count):
     sqrt(-ln u) exp(2 pi i v) and amplitude 0 the real sqrt(-ln u): a
     reference's global phase is unobservable, so none is drawn.  Each
     reference is then normalised; since every u < 1, every radius is > 0.
-    Block m gives the true index 1 + floor(d u) from its words 0, 1 and
-    the outcome uniform from its words 2, 3 (see _uniforms).  Returns
-    refs (count, d, d), truths (count,) and uniforms (count,).
+    The phase factor of word w is hi[w >> 21] mid[(w >> 10) & 2047]
+    lo[w & 1023] (see _phase_tables): bits 21..31 index hi, bits 10..20
+    mid and bits 0..9 lo, and the three are multiplied into the radius in
+    that order.  Block m gives the true index 1 + floor(d u) from its
+    words 0, 1 and the outcome uniform from its words 2, 3 (see
+    _uniforms).  Returns refs (count, d, d), truths (count,) and
+    uniforms (count,).
     """
     m = _blocks_per_trial(d) - 1
     n = d * d
@@ -157,24 +180,41 @@ def _draw_trials(d, seed, start, count):
     _philox4x32(c.reshape(4, -1), (seed & _MASK32, seed >> 32))
     truths = 1 + (d * _uniforms(c[0, m], c[1, m])).astype(np.int64)  # floor, as u > 0
     outcome = _uniforms(c[2, m], c[3, m])
-    u = _uniforms32(c[:, :m]).reshape(4 * m, count)  # stream words, trials innermost
-    del c  # so the words are not held beside refs
+    # Stream words, trials innermost, as the intp that np.take indexes with.
+    words = c[:, :m].reshape(4 * m, count).view(np.int64)
+    del c  # so the counters are not held beside refs
     # ln u < 0, so ln u / sum(ln u) is the normalised energy.  The sum adds
     # each reference's d rows in sequence; the bits depend on that order.
-    energy = np.log(u[:n], out=u[:n]).reshape(d, d, count)
+    u = _uniforms32(words[:n])
+    energy = np.log(u, out=u).reshape(d, d, count)
     energy /= energy.sum(axis=1, keepdims=True)
     radii = np.sqrt(energy, out=energy)
-    # The parts are written through float views: a float operand in a
-    # complex ufunc is cast through buffers of up to 0.3 MiB.
+    # The radii go in through the float views, and the radius uniforms are
+    # freed before the phase buffers are made.
     refs = np.empty((d, d, count), dtype=np.complex128)
-    re, im = refs.real, refs.imag
-    re[:, 0] = radii[:, 0]
-    im[:, 0] = 0.0
-    re[:, 1:] = 0.0
-    np.multiply(u[n : n + d * (d - 1)].reshape(d, d - 1, count), 2 * np.pi, out=im[:, 1:])
-    np.exp(refs[:, 1:], out=refs[:, 1:])
-    re[:, 1:] *= radii[:, 1:]
-    im[:, 1:] *= radii[:, 1:]
+    refs.real = radii
+    refs.imag = 0.0
+    del u, energy, radii
+    # The phase factors are multiplied in one reference at a time, so the
+    # buffers stay small.  The indices go into the spent radius words;
+    # mode="clip" writes `out` directly, where "raise" buffers it.  No
+    # product is written over one of its operands: numpy multiplies one
+    # complex element in place without the fused multiply-add of its vector
+    # loop, so a lone trial at d = 2 would differ from itself in a batch.
+    hi, mid, lo = _phase_tables()
+    phases = words[n : n + d * (d - 1)].reshape(d, d - 1, count)
+    index = words[: d - 1]
+    factor, product = np.empty((2, d - 1, count), dtype=np.complex128)
+    for j in range(d):
+        amps = refs[j, 1:]
+        np.right_shift(phases[j], 21, out=index)
+        np.multiply(amps, np.take(hi, index, out=factor, mode="clip"), out=product)
+        np.right_shift(phases[j], 10, out=index)
+        index &= 2047
+        np.multiply(product, np.take(mid, index, out=factor, mode="clip"), out=amps)
+        np.bitwise_and(phases[j], 1023, out=index)
+        np.multiply(amps, np.take(lo, index, out=factor, mode="clip"), out=product)
+        amps[...] = product
     return refs.transpose(2, 0, 1), truths, outcome
 
 
@@ -213,42 +253,6 @@ def _simulate_range(d, seed, start, count):
     return truths, np.where(us < p, truths, INCONCLUSIVE), p
 
 
-def _in_order(fn, items):
-    """fn(item) for each item of the sequence `items`, in order, from two
-    daemon threads that take turns, each at most two items ahead.  A call's
-    exception is raised here; closing stops and joins the threads."""
-    done = ([], [])  # (value, exception) pairs per thread, in order
-    ready = (threading.Semaphore(0), threading.Semaphore(0))
-    room = (threading.Semaphore(2), threading.Semaphore(2))
-    stop = False
-    def work(k):
-        for item in items[k::2]:
-            room[k].acquire()
-            if stop:
-                return
-            try:
-                done[k].append((fn(item), None))
-            except BaseException as exc:
-                done[k].append((None, exc))
-            ready[k].release()
-    threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in (0, 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        for i in range(len(items)):
-            ready[i % 2].acquire()
-            value, exc = done[i % 2].pop(0)
-            room[i % 2].release()
-            if exc is not None:
-                raise exc
-            yield value
-    finally:
-        stop = True
-        for k, thread in enumerate(threads):
-            room[k].release()
-            thread.join()
-
-
 def _blocks_per_trial(d):
     """Philox blocks of one trial: its d² radius and d(d - 1) phase words,
     four to a block, and one block for its truth and outcome uniform."""
@@ -273,11 +277,9 @@ def trial_batches(d, trials, seed):
     trials = _check_index("trials", trials, 1, SEED_LIMIT - 1)
     seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
     size = _batch_size(d)
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
     def batch(start):
         return (start, *_simulate_range(d, seed, start, min(size, trials - start)))
-    threaded = d >= 4 and trials > size and len(cpus) > 1
-    return (_in_order if threaded else map)(batch, range(0, trials, size))
+    return map(batch, range(0, trials, size))
 
 
 def haar_average_check(d, n, samples, seed):

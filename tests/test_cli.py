@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -51,9 +50,9 @@ OPTIMIZE_SHA256 = {
 # form.  Each trial count crosses a batch boundary (3413 trials at d = 2,
 # 2048 at d = 3, 787 at d = 5).
 CSV_SHA256 = {
-    (5, 20000, 1001): "c36092b2b24bcda260ac67a9f10b48581fc551ea7b8a71df65b1ca5e566bf16d",
-    (2, 4099, 11): "cd5036d3f013a5241b1881cdb152a00b627acbc93ef90e2e090a8e69ee2f1d7e",
-    (3, 2049, 0): "e907c670825121802b7036de8c3246d6dc250f5f1bb86d9e53fe276c02273768",
+    (5, 20000, 1001): "55d22ce2dcdb48d5e95ab60728a8a334ee7cc1b5e0a3548d2a8e03a106ab98b3",
+    (2, 4099, 11): "2c0da4bebecddab1dd865835e1cf4ac3bd5a1c06892889e42cba41a19265d8cb",
+    (3, 2049, 0): "2c06b550969afb117e9f62d9b8781e6ebd3c67c1b94b3e2157cf6fdad643c5a1",
 }
 
 
@@ -357,11 +356,10 @@ def test_csv_rows_reject_non_finite(bad):
 
 
 def test_threads_hint_does_not_change_output(capsys, monkeypatch):
-    """At d = 4 on two CPUs the batches run on threads; the report is the
-    same with QID_THREADS unset, set to a count and set to garbage."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started, thread = [], threading.Thread
-    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or thread(*a, **k))
+    """At d = 4 the batches run on the calling thread alone, and the report
+    is the same with QID_THREADS unset, set to a count and set to garbage."""
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
     argv = ["simulate", "--d", "4", "--trials", str(2 * montecarlo._batch_size(4) + 1)]
     reports = []
     for hint in (None, "4", "not-a-number"):
@@ -375,7 +373,7 @@ def test_threads_hint_does_not_change_output(capsys, monkeypatch):
         report.pop("wall_time_s")
         reports.append(report)
     assert reports[0] == reports[1] == reports[2]
-    assert len(started) == 3 * 2
+    assert started == []
 
 
 def test_optimize_eigen(capsys):

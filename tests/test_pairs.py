@@ -164,6 +164,37 @@ def test_stopped_run_keeps_its_finished_pairs(monkeypatch, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_finished_run_prints_each_metrics_relative_change(monkeypatch, tmp_path, capsys):
+    """After the last pair, stdout holds one line per metric with the
+    relative change of its medians; a metric worse than its BENCHMARK.json
+    bound is flagged, in either direction of better."""
+    values = {"parent": {"job_s": 0.1, "peak_rss_mib": 30.0, "ops_ok_share": 1.0},
+              "change": {"job_s": 0.078, "peak_rss_mib": 33.3, "ops_ok_share": 0.5}}
+
+    def run_side(tree, workload, seed, seconds):
+        metrics = dict.fromkeys(METRICS, 1.0)
+        metrics.update(values[tree.name])
+        return 1, 1, 0, metrics
+
+    monkeypatch.setattr(pairs, "dirty_paths", lambda: [])
+    monkeypatch.setattr(pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(pairs, "build_trees", lambda tmp, sha: {"parent": tmp / "parent",
+                                                               "change": tmp / "change"})
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--workload", "sim-d3", "--pairs", "2", "--seconds", "1",
+            "--seed0", "5", "--name", "done", "--out", str(out)]
+    assert pairs.main(argv) == 0
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert list(lines) == METRICS
+    assert "(-22.00%)" in lines["job_s"] and "WORSE" not in lines["job_s"]
+    assert "(+11.00%)" in lines["peak_rss_mib"]
+    assert "WORSE by more than its bound 0.1" in lines["peak_rss_mib"]
+    assert "(-50.00%)" in lines["ops_ok_share"] and "WORSE" in lines["ops_ok_share"]
+    assert "(+0.00%)" in lines["setup_s"] and "WORSE" not in lines["setup_s"]
+    _check_record(json.loads(out.read_text())["done"])
+
+
 @pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
                     reason="needs a git checkout")
 def test_one_pair_smoke_run(tmp_path):

@@ -194,8 +194,8 @@ def test_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_futures_or_logging():
-    """The simulation's threads use threading alone: concurrent.futures
-    would import logging, about 6 ms more set-up in every CLI run."""
+    """The CLI imports neither concurrent.futures nor logging, which
+    would add about 6 ms of set-up to every CLI run."""
     code = (
         "import json, sys, quditid.cli; "
         "print(json.dumps([m for m in ('concurrent.futures', 'logging') "

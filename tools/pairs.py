@@ -18,7 +18,9 @@ end-to-end metric of BENCHMARK.json each side's median and quartiles,
 the change's wins out of N and a two-sided sign-test p-value.  The file
 is rewritten after every pair, with the rows so far, "complete": false
 and no summary, so a run that stops early keeps its finished pairs; the
-last pair's write sets "complete": true and adds the summary.
+last pair's write sets "complete": true and adds the summary.  Standard
+output then gets one line per metric with the relative change of its
+medians, flagged when it is worse than the metric's bound.
 
 The change side must match HEAD in src/, perfbench/ and BENCHMARK.json.
 --allow-dirty runs it anyway, and the record lists the paths that differ
@@ -157,6 +159,27 @@ def summarize(runs, spec):
     return out
 
 
+def change_lines(summary, spec):
+    """One line per end-to-end metric: both medians, the relative change
+    of the medians, the change's wins and the sign-test p.  A change worse
+    than the metric's BENCHMARK.json bound (a share of the parent median)
+    is flagged."""
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+    lines = []
+    for name, s in summary.items():
+        parent, change = s["parent"]["median"], s["change"]["median"]
+        if parent:
+            rel = (change - parent) / abs(parent)
+        else:
+            rel = 0.0 if change == parent else math.copysign(math.inf, change)
+        worse = rel if s["better"] == "lower" else -rel
+        bound = bounds[name]
+        flag = f"  WORSE by more than its bound {bound:g}" if worse > bound else ""
+        lines.append(f"{name:14s} parent {parent:.6g} change {change:.6g} ({rel:+.2%}) "
+                     f"wins {s['change_wins']}/{s['pairs']} p {s['sign_test_p']:.3g}{flag}")
+    return lines
+
+
 def write_records(out, records):
     """Replace the file `out` with `records`, through a temporary file, so
     a run stopped mid-write leaves the previous version whole."""
@@ -255,9 +278,8 @@ def main(argv=None):
                 record["complete"] = True
                 record["summary"] = summarize(runs, spec)
             write_records(out, records)
-    for name, s in record["summary"].items():
-        print(f"{name:14s} parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
-              f"wins {s['change_wins']}/{s['pairs']} p {s['sign_test_p']:.3g}")
+    for line in change_lines(record["summary"], spec):
+        print(line)
     return 0
 
 
