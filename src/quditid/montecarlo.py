@@ -34,11 +34,9 @@ entries of small tables indexed by w's bits (see _phase_tables), so
 np.exp runs only on the tables' 5,120 entries.  trial_batches(d,
 trials, seed) yields the trials in batches of _BLOCKS Philox blocks,
 computed one after another on the calling thread, each when the
-consumer asks for it.  Its values are the same however batched into
-batches of two or more trials.  _simulate_range(d, seed, i, 1)
-reproduces trial i on its own, its p_correct bit for bit at d <= 3 and
-to the last bits from d = 4, where numpy sums a lone trial's rows in
-another order.
+consumer asks for it.  Its values are the same in any batches of two
+or more trials; _simulate_range(d, seed, i, 1) reproduces trial i on its
+own, its p_correct to the last bits (bit for bit at d <= 3).
 
 haar_average_check checks state_ops.build_rho against the same draws.
 """
@@ -162,13 +160,11 @@ def _draw_trials(d, seed, start, count):
     sqrt(-ln u) exp(2 pi i v) and amplitude 0 the real sqrt(-ln u): a
     reference's global phase is unobservable, so none is drawn.  Each
     reference is then normalised; since every u < 1, every radius is > 0.
-    The phase factor of word w is hi[w >> 21] mid[(w >> 10) & 2047]
-    lo[w & 1023] (see _phase_tables): bits 21..31 index hi, bits 10..20
-    mid and bits 0..9 lo, and the three are multiplied into the radius in
-    that order.  Block m gives the true index 1 + floor(d u) from its
-    words 0, 1 and the outcome uniform from its words 2, 3 (see
-    _uniforms).  Returns refs (count, d, d), truths (count,) and
-    uniforms (count,).
+    Bits 21..31 of a phase word index _phase_tables' hi, bits 10..20 mid
+    and bits 0..9 lo, and the three entries multiply the radius in that
+    order.  Block m gives the true index 1 + floor(d u) from its words 0,
+    1 and the outcome uniform from its words 2, 3 (see _uniforms).
+    Returns refs (count, d, d), truths (count,) and uniforms (count,).
     """
     m = _blocks_per_trial(d) - 1
     n = d * d
@@ -189,18 +185,15 @@ def _draw_trials(d, seed, start, count):
     energy = np.log(u, out=u).reshape(d, d, count)
     energy /= energy.sum(axis=1, keepdims=True)
     radii = np.sqrt(energy, out=energy)
-    # The radii go in through the float views, and the radius uniforms are
-    # freed before the phase buffers are made.
+    # The radii go in through the float views; u is freed before the phases.
     refs = np.empty((d, d, count), dtype=np.complex128)
     refs.real = radii
     refs.imag = 0.0
     del u, energy, radii
-    # The phase factors are multiplied in one reference at a time, so the
-    # buffers stay small.  The indices go into the spent radius words;
-    # mode="clip" writes `out` directly, where "raise" buffers it.  No
-    # product is written over one of its operands: numpy multiplies one
-    # complex element in place without the fused multiply-add of its vector
-    # loop, so a lone trial at d = 2 would differ from itself in a batch.
+    # One reference at a time, so the buffers stay small; the indices go in
+    # the spent radius words, and mode="clip" writes `out` unbuffered.  No
+    # product overwrites an operand: numpy's in-place product of one complex
+    # element skips the fused multiply-add of its vector loop.
     hi, mid, lo = _phase_tables()
     phases = words[n : n + d * (d - 1)].reshape(d, d - 1, count)
     index = words[: d - 1]
