@@ -34,9 +34,9 @@ entries of small tables indexed by w's bits (see _phase_tables), so
 np.exp runs only on the tables' 5,120 entries.  trial_batches(d,
 trials, seed) yields the trials in batches of _BLOCKS Philox blocks,
 computed one after another on the calling thread, each when the
-consumer asks for it.  Its values are the same in any batches of two
-or more trials; _simulate_range(d, seed, i, 1) reproduces trial i on its
-own, its p_correct to the last bits (bit for bit at d <= 3).
+consumer asks for it.  Trial i's truth, outcome and p_correct depend
+only on (d, seed, i), bit for bit, in any batch, a lone trial included:
+_simulate_range(d, seed, i, 1) reproduces trial i on its own.
 
 haar_average_check checks state_ops.build_rho against the same draws.
 """
@@ -164,7 +164,8 @@ def _draw_trials(d, seed, start, count):
     and bits 0..9 lo, and the three entries multiply the radius in that
     order.  Block m gives the true index 1 + floor(d u) from its words 0,
     1 and the outcome uniform from its words 2, 3 (see _uniforms).
-    Returns refs (count, d, d), truths (count,) and uniforms (count,).
+    Returns refs (d, d, count), refs[j, l, b] amplitude l of reference j
+    in trial start + b, truths (count,) and uniforms (count,).
     """
     m = _blocks_per_trial(d) - 1
     n = d * d
@@ -184,12 +185,10 @@ def _draw_trials(d, seed, start, count):
     u = _uniforms32(words[:n])
     energy = np.log(u, out=u).reshape(d, d, count)
     energy /= energy.sum(axis=1, keepdims=True)
-    radii = np.sqrt(energy, out=energy)
-    # The radii go in through the float views; u is freed before the phases.
-    refs = np.empty((d, d, count), dtype=np.complex128)
-    refs.real = radii
-    refs.imag = 0.0
-    del u, energy, radii
+    # The radii go in through the real view; u is freed before the phases.
+    refs = np.zeros((d, d, count), dtype=np.complex128)
+    np.sqrt(energy, out=refs.real)
+    del u, energy
     # One reference at a time, so the buffers stay small; the indices go in
     # the spent radius words, and mode="clip" writes `out` unbuffered.  No
     # product overwrites an operand: numpy's in-place product of one complex
@@ -208,32 +207,31 @@ def _draw_trials(d, seed, start, count):
         np.bitwise_and(phases[j], 1023, out=index)
         np.multiply(amps, np.take(lo, index, out=factor, mode="clip"), out=product)
         amps[...] = product
-    return refs.transpose(2, 0, 1), truths, outcome
+    return refs, truths, outcome
 
 
 def _probs_batch(d, refs):
     """Success probability of each trial in a batch whose probe equals
-    its true reference: c |det R|² for refs (B, d, d), R[b] the matrix of
-    trial b's references and c = (d/(d+1))/d!.  Returns shape (B,).
+    its true reference: c |det R|² for refs (d, d, B) as _draw_trials
+    returns them, refs[..., b] the matrix R of trial b's references and
+    c = (d/(d+1))/d!.  Returns shape (B,).
 
     Modified Gram-Schmidt on the references gives |det R|² as the product
     of the squared norms |r_j⊥|², r_j⊥ being reference j less its
     projections on the references before it.  Each step is one array
-    operation over the whole batch, on the (d, d, B) buffer under refs,
-    which it overwrites: the caller's refs are spent.  As |r_j⊥| <= |r_j|
-    = 1, the product is at most 1, so c bounds p (Hadamard's inequality).
-    A zero norm, as a reference equal to an earlier one can leave, gives
-    p = 0, not NaN.
+    operation over the whole batch, and overwrites refs: the caller's refs
+    are spent.  As |r_j⊥| <= |r_j| = 1, the product is at most 1, so c
+    bounds p (Hadamard's inequality).  A zero norm, as a reference equal
+    to an earlier one can leave, gives p = 0, not NaN.
     """
-    v = refs.transpose(1, 2, 0)  # v[j, l, b]: amplitude l of reference j in trial b
-    det2 = np.ones(v.shape[2])
+    det2 = np.ones(refs.shape[2])
     for j in range(d):
-        q = v[j]
+        q = refs[j]
         n2 = (q.real**2 + q.imag**2).sum(axis=0)
         det2 *= n2
         if j + 1 < d:
             q *= np.divide(1.0, np.sqrt(n2), out=np.zeros_like(n2), where=n2 > 0)
-            v[j + 1 :] -= (q.conj() * v[j + 1 :]).sum(axis=1)[:, None] * q
+            refs[j + 1 :] -= (q.conj() * refs[j + 1 :]).sum(axis=1)[:, None] * q
     return (d / (d + 1) / math.factorial(d)) * det2
 
 
@@ -241,9 +239,10 @@ def _simulate_range(d, seed, start, count):
     """Truths, outcomes and success probabilities of the trials
     [start, start + count).  The outcome is the truth when the outcome
     uniform lies below the success probability, else inconclusive."""
-    refs, truths, us = _draw_trials(d, seed, start, count)
+    # At least two trials: numpy sums a single trial's amplitudes pairwise.
+    refs, truths, us = _draw_trials(d, seed, start, max(count, 2))
     p = _probs_batch(d, refs)
-    return truths, np.where(us < p, truths, INCONCLUSIVE), p
+    return truths[:count], np.where(us < p, truths, INCONCLUSIVE)[:count], p[:count]
 
 
 def _blocks_per_trial(d):
@@ -254,7 +253,7 @@ def _blocks_per_trial(d):
 
 def _batch_size(d):
     """Trials per batch at dimension d: _BLOCKS Philox blocks, _blocks_per_trial(d) a trial."""
-    return max(1, _BLOCKS // _blocks_per_trial(d))
+    return _BLOCKS // _blocks_per_trial(d)
 
 
 def trial_batches(d, trials, seed):
@@ -293,10 +292,10 @@ def haar_average_check(d, n, samples, seed):
     size = _batch_size(d)
     for start in range(0, samples, size):
         refs = _draw_trials(d, seed, start, min(size, samples - start))[0]
-        vecs = refs[:, n - 1]
+        vecs = refs[n - 1]
         for j in range(d):
-            vecs = np.einsum("bi,bj->bij", vecs, refs[:, j]).reshape(len(refs), -1)
-        acc += vecs.T @ vecs.conj()
+            vecs = np.einsum("ib,jb->ijb", vecs, refs[j]).reshape(-1, refs.shape[2])
+        acc += vecs @ vecs.T.conj()
     return float(np.max(np.abs(acc / samples - dense_rho)))
 
 

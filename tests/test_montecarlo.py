@@ -76,7 +76,7 @@ def test_draw_trials_haar_second_moment(d):
     leaves the projector unchanged."""
     n_samples = 40000
     refs, _, _ = montecarlo._draw_trials(d, 23, 0, n_samples // d)
-    psi = refs.reshape(-1, d)
+    psi = refs.transpose(0, 2, 1).reshape(-1, d)  # psi[j B + b]: reference j of trial b
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
     assert np.all(psi[:, 0].imag == 0.0) and np.all(psi[:, 0].real >= 0.0)
     pair = (psi[:, :, None] * psi[:, None, :]).reshape(len(psi), d * d)
@@ -122,7 +122,7 @@ def test_probs_batch_is_c_times_the_squared_determinant(d):
     """Gram-Schmidt's |det R|² over a full drawn batch against LAPACK's
     determinant, which only this test calls: within 1e-12 relative."""
     refs = montecarlo._draw_trials(d, 70 + d, 0, montecarlo._batch_size(d))[0]
-    dets = np.linalg.det(refs)  # before _probs_batch overwrites refs
+    dets = np.linalg.det(refs.transpose(2, 0, 1))  # before _probs_batch overwrites refs
     want = d / (d + 1) / math.factorial(d) * np.abs(dets) ** 2
     np.testing.assert_allclose(montecarlo._probs_batch(d, refs), want, rtol=1e-12, atol=0)
 
@@ -136,13 +136,13 @@ def test_probs_batch_is_zero_for_equal_references():
     in 43% of such trials at d = 3."""
     d = 3
     refs = montecarlo._draw_trials(d, 9, 0, 64)[0]
-    dets = np.linalg.det(refs)
+    dets = np.linalg.det(refs.transpose(2, 0, 1))
     x = np.array([1 + 1j, 1 - 1j, 0]) / 2
     e = np.eye(d)
     exact = {5: [x, x, e[2]], 17: [e[0], e[1], e[0]], 40: [np.zeros(d), e[1], e[2]]}
     for b, rows in exact.items():
-        refs[b] = rows
-    refs[50, 2] = refs[50, 1]
+        refs[..., b] = rows
+    refs[2, :, 50] = refs[1, :, 50]
     p = montecarlo._probs_batch(d, refs)
     assert np.all(np.isfinite(p))
     assert p[list(exact)].tolist() == [0.0, 0.0, 0.0]
@@ -164,7 +164,7 @@ def test_simulation_matches_measurement_vectors(d, povm2, povm3, povm4):
     batch_truths, _, p_correct = _trial_arrays(d, 20, seed)
     np.testing.assert_array_equal(batch_truths, truths)
     for i, t in enumerate(truths):
-        full = product_state([refs[i, t - 1], *refs[i]]).amps
+        full = product_state([refs[t - 1, :, i], *refs[..., i]]).amps
         for elem in povm.elements:
             want = element_expectation(elem, full)
             if elem.label == t:
@@ -192,6 +192,25 @@ def test_single_trial_record_shape():
 
 def test_single_trial_deterministic():
     assert _one_trial(2, 9, 4) == _one_trial(2, 9, 4)
+
+
+def test_lone_trial_equals_its_row_in_a_batch(capsys):
+    """A trial simulated on its own has the bytes of its row in a 64-trial
+    batch, at every d, though numpy sums a single trial's amplitudes
+    pairwise and a batch's in sequence.  So a CSV row does not depend on
+    whether its trial ends up alone in the last batch: at d = 5 trial 787
+    is alone with 788 trials and one of two with 789."""
+    for d in (2, 3, 4, 5, 8, 10):
+        batch = _simulate_range(d, 3, 0, 64)
+        for i in range(64):
+            lone = _simulate_range(d, 3, i, 1)
+            assert [col.tobytes() for col in lone] == [col[i : i + 1].tobytes() for col in batch], (d, i)
+    assert montecarlo._batch_size(5) == 787
+    rows = []
+    for trials in (788, 789):
+        assert cli.main(["simulate", "--d", "5", "--seed", "3", "--trials", str(trials), "--format", "csv"]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1 + 787])
+    assert rows[0].startswith("787,") and rows[0] == rows[1]
 
 
 def test_run_experiment_counts_and_rates(povm2):
@@ -358,7 +377,7 @@ def test_batches_hold_a_fixed_block_budget(d, size):
 def test_one_batch_holds_its_temporaries_under_a_bound(d):
     """One full batch's traced allocations peak at no more than 1.45 MiB
     at every d, so a batch's temporaries cannot raise the peak RSS of a
-    run unnoticed (0.60, 0.72, 0.86, 0.89 and 0.83 MiB here at d = 2, 3,
+    run unnoticed (0.60, 0.72, 0.85, 0.89 and 0.83 MiB here at d = 2, 3,
     5, 8 and 10; the first draw, which builds the 80 KiB phase tables,
     peaks 0.07 to 0.08 MiB higher)."""
     tracemalloc.start()
@@ -454,10 +473,10 @@ def test_phase_factors_come_from_three_tables(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_philox4x32", stub)
     refs = montecarlo._draw_trials(2, 0, 0, len(words))[0]
-    assert np.all(refs[:, :, 0] == math.sqrt(0.5))
-    phase = refs[:, :, 1] / refs[:, :, 0].real
+    assert np.all(refs[:, 0] == math.sqrt(0.5))
+    phase = refs[:, 1] / refs[:, 0].real
     want = np.array([cmath.exp(2j * math.pi * (w + 0.5) / 2**32) for w in words])
-    assert np.max(np.abs(phase - want[:, None])) <= 2e-15
+    assert np.max(np.abs(phase - want)) <= 2e-15
 
 
 def test_run_experiment_convergence():
@@ -595,20 +614,18 @@ def test_haar_average_check_catches_the_wrong_reference(monkeypatch, d, samples,
 
 def test_haar_average_check_draws_the_trial_batches(monkeypatch):
     """haar_average_check draws the references of trial_batches' batches:
-    the same (start, count) schedule, here one full batch and one trial."""
+    the same (start, count) spans, here one full batch and one trial."""
     size = montecarlo._batch_size(2)
+    spans = [(start, len(truths)) for start, truths, *_ in trial_batches(2, size + 1, 5)]
+    assert spans == [(0, size), (size, 1)]
     calls = []
     real = montecarlo._draw_trials
     def draw(d, seed, start, count):
         calls.append((d, seed, start, count))
         return real(d, seed, start, count)
     monkeypatch.setattr(montecarlo, "_draw_trials", draw)
-    list(trial_batches(2, size + 1, 5))
-    schedule = calls[:]
-    assert schedule == [(2, 5, 0, size), (2, 5, size, 1)]
-    calls.clear()
     montecarlo.haar_average_check(2, 1, size + 1, 5)
-    assert calls == schedule
+    assert calls == [(2, 5, *span) for span in spans]
 
 
 # SHA-256 of the (truths, outcomes, p_correct) bytes of trial_batches(d,
