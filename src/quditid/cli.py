@@ -15,8 +15,7 @@ A command returns its output (a JSON payload or CSV text pieces) and
 exit code, and main reports a library ValueError it raises as a usage
 error.  Only then is the output rendered and written, so an output fault,
 such as a non-finite value, raises ValueError instead.
-The bytes `simulate` writes depend only on (d, trials, seed);
-QID_THREADS is ignored.
+The bytes `simulate` writes depend only on (d, trials, seed).
 """
 
 import argparse
@@ -36,7 +35,6 @@ from .sym_optimizer import (
     optimal_weight_eigen,
     optimal_weight_grid,
 )
-from .tensor_core import DENSE_MAX_D
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,12 +136,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="construct the measurement")
-    build.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
+    build.add_argument("--d", type=int, required=True)
     build.add_argument("--out", default=None)
     build.set_defaults(run=_cmd_build, parser=build)
 
     verify = sub.add_parser("verify", help="run the algebraic checks")
-    verify.add_argument("--d", type=int, choices=range(2, DENSE_MAX_D + 1), required=True)
+    verify.add_argument("--d", type=int, required=True)
     verify.add_argument("--out", default=None)
     verify.set_defaults(run=_cmd_verify, parser=verify)
 

@@ -10,9 +10,9 @@ permutation of basis indices: reshape to one axis per qudit, swap axes
 costs one copy of the vector.  build_rho is the one way to build it.
 HermitianOperator's public methods are apply, which holds its vector to
 _check_finite, and to_dense, which takes none and forms the D x D
-matrix only for D <= DENSE_DIM_LIMIT (d <= 4).  The swap itself is the
-private _swap; analytics applies it to the integer sign columns of the
-measurement, so verify's traces stay exact.
+matrix only for d <= DENSE_OPERATOR_MAX_D (_check_index's rule).  The
+swap itself is the private _swap; analytics applies it to the integer
+sign columns of the measurement, so verify's traces stay exact.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,9 @@ import numpy as np
 
 from .tensor_core import _check_finite, _check_index, check_dim, total_dim
 
-# Refuse to densify anything bigger than the d=4 space (d=5 stays low-rank).
-DENSE_DIM_LIMIT = 4096
+# Largest d whose D x D operator to_dense forms: 4096 x 4096 at d = 4
+# (d = 5 stays low-rank).
+DENSE_OPERATOR_MAX_D = 4
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,9 @@ class HermitianOperator:
         return half * vec + half * self._swap(vec)
 
     def to_dense(self):
-        D = total_dim(self.d)
-        if D > DENSE_DIM_LIMIT:
-            raise ValueError(f"refusing to densify a {D}x{D} operator")
-        eye = np.eye(D, dtype=np.complex128)  # not copied through apply's check
-        half = rho_prefactor(self.d) / 2
+        d = _check_index("dimension of a dense D x D operator", self.d, 2, DENSE_OPERATOR_MAX_D)
+        eye = np.eye(total_dim(d), dtype=np.complex128)  # not copied through apply's check
+        half = rho_prefactor(d) / 2
         return half * eye + half * self._swap(eye)
 
 

@@ -14,8 +14,8 @@ This module deliberately never imports the measurement construction;
 agreement of the two routes is asserted in the test suite, not wired in
 here.  It shares only tensor_core's input rules: check_dim, whose upper
 bound on d keeps the (d, d, d) projector stack small for every accepted
-input, and the finite-number checks.  check_grid states the grid
-oracle's bounds.
+input, the integer range check and the finite-number checks.  check_grid
+holds the grid oracle's bounds, each one such check on a named limit.
 """
 
 import math
@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import _check_finite, _check_real, check_dim
+from .tensor_core import _check_finite, _check_index, _check_real, check_dim
 
 # Feasibility margin on the largest eigenvalue; boundary points count.
 FEASIBILITY_TOL = 1e-10
 
 # Inputs the grid oracle accepts; d = 3 at the finest has 1001**2 prefixes.
-GRID_DIMS = (2, 3)
+GRID_MAX_D = 3
 MIN_RESOLUTION = 0.001
 MAX_RESOLUTION = 0.1
 
@@ -91,10 +91,9 @@ def optimal_weight_eigen(fam):
 
 def check_grid(d, resolution):
     """The resolution as a float, after refusing with ValueError a grid
-    search outside the oracle's bounds: d not in GRID_DIMS (by check_dim's
-    rule first), or resolution not a real in [MIN_RESOLUTION, MAX_RESOLUTION]."""
-    if check_dim(d) not in GRID_DIMS:
-        raise ValueError(f"grid search supports d in {GRID_DIMS}, got {d}")
+    search outside the oracle's bounds: d not an integer in 2..GRID_MAX_D,
+    or resolution not a real in [MIN_RESOLUTION, MAX_RESOLUTION]."""
+    _check_index("dimension of a grid search", d, 2, GRID_MAX_D)
     return _check_real("resolution", resolution, MIN_RESOLUTION, MAX_RESOLUTION)
 
 

@@ -32,11 +32,8 @@ def check_dim(d):
 
 
 def check_dense_dim(d):
-    """check_dim, refusing d above DENSE_MAX_D before anything is allocated."""
-    d = check_dim(d)
-    if d > DENSE_MAX_D:
-        raise ValueError(f"d**(d+1) vectors are formed densely for d <= {DENSE_MAX_D}, not d={d}")
-    return d
+    """check_dim's rule on 2..DENSE_MAX_D, checked before anything is allocated."""
+    return _check_index("dimension of a dense d**(d+1)-entry vector", d, 2, DENSE_MAX_D)
 
 
 def _check_index(name, value, low, high):

@@ -432,12 +432,14 @@ def test_usage_errors_exit_1(capsys, argv):
     [
         (["simulate", "--d", "2", "--seed", "-1"], "seed must lie in 0..18446744073709551615, got -1"),
         (["simulate", "--d", "2", "--trials", "0", "--format", "csv"], "trials must lie in 1.."),
-        (["optimize", "--d", "4", "--mode", "grid"], "grid search supports d in (2, 3), got 4"),
+        (["optimize", "--d", "4", "--mode", "grid"], "dimension of a grid search must lie in 2..3, got 4"),
         (["simulate", "--d", "2", "--trials", "0"], "trials must lie in 1.."),
         (
             ["optimize", "--d", "2", "--mode", "grid", "--resolution", "nan"],
             "resolution must lie in [0.001, 0.1], got nan",
         ),
+        (["build", "--d", "6"], "dimension of a dense d**(d+1)-entry vector must lie in 2..5, got 6"),
+        (["verify", "--d", "1"], "dimension of a dense d**(d+1)-entry vector must lie in 2..5, got 1"),
     ],
 )
 def test_usage_error_is_the_library_message_and_writes_no_file(capsys, tmp_path, argv, message):

@@ -47,18 +47,20 @@ def test_core_support_and_norm(d):
 
 
 def test_builders_refuse_d_above_dense_limit():
-    """The size limit is checked before any amplitude is allocated."""
-    d = DENSE_MAX_D + 1
-    with pytest.raises(ValueError, match="densely"):
-        build_povm_vector(d, 1, 0)
-    with pytest.raises(ValueError, match="densely"):
-        build_detection_core(d, 1)
-    with pytest.raises(ValueError, match="densely"):
-        build_povm(d)
-    with pytest.raises(ValueError, match="densely"):
-        product_state([np.eye(d)[0]] * (d + 1))
-    with pytest.raises(ValueError, match="densely"):
-        conclusive_sum_spectrum(d)
+    """The size limit is checked before any amplitude is allocated, and d
+    below the range gets the same message as d above it."""
+    for d in (DENSE_MAX_D + 1, 1):
+        message = rf"^dimension of a dense d\*\*\(d\+1\)-entry vector must lie in 2\.\.{DENSE_MAX_D}, got {d}$"
+        with pytest.raises(ValueError, match=message):
+            build_povm_vector(d, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            build_detection_core(d, 1)
+        with pytest.raises(ValueError, match=message):
+            build_povm(d)
+        with pytest.raises(ValueError, match=message):
+            product_state([np.eye(d)[0]] * (d + 1))
+        with pytest.raises(ValueError, match=message):
+            conclusive_sum_spectrum(d)
 
 
 # product_state counts d + 1 factors, so each count whose d lies outside
@@ -66,7 +68,7 @@ def test_builders_refuse_d_above_dense_limit():
 # and the first d past it.
 @pytest.mark.parametrize("count", [0, 1, 2, DENSE_MAX_D + 2, MAX_DIM + 1, MAX_DIM + 2])
 def test_product_state_refuses_a_factor_count_outside_the_dense_range(count):
-    with pytest.raises(ValueError, match="dimension|densely"):
+    with pytest.raises(ValueError, match="^dimension of a dense"):
         product_state([np.eye(2)[0]] * count)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense_pair_projector, haar_unitary
 from quditid.state_ops import (
-    DENSE_DIM_LIMIT,
+    DENSE_OPERATOR_MAX_D,
     HermitianOperator,
     build_rho,
     rho_prefactor,
@@ -209,8 +209,8 @@ def test_rho_apply_bytes_are_pinned(d, n):
 
 
 def test_dense_guard_blocks_large_spaces():
-    assert total_dim(5) > DENSE_DIM_LIMIT
-    rho = build_rho(5, 1)  # construction stores two numbers
-    with pytest.raises(ValueError):
+    d = DENSE_OPERATOR_MAX_D + 1
+    rho = build_rho(d, 1)  # construction stores two numbers
+    with pytest.raises(ValueError, match=rf"^dimension of a dense D x D operator must lie in 2\.\.{d - 1}, got {d}$"):
         rho.to_dense()
 

@@ -7,8 +7,10 @@ import pytest
 
 from quditid.sym_optimizer import (
     FEASIBILITY_TOL,
+    GRID_MAX_D,
     _frontier_chunks,
     build_symmetric_family,
+    check_grid,
     frame_operator,
     optimal_weight_grid,
 )
@@ -230,6 +232,12 @@ def test_grid_feasibility_matches_frame_operator(d, resolution):
     assert np.all(beyond_top > bound) and np.all(empty_top > bound)
     tops = np.concatenate([found_top, beyond_top, empty_top])
     assert np.abs(tops - bound).min() > 1e-13
+
+
+@pytest.mark.parametrize("d", [1, GRID_MAX_D + 1])
+def test_check_grid_gives_one_message_below_and_above_its_range(d):
+    with pytest.raises(ValueError, match=rf"^dimension of a grid search must lie in 2\.\.3, got {d}$"):
+        check_grid(d, 0.01)
 
 
 def _traced_peak(d, resolution):
