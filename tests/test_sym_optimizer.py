@@ -236,7 +236,7 @@ def test_grid_feasibility_matches_frame_operator(d, resolution):
 
 @pytest.mark.parametrize("d", [1, GRID_MAX_D + 1])
 def test_check_grid_gives_one_message_below_and_above_its_range(d):
-    with pytest.raises(ValueError, match=rf"^dimension of a grid search must lie in 2\.\.3, got {d}$"):
+    with pytest.raises(ValueError, match=rf"^dimension of a grid search must lie in 2\.\.{GRID_MAX_D}, got {d}$"):
         check_grid(d, 0.01)
 
 
