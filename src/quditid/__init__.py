@@ -40,7 +40,6 @@ from .tensor_core import (
     haar_state,
     inner_product,
     product_state,
-    state_to_dict,
     total_dim,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "povm_to_dict",
     "product_state",
     "run_experiment",
-    "state_to_dict",
     "success_probability",
     "total_dim",
     "trial_batches",

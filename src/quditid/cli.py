@@ -154,7 +154,7 @@ def _build_parser():
     simulate.set_defaults(run=_cmd_simulate, parser=simulate)
 
     optimize = sub.add_parser("optimize", help="re-derive the optimal scale")
-    optimize.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
+    optimize.add_argument("--d", type=int, required=True)
     optimize.add_argument("--mode", choices=["eigen", "grid"], default="eigen")
     optimize.add_argument("--resolution", type=float, default=0.01)
     optimize.add_argument("--out", default=None)

@@ -109,9 +109,7 @@ def _render(obj, level, out, pieces):
     `pieces` holds the SignRows pieces made so far (_render_signs)."""
     pad = "  " * (level + 1)
     close_pad = "  " * level
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))

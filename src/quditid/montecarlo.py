@@ -265,7 +265,7 @@ def trial_batches(d, trials, seed):
     truth or INCONCLUSIVE), and the success probabilities, whose
     complements are the inconclusive probabilities.
     """
-    d = _check_index("dimension", d, 2, SIM_MAX_DIM)
+    d = _check_index("dimension of a simulation", d, 2, SIM_MAX_DIM)
     trials = _check_index("trials", trials, 1, SEED_LIMIT - 1)
     seed = _check_index("seed", seed, 0, SEED_LIMIT - 1)
     size = _batch_size(d)

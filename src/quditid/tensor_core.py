@@ -7,8 +7,10 @@ probe digit most significant:
 
     flat = sum_j digits[j] * d**(d - j)
 
-Each input rule is written once, in a _check_* function here: _check_factors
-holds the factors of a product input, unit norm included.
+Each input rule is written once, in a _check_* function here: _check_index
+the integer range, _check_real the real number, _check_finite the finite
+array, and _check_factors the factors of a product input, each a finite
+array of unit norm.
 """
 
 import functools
@@ -55,32 +57,29 @@ def _check_real(name, value, low, high):
     return float(value)
 
 
-def _check_numbers(name, values, dtype=np.float64):
-    """A new `dtype` array of numbers of its kind (bools and strings refused)."""
+def _check_finite(name, values, dtype=np.float64):
+    """A new `dtype` array of finite numbers of its kind (bools, strings,
+    NaN and ±inf refused)."""
     values = np.asarray(values)
     if values.dtype.kind == "b" or not np.can_cast(values.dtype, dtype, "same_kind"):
         raise ValueError(f"{name} must hold numbers, got dtype {values.dtype}")
-    return values.astype(dtype)
-
-
-def _check_finite(name, values, dtype=np.float64):
-    """_check_numbers, refusing NaN and ±inf too."""
-    if not np.isfinite(values := _check_numbers(name, values, dtype)).all():
+    if not np.isfinite(values := values.astype(dtype)).all():
         raise ValueError(f"{name} must be finite")
     return values
 
 
 def _check_factors(d, factors):
-    """The d+1 factors of a product input as (d,) vectors, each refused
-    unless its norm lies within NORM_TOL of 1 and returned over its norm."""
+    """The d+1 factors of a product input as (d,) vectors, each held to
+    _check_finite, refused unless its norm lies within NORM_TOL of 1 and
+    returned over its norm."""
     if len(factors) != d + 1:
         raise ValueError(f"expected {d + 1} factors, got {len(factors)}")
     units = []
     for j, f in enumerate(factors):
-        f = _check_numbers(f"factor {j}", f, np.complex128)
+        f = _check_finite(f"factor {j}", f, np.complex128)
         if f.shape != (d,):
             raise ValueError(f"factor {j} has shape {f.shape}, expected ({d},)")
-        if not abs((norm := np.linalg.norm(f)) - 1.0) <= NORM_TOL:  # NaN fails
+        if abs((norm := np.linalg.norm(f)) - 1.0) > NORM_TOL:
             raise ValueError(f"factor {j} is not normalized")
         units.append(f / norm)
     return units

@@ -40,7 +40,6 @@ NO_NUMERIC_INPUT = [
     "inner_product",
     "optimal_weight_eigen",
     "povm_to_dict",
-    "state_to_dict",
 ]
 
 POVM2 = quditid.build_povm(2)
@@ -215,7 +214,7 @@ CLI_OPTIONS = [
     (["simulate", "--d", "2", "--format", "csv"], "--trials", "integer", 1, TOP),
     (["simulate", "--d", "2", "--trials", "1"], "--seed", "integer", 0, TOP),
     (["simulate", "--d", "2", "--trials", "1", "--format", "csv"], "--seed", "integer", 0, TOP),
-    (["optimize"], "--d", "integer", 2, 5),
+    (["optimize"], "--d", "integer", 2, 14),
     (["optimize", "--mode", "grid"], "--d", "integer", 2, 3),
     (["optimize", "--d", "2", "--mode", "grid"], "--resolution", "real", 0.001, 0.1),
 ]
@@ -247,7 +246,7 @@ CLI_ACCEPTED = [
     ["verify", "--d", "5"],
     ["simulate", "--d", "2", "--trials", "1", "--seed", "0"],
     ["simulate", "--d", "5", "--trials", "1", "--seed", str(TOP), "--format", "csv"],
-    ["optimize", "--d", "5"],
+    ["optimize", "--d", "14"],
     ["optimize", "--d", "3", "--mode", "grid", "--resolution", "0.1"],
     ["optimize", "--d", "2", "--mode", "grid", "--resolution", "0.001"],
     ["optimize", "--d", "3", "--mode", "grid", "--resolution", "0.001"],

@@ -412,6 +412,15 @@ def test_optimize_grid_bytes_are_pinned(capsys, tmp_path, d, resolution):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OPTIMIZE_SHA256[d, resolution]
 
 
+@pytest.mark.parametrize("d", [6, 14])
+def test_optimize_eigen_takes_the_library_dimension_bound(capsys, d):
+    """optimize --d restates no bound: past build's 2..5, up to check_dim's
+    14, the eigen route gives d/(d+1)."""
+    rc, out = run_cli(capsys, "optimize", "--d", str(d))
+    assert rc == 0
+    assert abs(json.loads(out)["alpha_opt"] - d / (d + 1)) <= 1e-12
+
+
 def test_optimize_eigen_ignores_resolution(capsys):
     # Eigen mode never reads --resolution, so a value the grid refuses
     # changes nothing.
@@ -440,6 +449,8 @@ def test_usage_errors_exit_1(capsys, argv):
         ),
         (["build", "--d", "6"], "dimension of a dense d**(d+1)-entry vector must lie in 2..5, got 6"),
         (["verify", "--d", "1"], "dimension of a dense d**(d+1)-entry vector must lie in 2..5, got 1"),
+        (["optimize", "--d", "1"], "dimension must lie in 2..14, got 1"),
+        (["optimize", "--d", "15"], "dimension must lie in 2..14, got 15"),
     ],
 )
 def test_usage_error_is_the_library_message_and_writes_no_file(capsys, tmp_path, argv, message):

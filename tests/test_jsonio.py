@@ -36,7 +36,6 @@ def test_dumps_is_valid_json():
     obj = {
         "d": 3,
         "flag": True,
-        "nothing": None,
         "rates": [0.5, np.float64(0.25)],
         "counts": np.array([1, 2, 3]),
         "nested": {"x": 1e-12},
@@ -44,7 +43,6 @@ def test_dumps_is_valid_json():
     parsed = json.loads(jsonio.dumps(obj))
     assert parsed["d"] == 3
     assert parsed["flag"] is True
-    assert parsed["nothing"] is None
     assert parsed["rates"] == [0.5, 0.25]
     assert parsed["counts"] == [1, 2, 3]
     assert parsed["nested"]["x"] == 1e-12
@@ -53,6 +51,8 @@ def test_dumps_is_valid_json():
 def test_dumps_rejects_unserializable():
     with pytest.raises(TypeError):
         jsonio.dumps({"x": object()})
+    with pytest.raises(TypeError):
+        jsonio.dumps(None)
     with pytest.raises(TypeError):
         jsonio.dumps({1: "non-string key"})
 

@@ -20,6 +20,7 @@ from quditid.montecarlo import (
     INCONCLUSIVE,
     Z_99,
     SEED_LIMIT,
+    SIM_MAX_DIM,
     _simulate_range,
     haar_average_check,
     run_experiment,
@@ -561,6 +562,15 @@ def test_trial_batches_refuses_at_the_call():
     for d, trials, seed in [(1, 10, 0), (2, 0, 0), (2, 10, -1)]:
         with pytest.raises(ValueError):
             trial_batches(d, trials, seed)
+
+
+@pytest.mark.parametrize("d", [1, SIM_MAX_DIM + 1])
+@pytest.mark.parametrize("run", [run_experiment, trial_batches], ids=lambda f: f.__name__)
+def test_simulation_bound_names_itself(run, d):
+    """The simulation's bound on d is not check_dim's 2..14, and its
+    message says so."""
+    with pytest.raises(ValueError, match=rf"^dimension of a simulation must lie in 2\.\.{SIM_MAX_DIM}, got {d}$"):
+        run(d, 10, 0)
 
 
 def test_seed_and_index_range():

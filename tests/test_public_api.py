@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "povm_to_dict",
     "product_state",
     "run_experiment",
-    "state_to_dict",
     "success_probability",
     "total_dim",
     "trial_batches",
@@ -51,8 +50,9 @@ PUBLIC_NAMES = [
 # way to make the states and the family that product_state,
 # build_povm_vector and build_symmetric_family build, and
 # LowRankPovmElement and Povm, whose constructors were a second way to
-# make the measurement build_povm builds; each is gone from the
-# package's exports.
+# make the measurement build_povm builds, and state_to_dict, whose JSON
+# form of a dense state no command writes since povm_to_dict renders
+# sign rows; each is gone from the package's exports.
 REMOVED_NAMES = [
     "ConfusionMatrix",
     "ExperimentReport",
@@ -67,6 +67,7 @@ REMOVED_NAMES = [
     "povm_from_dict",
     "run_trial",
     "state_from_dict",
+    "state_to_dict",
     "trial_stream",
 ]
 
@@ -92,7 +93,6 @@ SIGNATURES = {
     "povm_to_dict": ["povm"],
     "product_state": ["factors"],
     "run_experiment": ["d", "trials", "seed"],
-    "state_to_dict": ["state"],
     "success_probability": ["povm", "d"],
     "total_dim": ["d"],
     "trial_batches": ["d", "trials", "seed"],

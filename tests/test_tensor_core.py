@@ -6,6 +6,7 @@ import pytest
 
 from conftest import basis_ket, decode_index
 from quditid import jsonio
+from quditid.detection import overlap_with_product
 from quditid.tensor_core import (
     MAX_DIM,
     StateVector,
@@ -172,8 +173,18 @@ def test_product_state_rejects_bad_factors():
         product_state([basis_ket(2, 0), basis_ket(2, 0), np.array([1.0, 1.0])])
     with pytest.raises(ValueError, match=r"factor 0 has shape \(3,\), expected \(2,\)"):
         product_state([np.array([1.0, 0.0, 0.0])] * 3)  # shape (3,) but d = 2
-    with pytest.raises(ValueError, match="factor 0 is not normalized"):
+    with pytest.raises(ValueError, match="^factor 0 must be finite$"):
         product_state([np.array([np.nan, 0.0])] * 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
+@pytest.mark.parametrize("make", [product_state, lambda fs: overlap_with_product(2, 1, fs)],
+                         ids=["product_state", "overlap_with_product"])
+def test_non_finite_factor_is_refused_before_the_norm(make, bad):
+    """_check_factors holds each factor to the finite-array rule first, so a
+    NaN or ±inf entry is named as such, not as a failed norm."""
+    with pytest.raises(ValueError, match="^factor 1 must be finite$"):
+        make([basis_ket(2, 0), np.array([bad, 0.0]), basis_ket(2, 1)])
 
 
 def test_inner_product_conjugate_symmetry():
